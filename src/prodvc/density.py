@@ -91,14 +91,14 @@ def densest_subgraph_bruteforce(g: FactorGraph) -> DensityReport:
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
     edge_count = [0] * (1 << g.n)
-    best = Fraction(0)
-    best_mask = 1
+    best_e, best_s, best_mask = 0, 1, 1
     for mask in range(1, 1 << g.n):
         low = (mask & -mask).bit_length() - 1
-        edge_count[mask] = edge_count[mask & (mask - 1)] + (adj_mask[low] & mask).bit_count()
-        d = Fraction(edge_count[mask], mask.bit_count())
-        if d > best:
-            best, best_mask = d, mask
+        e = edge_count[mask] = edge_count[mask & (mask - 1)] + (adj_mask[low] & mask).bit_count()
+        s = mask.bit_count()
+        if e * best_s > best_e * s:  # e/s > best_e/best_s, in integers
+            best_e, best_s, best_mask = e, s, mask
+    best = Fraction(best_e, best_s)
     witness = tuple(v for v in range(g.n) if best_mask >> v & 1)
     return DensityReport(density=best, witness=witness, mad=2 * best)
 
@@ -139,13 +139,36 @@ def _violates_forest_bound(g: FactorGraph, k: int) -> bool:
 
 
 def arboricity(g: FactorGraph) -> int:
-    """max over subgraphs of ceil(|E'|/(|V'|-1)), exactly (0 for edgeless)."""
+    """max over subgraphs of ceil(|E'|/(|V'|-1)), exactly (0 for edgeless).
+
+    With rho = dens(g) = a/b and p = ceil(rho), p <= arboricity <= p + 1:
+    the densest witness S* has more than (p-1)|S*| edges, so its ratio over
+    |S*| - 1 exceeds p - 1; and a set S with |S| >= p + 1 has
+    |E(S)|/(|S|-1) <= p|S|/(|S|-1) <= p + 1, while a smaller one has
+    |E(S)|/(|S|-1) <= |S|/2 <= p.  The arboricity is p + 1 exactly when some
+    S has |E(S)| >= p(|S|-1) + 1.  One density solve decides that in three
+    exact steps:
+
+    1. S* itself has rho|S*| >= p(|S*|-1) + 1 edges: p + 1 (always when rho
+       is an integer);
+    2. no size s in 2..n admits p(s-1) + 1 <= min(floor(a s/b), s(s-1)/2)
+       edges, the most a set of size s can hold: p;
+    3. otherwise one forced-vertex min-cut round at k = p decides.
+
+    `forest_decomposition` builds its forests from the degeneracy order, so
+    it may use more forests than this value (Q3: 3 for arboricity 2).
+    """
     if g.m == 0:
         return 0
-    k = max(1, -(-g.m // (g.n - 1)))
-    while _violates_forest_bound(g, k):
-        k += 1
-    return k
+    rep = densest_subgraph(g)
+    a, b = rep.density.numerator, rep.density.denominator
+    p = -(-a // b)
+    size = len(rep.witness)
+    if a * size // b >= p * (size - 1) + 1:
+        return p + 1
+    if all(min(a * s // b, s * (s - 1) // 2) < p * (s - 1) + 1 for s in range(2, g.n + 1)):
+        return p
+    return p + 1 if _violates_forest_bound(g, p) else p
 
 
 def arboricity_bruteforce(g: FactorGraph) -> int:
@@ -218,9 +241,10 @@ def forest_decomposition(g: FactorGraph, k: int) -> ForestDecomposition:
 def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int], int]:
     """Orient every edge so that each vertex has outdegree at most d.
 
-    Feasible exactly when dens(g) <= d; maps each edge (u, v) to its head.
+    Feasible exactly when dens(g) <= d (Hakimi), which the max-flow value
+    decides; maps each edge (u, v) to its head.
     """
-    if d < 0 or Fraction(d) < dens(g):
+    if d < 0:
         raise GraphError(f"infeasible, density exceeds {d}")
     net = MaxFlow(2 + g.n + g.m)
     vnode = lambda v: 2 + v
@@ -231,8 +255,8 @@ def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int
         enode = 2 + g.n + idx
         net.add_edge(0, enode, 1)
         arcs[(u, v)] = (net.add_edge(enode, vnode(u), 1), net.add_edge(enode, vnode(v), 1))
-    flow = net.max_flow(0, 1)
-    assert flow == g.m, "orientation flow must saturate all edges"
+    if net.max_flow(0, 1) != g.m:
+        raise GraphError(f"infeasible, density exceeds {d}")
     orientation = {}
     for (u, v), (au, av) in arcs.items():
         # the endpoint that absorbed the unit of flow is the tail

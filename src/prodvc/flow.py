@@ -41,27 +41,43 @@ class MaxFlow:
                     queue.append(self.to[i])
         return self.level[t] >= 0
 
-    def _dfs(self, v: int, t: int, pushed):
-        if v == t:
-            return pushed
-        while self.it[v] < len(self.head[v]):
-            i = self.head[v][self.it[v]]
-            w = self.to[i]
-            if self.cap[i] > 0 and self.level[w] == self.level[v] + 1:
-                got = self._dfs(w, t, min(pushed, self.cap[i]))
-                if got:
-                    self.cap[i] -= got
-                    self.cap[i ^ 1] += got
-                    return got
-            self.it[v] += 1
-        return 0
+    def _augment(self, s: int, t: int):
+        """Push flow along one s-t path of the level graph; 0 once blocked.
+
+        Iterative depth-first search: `path` holds the arcs from s to the
+        current node, `it` the current-arc pointers, and a dead-end node
+        leaves the level graph (`level[v] = -1`) for the rest of the phase.
+        """
+        head, to, cap, level, it = self.head, self.to, self.cap, self.level, self.it
+        path: list[int] = []
+        v = s
+        while v != t:
+            arcs = head[v]
+            while it[v] < len(arcs):
+                i = arcs[it[v]]
+                if cap[i] > 0 and level[to[i]] == level[v] + 1:
+                    path.append(i)
+                    v = to[i]
+                    break
+                it[v] += 1
+            else:
+                if v == s:
+                    return 0
+                level[v] = -1
+                v = to[path.pop() ^ 1]
+                it[v] += 1
+        pushed = min(cap[i] for i in path)
+        for i in path:
+            cap[i] -= pushed
+            cap[i ^ 1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int):
         flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:
-                pushed = self._dfs(s, t, INF)
+                pushed = self._augment(s, t)
                 if not pushed:
                     break
                 flow += pushed

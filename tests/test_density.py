@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prodvc import density
 from prodvc.density import (arboricity, arboricity_bruteforce,
                             bounded_outdegree_orientation, dens, densest_subgraph,
                             densest_subgraph_bruteforce, forest_decomposition, mad)
+from prodvc.flow import MaxFlow
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           degeneracy_ordering, path_graph, star_graph)
 from prodvc.products import ProductSpace, hypercube
@@ -66,16 +68,45 @@ def test_product_density_is_sum_of_factor_densities():
 def test_known_arboricities():
     assert arboricity(path_graph(6)) == 1
     assert arboricity(complete_graph(4)) == 2
+    assert arboricity(complete_graph(5)) == 3
     q3, _ = hypercube(3).materialize().to_factor_graph()
     assert arboricity(q3) == 2  # ceil(12/7)
+    q4, _ = hypercube(4).materialize().to_factor_graph()
+    assert arboricity(q4) == 3  # ceil(32/15), past the oracle's 12 vertices
     assert arboricity(FactorGraph(1, [])) == 0
 
 
-def test_arboricity_matches_bruteforce():
+def test_arboricity_matches_bruteforce(monkeypatch):
+    rounds = []
+    real_round = density._violates_forest_bound
+
+    def counted_round(g, k):
+        rounds.append(real_round(g, k))
+        return rounds[-1]
+
+    monkeypatch.setattr(density, "_violates_forest_bound", counted_round)
+    # K5 minus an edge (9 > 2*4 edges) inside a 10-vertex graph of density
+    # 9/5: the densest witness is the whole graph, which has only 2*9 edges,
+    # so only the min-cut round finds the violation
+    k5_minus_edge = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
+    hidden = FactorGraph(10, k5_minus_edge + [(0, 5), (1, 6), (2, 7), (3, 8)]
+                         + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    q3, _ = hypercube(3).materialize().to_factor_graph()
+    graphs = [complete_graph(5), q3, hidden] + [cycle_graph(n) for n in range(3, 13)]
     rng = random.Random(99)
-    for _ in range(120):
-        g = random_graph(rng, n_max=9)
-        assert arboricity(g) == arboricity_bruteforce(g)
+    graphs += [random_graph(rng, n_max=9) for _ in range(120)]
+    rng = random.Random(2634)
+    graphs += [random_graph(rng, n_max=11) for _ in range(300)]
+    outcomes = set()
+    for g in graphs:
+        before = len(rounds)
+        a = arboricity(g)
+        assert a == arboricity_bruteforce(g)
+        if len(rounds) > before:
+            outcomes.add(("round", rounds[-1]))
+        elif g.m:
+            outcomes.add(("no round", a - math.ceil(dens(g))))
+    assert outcomes == {("no round", 0), ("no round", 1), ("round", False), ("round", True)}
 
 
 def test_arboricity_consistency_with_density():
@@ -145,3 +176,27 @@ def test_density_oracle_property(bits, n):
     assert rep.density == densest_subgraph_bruteforce(g).density
     assert mad(g) == 2 * rep.density
     assert rep.density >= Fraction(g.m, g.n)
+
+
+def test_max_flow_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        net, ref = MaxFlow(n), nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        arcs = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            c = rng.randint(1, 9)
+            net.add_edge(u, v, c)
+            arcs.append((u, v, c))
+            if ref.has_edge(u, v):
+                ref[u][v]["capacity"] += c
+            else:
+                ref.add_edge(u, v, capacity=c)
+        value = net.max_flow(0, n - 1)
+        assert value == nx.maximum_flow_value(ref, 0, n - 1)
+        side = net.min_cut_source_side(0)
+        assert n - 1 not in side
+        assert sum(c for u, v, c in arcs if u in side and v not in side) == value

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from prodvc.cli import main
-from prodvc.graph import complete_graph, path_graph, to_edgelist
+from prodvc.graph import FactorGraph, complete_graph, path_graph, to_edgelist
 from prodvc.harness import (FAMILIES, GeneratorSpec, check_density_sum,
                             check_log_bound, check_splitting_step, fuzz_records,
                             generate, instance_digest, random_factor,
@@ -189,3 +189,18 @@ def test_cli_verify_and_fuzz(capsys, tmp_path):
 def test_cli_io_error(capsys):
     code, _ = run_cli(capsys, "density", "/no/such/file")
     assert code == 2
+
+
+def test_cli_shuffled_long_cycle(capsys, tmp_path):
+    # a shuffled long cycle makes augmenting paths thousands of arcs long
+    n = 3000
+    perm = list(range(n))
+    random.Random(0).shuffle(perm)
+    cycle = FactorGraph(n, [(perm[i], perm[(i + 1) % n]) for i in range(n)])
+    p = tmp_path / "c3000.txt"
+    p.write_text(to_edgelist(cycle))
+    code, doc = run_cli(capsys, "density", str(p))
+    assert code == 0 and doc["density"]["exact"] == "1/1"
+    code, doc = run_cli(capsys, "orient", "--max-outdegree", "1", str(p))
+    assert code == 0 and len(doc["arcs_tail_head"]) == n
+    assert sorted(t for t, _ in doc["arcs_tail_head"]) == list(range(n))
