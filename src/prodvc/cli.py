@@ -21,7 +21,7 @@ from .harness import (SUITES, fuzz_records, report_to_json, resolve_mu, run_suit
 from .labeling import decode, encode, from_label_file, to_label_file
 from .products import (ProductSpace, instance_from_json, instance_to_json)
 from .reductions import reduce_edge, reduce_opposite_pair
-from .vc import compute_vc_report, vcd_induced, vcdens_induced
+from .vc import DEFAULT_BUDGET, compute_vc_report, vcd_induced, vcdens_induced
 
 SCHEMA = "prodvc-report-1"
 
@@ -95,8 +95,7 @@ def cmd_vcd(args) -> int:
     g = _load_instance(args.instance)
     doc = {"schema": SCHEMA, "n": g.n, "m": g.num_edges}
     if args.minor:
-        rep = compute_vc_report(g, budget=args.budget,
-                                f_cap=args.exact_caps[0], m_cap=args.exact_caps[1])
+        rep = compute_vc_report(g, budget=args.budget)
         doc.update({
             "vcd": rep.vcd, "vcdens": _rational(rep.vcdens),
             "vcd_star": rep.vcd_star, "vcdens_star": _rational(rep.vcdens_star),
@@ -271,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--minor", action="store_true",
                    help="also compute the minor (starred) quantities")
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--exact-caps", type=int, nargs=2, default=(8, 6),
-                   metavar=("F_MAX", "M_MAX"))
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="scan nodes (factor partitions tried) before the minor "
+                        "search stops with a bounded, inexact result")
     p.set_defaults(func=cmd_vcd)
 
     p = subs.add_parser("reduce", help="one reduction step along a factor edge")

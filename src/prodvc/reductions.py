@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .graph import FactorGraph, GraphError, contract_edge, induced_subgraph, star_of_edge
+from .graph import (FactorGraph, GraphError, contract_edge, induced_subgraph, star_graph,
+                    star_of_edge)
 from .products import Coord, ProductSpace, ProductSubgraph, _norm_edge
 
 
@@ -80,6 +81,51 @@ def _classify_edges(g: ProductSubgraph, i: int, cmap: dict[Coord, Coord],
             "square_merged": square, "created": created}
 
 
+def _reduce(g: ProductSubgraph, i: int, u: int, v: int, f_hat: FactorGraph,
+            phi: list[int], leaf_of: dict[int, int], edge: tuple[int, int],
+            ) -> ReductionStep:
+    """The reduction shared by both operators: `phi` maps factor i onto
+    `f_hat`, sending v to the image of u.  Factor i of the link part is the
+    star with center 0 and leaves 1.. named by `leaf_of`.  Centers are the
+    vertices at u whose copy at v is in g, placed at the center; tips are the
+    vertices at a leaf beside a center."""
+    hat_space = ProductSpace(g.space.factors[:i] + (f_hat,) + g.space.factors[i + 1:])
+    cmap = {w: _with_coord(w, i, phi[w[i]]) for w in g.vertices}
+    g_contracted = ProductSubgraph(hat_space, set(cmap.values()), induced=True)
+
+    tilde_space = ProductSpace(g.space.factors[:i] + (star_graph(len(leaf_of)),)
+                               + g.space.factors[i + 1:])
+    centers = set()
+    for w in g.vertices:
+        if w[i] == u and _with_coord(w, i, v) in g.vertices:
+            centers.add(_with_coord(w, i, 0))
+    tips = set()
+    for w in g.vertices:
+        x = w[i]
+        if x in leaf_of and _with_coord(w, i, 0) in centers:
+            tips.add(_with_coord(w, i, leaf_of[x]))
+    g_link = ProductSubgraph(tilde_space, centers | tips, induced=True)
+    g_link_centers = ProductSubgraph(tilde_space, centers, induced=True)
+    tip_edges = g_link.edges - g_link_centers.edges
+
+    groups = _classify_edges(g, i, cmap, g_contracted)
+    # an edge uv collapses once per center; an opposite pair is never adjacent
+    adjacent = g.space.factors[i].has_edge(u, v)
+    assert groups["collapsed"] == (g_link_centers.n if adjacent else 0)
+    assert groups["square_merged"] == g_link_centers.num_edges
+    assert groups["triangle_merged"] == len(tips)
+
+    step = ReductionStep(factor_index=i, edge=edge, g=g,
+                         g_contracted=g_contracted, g_link=g_link,
+                         g_link_centers=g_link_centers,
+                         tips=frozenset(tips), tip_edges=frozenset(tip_edges),
+                         contraction_map=cmap,
+                         num_common_neighbors=len(leaf_of),
+                         edge_groups=groups)
+    step.check_counting()
+    return step
+
+
 def reduce_edge(g: ProductSubgraph, i: int, u: int, v: int) -> ReductionStep:
     """Reduce an induced subgraph along the edge uv of factor i."""
     if not g.induced:
@@ -89,41 +135,9 @@ def reduce_edge(g: ProductSubgraph, i: int, u: int, v: int) -> ReductionStep:
     f = g.space.factors[i]
     if not f.has_edge(u, v):
         raise GraphError(f"({u},{v}) is not an edge of factor {i}")
-
     f_hat, phi = contract_edge(f, u, v)
-    hat_space = ProductSpace(g.space.factors[:i] + (f_hat,) + g.space.factors[i + 1:])
-    cmap = {w: _with_coord(w, i, phi[w[i]]) for w in g.vertices}
-    g_contracted = ProductSubgraph(hat_space, set(cmap.values()), induced=True)
-
-    star, center, leaf_of = star_of_edge(f, u, v)
-    tilde_space = ProductSpace(g.space.factors[:i] + (star,) + g.space.factors[i + 1:])
-    centers = set()
-    for w in g.vertices:
-        if w[i] == u and _with_coord(w, i, v) in g.vertices:
-            centers.add(_with_coord(w, i, center))
-    tips = set()
-    for w in g.vertices:
-        x = w[i]
-        if x in leaf_of and _with_coord(w, i, center) in centers:
-            tips.add(_with_coord(w, i, leaf_of[x]))
-    g_link = ProductSubgraph(tilde_space, centers | tips, induced=True)
-    g_link_centers = ProductSubgraph(tilde_space, centers, induced=True)
-    tip_edges = g_link.edges - g_link_centers.edges
-
-    groups = _classify_edges(g, i, cmap, g_contracted)
-    assert groups["collapsed"] == g_link_centers.n
-    assert groups["square_merged"] == g_link_centers.num_edges
-    assert groups["triangle_merged"] == len(tips)
-
-    step = ReductionStep(factor_index=i, edge=(u, v), g=g,
-                         g_contracted=g_contracted, g_link=g_link,
-                         g_link_centers=g_link_centers,
-                         tips=frozenset(tips), tip_edges=frozenset(tip_edges),
-                         contraction_map=cmap,
-                         num_common_neighbors=len(leaf_of),
-                         edge_groups=groups)
-    step.check_counting()
-    return step
+    _, _, leaf_of = star_of_edge(f, u, v)
+    return _reduce(g, i, u, v, f_hat, phi, leaf_of, (u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -152,43 +166,10 @@ def reduce_opposite_pair(g: ProductSubgraph, i: int, e: int) -> ReductionStep:
     keep = sorted(set(range(f.n)) - {ebar})
     f_hat, remap = induced_subgraph(f, keep)
     phi = [remap[x] if x != ebar else remap[e] for x in range(f.n)]
-    hat_space = ProductSpace(g.space.factors[:i] + (f_hat,) + g.space.factors[i + 1:])
-    cmap = {w: _with_coord(w, i, phi[w[i]]) for w in g.vertices}
-    g_contracted = ProductSubgraph(hat_space, set(cmap.values()), induced=True)
-
     nbrs = sorted(f.adj[ebar])
     assert set(nbrs) == set(range(f.n)) - {e, ebar}
-    from .graph import star_graph
-    star = star_graph(len(nbrs))
     leaf_of = {x: j + 1 for j, x in enumerate(nbrs)}
-    tilde_space = ProductSpace(g.space.factors[:i] + (star,) + g.space.factors[i + 1:])
-    centers = set()
-    for w in g.vertices:
-        if w[i] == e and _with_coord(w, i, ebar) in g.vertices:
-            centers.add(_with_coord(w, i, 0))
-    tips = set()
-    for w in g.vertices:
-        x = w[i]
-        if x in leaf_of and _with_coord(w, i, 0) in centers:
-            tips.add(_with_coord(w, i, leaf_of[x]))
-    g_link = ProductSubgraph(tilde_space, centers | tips, induced=True)
-    g_link_centers = ProductSubgraph(tilde_space, centers, induced=True)
-    tip_edges = g_link.edges - g_link_centers.edges
-
-    groups = _classify_edges(g, i, cmap, g_contracted)
-    assert groups["collapsed"] == 0  # e and e-bar are never adjacent
-    assert groups["square_merged"] == g_link_centers.num_edges
-    assert groups["triangle_merged"] == len(tips)
-
-    step = ReductionStep(factor_index=i, edge=(min(e, ebar), max(e, ebar)), g=g,
-                         g_contracted=g_contracted, g_link=g_link,
-                         g_link_centers=g_link_centers,
-                         tips=frozenset(tips), tip_edges=frozenset(tip_edges),
-                         contraction_map=cmap,
-                         num_common_neighbors=len(leaf_of),
-                         edge_groups=groups)
-    step.check_counting()
-    return step
+    return _reduce(g, i, e, ebar, f_hat, phi, leaf_of, (min(e, ebar), max(e, ebar)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +183,16 @@ class InequalityRecord:
     verdict: str  # holds / violated / inconclusive / skipped
 
 
-def vc_monotonicity_check(step: ReductionStep, budget: int = 500) -> list[InequalityRecord]:
+def vc_monotonicity_check(step: ReductionStep) -> list[InequalityRecord]:
     """Check how the minor VC quantities move across one reduction step:
     they never grow on the contracted part, and on the center part the
     dimension drops by one and the density by one half.  The tip count is
     bounded by the centers times the number of common neighbors.  Any side
-    computed heuristically makes the verdict inconclusive rather than firm.
+    from a bounded search makes the verdict inconclusive rather than firm.
     """
-    from .vc import vcd_minor, vcdens_minor
+    from .vc import minor_search
 
-    d_g, de1, _ = vcd_minor(step.g, budget=budget)
-    s_g, se1, _ = vcdens_minor(step.g, budget=budget)
+    d_g, _, s_g, _, e_g = minor_search(step.g)
     records = []
 
     def record(name, lhs, rhs, lhs_exact, rhs_exact):
@@ -225,19 +205,17 @@ def vc_monotonicity_check(step: ReductionStep, budget: int = 500) -> list[Inequa
         records.append(InequalityRecord(name=name, lhs=str(lhs), rhs=str(rhs), verdict=verdict))
 
     if step.g_contracted.n:
-        d_c, de2, _ = vcd_minor(step.g_contracted, budget=budget)
-        s_c, se2, _ = vcdens_minor(step.g_contracted, budget=budget)
+        d_c, _, s_c, _, e_c = minor_search(step.g_contracted)
         # the contracted part is a minor-subproduct of g, so exact lhs vs
-        # heuristic rhs can only under-report the right side
-        record("vcd_star(contracted) <= vcd_star(g)", d_c, d_g, de2, de1)
-        record("vcdens_star(contracted) <= vcdens_star(g)", s_c, s_g, se2, se1)
+        # bounded rhs can only under-report the right side
+        record("vcd_star(contracted) <= vcd_star(g)", d_c, d_g, e_c, e_g)
+        record("vcdens_star(contracted) <= vcdens_star(g)", s_c, s_g, e_c, e_g)
 
     if step.g_link_centers.n:
-        d_cc, de3, _ = vcd_minor(step.g_link_centers, budget=budget)
-        s_cc, se3, _ = vcdens_minor(step.g_link_centers, budget=budget)
-        record("vcd_star(centers) <= vcd_star(g) - 1", d_cc, d_g - 1, de3, de1)
+        d_cc, _, s_cc, _, e_cc = minor_search(step.g_link_centers)
+        record("vcd_star(centers) <= vcd_star(g) - 1", d_cc, d_g - 1, e_cc, e_g)
         record("vcdens_star(centers) <= vcdens_star(g) - 1/2",
-               s_cc, s_g - Fraction(1, 2), se3, se1)
+               s_cc, s_g - Fraction(1, 2), e_cc, e_g)
     else:
         records.append(InequalityRecord("vcd_star(centers) <= vcd_star(g) - 1",
                                         "0", "-", "skipped"))

@@ -2,27 +2,25 @@
 products: the induced pair (over subproducts) and the minor pair (over
 factorwise connected partitions).
 
-All four are computed exactly at desk scale by exhaustive enumeration with
-canonical deduplication; the minor pair falls back to a budgeted randomized
-search (flagged inexact) beyond the factor-size/arity caps.
+The induced pair is exact (exhaustive enumeration with canonical
+deduplication).  The minor pair comes from one depth-first scan that tracks
+both maxima; it is exact when the scan ends within its budget of scan nodes
+and otherwise a lower bound, flagged inexact, that its witnesses reach.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iproduct
-from typing import Iterable, Optional
+from itertools import combinations, count, product as iproduct
+from typing import Iterable, Iterator, Optional
 
-from .density import densest_subgraph_bruteforce
+from .density import densest_subgraph
 from .graph import FactorGraph, GraphError, induced_subgraph, is_connected
 from .products import ProductSpace, ProductSubgraph, Subproduct, trace
 
-F_CAP = 8      # largest factor size for exhaustive minor enumeration
-M_CAP = 6      # largest factor count for exhaustive minor enumeration
-DEFAULT_BUDGET = 2000
+DEFAULT_BUDGET = 100_000   # scan nodes: factor partitions tried on a prefix
 
 Partition = tuple[frozenset, ...]
 
@@ -33,40 +31,73 @@ def _require_induced(g: ProductSubgraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# connected subsets and connected partitions of a small factor
+# connected subsets and connected partitions of a factor
 
-def _connected_subsets_with_seed(g: FactorGraph, allowed: frozenset, seed: int) -> list[frozenset]:
-    """All subsets of `allowed` containing `seed` that induce a connected
-    subgraph (bitmask enumeration; factors are desk-scale)."""
-    others = sorted(allowed - {seed})
-    out = []
-    for mask in range(1 << len(others)):
-        subset = {seed}
-        for j, v in enumerate(others):
-            if mask >> j & 1:
-                subset.add(v)
-        sub, _ = induced_subgraph(g, subset)
-        if is_connected(sub):
-            out.append(frozenset(subset))
-    return out
+def _connected_subsets_with_seed(g: FactorGraph, allowed: frozenset, seed: int,
+                                 ) -> Iterator[frozenset]:
+    """The subsets of `allowed` containing `seed` that induce a connected
+    subgraph, in increasing order of their vertex bitmask.
+
+    Vertices are decided from the largest down, left out before taken in.  A
+    branch ends as soon as its taken vertices cannot all reach `seed` through
+    undecided ones, so every branch yields a subset and the work tracks the
+    output."""
+    order = sorted(allowed - {seed}, reverse=True)
+
+    def joinable(taken: frozenset, j: int) -> bool:
+        pool = taken.union(order[j:])
+        seen, stack = {seed}, [seed]
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if w in pool and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return taken <= seen
+
+    stack = [(0, frozenset({seed}))]
+    while stack:
+        j, taken = stack.pop()
+        if j == len(order):
+            yield taken
+            continue
+        for nxt in (taken | {order[j]}, taken):  # pushed so that leaving out pops first
+            if joinable(nxt, j + 1):
+                stack.append((j + 1, nxt))
+
+
+def _partitions(g: FactorGraph, remaining: frozenset) -> Iterator[Partition]:
+    """The partitions of `remaining` into connected parts, lazily and in the
+    order of `connected_partitions`."""
+    if not remaining:
+        yield ()
+        return
+    for part in _connected_subsets_with_seed(g, remaining, min(remaining)):
+        for rest in _partitions(g, remaining - part):
+            yield (part,) + rest
 
 
 @lru_cache(maxsize=None)
 def connected_partitions(g: FactorGraph) -> tuple[Partition, ...]:
     """Every partition of V(g) into connected parts, each generated once:
     the smallest unassigned vertex always seeds the next part."""
+    return tuple(_partitions(g, frozenset(range(g.n))))
 
-    def rec(remaining: frozenset) -> list[Partition]:
-        if not remaining:
-            return [()]
-        seed = min(remaining)
-        result = []
-        for part in _connected_subsets_with_seed(g, remaining, seed):
-            for rest in rec(remaining - part):
-                result.append((part,) + rest)
-        return result
 
-    return tuple(rec(frozenset(range(g.n))))
+@lru_cache(maxsize=None)
+def _partition_stream(g: FactorGraph) -> tuple[Iterator[Partition], list[list]]:
+    """The partitions of V(g) that scans have pulled so far, each kept as
+    [part_of, part count, minor density once needed], with the generator
+    that continues them.  Scans share them, so each partition is built once
+    while cached, and only as far as some scan has reached."""
+    return _partitions(g, frozenset(range(g.n))), []
+
+
+def _parts_of(part_of: tuple[int, ...]) -> Partition:
+    """The partition whose part j holds the vertices v with part_of[v] == j."""
+    parts: list[set[int]] = [set() for _ in range(max(part_of) + 1)]
+    for v, j in enumerate(part_of):
+        parts[j].add(v)
+    return tuple(frozenset(p) for p in parts)
 
 
 def quotient_graph(g: FactorGraph, parts: Partition) -> FactorGraph:
@@ -85,8 +116,10 @@ def quotient_graph(g: FactorGraph, parts: Partition) -> FactorGraph:
 
 
 @lru_cache(maxsize=None)
-def _partition_density(g: FactorGraph, parts: Partition) -> Fraction:
-    return densest_subgraph_bruteforce(quotient_graph(g, parts)).density
+def _partition_density(quotient: FactorGraph) -> Fraction:
+    """Density of the minor a partition defines, cached by its quotient
+    graph, which many partitions share."""
+    return densest_subgraph(quotient).density
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +172,7 @@ class MinorPartition:
         return [quotient_graph(f, p) for f, p in zip(self.space.factors, self.parts)]
 
     def minor_density(self) -> Fraction:
-        return sum((_partition_density(f, p) for f, p in zip(self.space.factors, self.parts)),
-                   Fraction(0))
+        return sum((_partition_density(q) for q in self.minors()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +252,11 @@ def vcdens_induced(g: ProductSubgraph) -> tuple[Fraction, Optional[dict[int, tup
         options: list[tuple[frozenset, Fraction]] = []
         if len(vals) >= 2:
             for seed in sorted(vals):
-                for s in _connected_subsets_with_seed(f, vals, seed):
-                    if len(s) >= 2 and min(s) == seed and len(s) <= g.n:
+                above = frozenset(v for v in vals if v >= seed)
+                for s in _connected_subsets_with_seed(f, above, seed):
+                    if 2 <= len(s) <= g.n:
                         sub, _ = induced_subgraph(f, s)
-                        options.append((s, densest_subgraph_bruteforce(sub).density))
+                        options.append((s, densest_subgraph(sub).density))
         per_factor.append(options)
 
     best = Fraction(0)
@@ -257,54 +290,84 @@ def vcdens_induced(g: ProductSubgraph) -> tuple[Fraction, Optional[dict[int, tup
 # ---------------------------------------------------------------------------
 # minor VC-dimension and VC-density
 
-def _exhaustive_minor_feasible(g: ProductSubgraph, f_cap: int = F_CAP, m_cap: int = M_CAP) -> bool:
-    return g.space.m <= m_cap and all(f.n <= f_cap for f in g.space.factors)
-
-
-def _minor_scan(g: ProductSubgraph):
-    """Exhaustive scan over all factorwise connected partitions; yields
-    (parts combo, nontrivial count, density) for every shattered one.
+def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
+                 ) -> tuple[int, Optional[MinorPartition], Fraction,
+                            Optional[MinorPartition], bool]:
+    """(vcd*, witness, vcdens*, witness, exact?) from one depth-first scan
+    over factorwise connected partitions.  Each witness is the first strict
+    maximum in scan order.
 
     Shattering marginalizes: if the full cell product is covered, so is
-    every prefix of factors, so the recursion prunes any prefix whose cell
-    signatures do not already cover all prefix cells.
+    every prefix of factors, so the scan drops any prefix with more cells
+    than g has vertices or whose cell signatures do not already cover all
+    prefix cells.  Every factor partition tried on a prefix is one scan
+    node.  A scan stopped after `budget` nodes is inexact; the induced
+    witnesses, grown into partitions, then replace the scan's witnesses
+    they beat.  Either way each value is the one its witness reaches.
     """
-    n = g.n
+    _require_induced(g)
+    if g.n == 0:
+        return 0, None, Fraction(0), None, True
+    n, m, factors = g.n, g.space.m, g.space.factors
     verts = sorted(g.vertices)
-    part_data = []
-    for f in g.space.factors:
-        data = []
-        for parts in connected_partitions(f):
-            part_of = [0] * f.n
-            for j, p in enumerate(parts):
-                for v in p:
-                    part_of[v] = j
-            data.append((parts, part_of, len(parts)))
-        part_data.append(data)
-
-    m = g.space.m
+    streams = [_partition_stream(f) for f in factors]
     combo: list = [None] * m
+    d, d_combo, s, s_combo, nodes = 0, None, Fraction(0), None, 0
 
-    def rec(i: int, sigs: list[int], cells: int):
+    def rec(i: int, sigs: list[int], cells: int, nontrivial: int, density: Fraction) -> bool:
+        """Scan the partitions of factors i.. below a prefix; False once the
+        budget is spent."""
+        nonlocal d, d_combo, s, s_combo, nodes
         if i == m:
-            parts = tuple(c[0] for c in combo)
-            nontrivial = sum(1 for c in combo if c[2] >= 2)
-            density = sum((_partition_density(f, p)
-                           for f, p in zip(g.space.factors, parts)), Fraction(0))
-            yield parts, nontrivial, density
-            return
-        for entry in part_data[i]:
-            _, part_of, t = entry
-            new_cells = cells * t
-            if new_cells > n:
+            if nontrivial > d:
+                d, d_combo = nontrivial, tuple(combo)
+            if density > s:
+                s, s_combo = density, tuple(combo)
+            return True
+        pending, pulled = streams[i]
+        for k in count():
+            if k == len(pulled):
+                try:
+                    parts = next(pending, None)
+                except BaseException:
+                    _partition_stream.cache_clear()  # a generator that raised ends early
+                    raise
+                if parts is None:
+                    return True
+                part_of = [0] * factors[i].n
+                for j, p in enumerate(parts):
+                    for v in p:
+                        part_of[v] = j
+                pulled.append([tuple(part_of), len(parts), None])
+            entry = pulled[k]
+            nodes += 1
+            if nodes > budget:
+                return False
+            part_of, t, minor_density = entry
+            if cells * t > n:
                 continue
-            new_sigs = [s * t + part_of[v[i]] for s, v in zip(sigs, verts)]
-            if len(set(new_sigs)) != new_cells:
+            new_sigs = [sig * t + part_of[v[i]] for sig, v in zip(sigs, verts)]
+            if len(set(new_sigs)) != cells * t:
                 continue
-            combo[i] = entry
-            yield from rec(i + 1, new_sigs, new_cells)
+            if minor_density is None:
+                minor_density = entry[2] = _partition_density(
+                    quotient_graph(factors[i], _parts_of(part_of)))
+            combo[i] = part_of
+            if not rec(i + 1, new_sigs, cells * t, nontrivial + (t >= 2),
+                       density + minor_density):
+                return False
 
-    yield from rec(0, [0] * n, 1)
+    exact = rec(0, [0] * n, 1, 0, Fraction(0))
+    d_mp, s_mp = (c and MinorPartition(g.space, [_parts_of(po) for po in c])
+                  for c in (d_combo, s_combo))
+    if not exact:
+        grown = _seed_partition_from_edges(g, vcd_induced(g)[1])
+        if shatters_minor(g, grown) and grown.nontrivial_factors() > d:
+            d, d_mp = grown.nontrivial_factors(), grown
+        grown = _seed_partition_from_edges(g, vcdens_induced(g)[1])
+        if shatters_minor(g, grown) and grown.minor_density() > s:
+            s, s_mp = grown.minor_density(), grown
+    return d, d_mp, s, s_mp, exact
 
 
 def _seed_partition_from_edges(g: ProductSubgraph,
@@ -334,78 +397,18 @@ def _seed_partition_from_edges(g: ProductSubgraph,
     return MinorPartition(g.space, parts)
 
 
-def _random_partition(f: FactorGraph, rng: random.Random) -> list[frozenset]:
-    from collections import deque
-    t = rng.randint(1, f.n)
-    seeds = rng.sample(range(f.n), t)
-    owner = {s: j for j, s in enumerate(seeds)}
-    queue = deque(seeds)
-    while queue:
-        v = queue.popleft()
-        for w in f.adj[v]:
-            if w not in owner:
-                owner[w] = owner[v]
-                queue.append(w)
-    groups = [set() for _ in seeds]
-    for v, j in owner.items():
-        groups[j].add(v)
-    return [frozenset(p) for p in groups]
-
-
 def vcd_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
-              f_cap: int = F_CAP, m_cap: int = M_CAP, seed: int = 0,
               ) -> tuple[int, bool, Optional[MinorPartition]]:
-    """(vcd*, exact?, witness).  Exhaustive within the caps, otherwise the
-    best shattered partition found within `budget` evaluations (a certified
-    lower bound, never below the induced dimension)."""
-    _require_induced(g)
-    if g.n == 0:
-        return 0, True, None
-    if _exhaustive_minor_feasible(g, f_cap, m_cap):
-        best, witness = 0, None
-        for parts, nontrivial, _ in _minor_scan(g):
-            if nontrivial > best:
-                best, witness = nontrivial, MinorPartition(g.space, parts)
-        return best, True, witness
-
-    base, edge_witness = vcd_induced(g)
-    best_mp = _seed_partition_from_edges(g, edge_witness)
-    best = best_mp.nontrivial_factors() if shatters_minor(g, best_mp) else 0
-    rng = random.Random(seed)
-    for _ in range(budget):
-        mp = MinorPartition(g.space, [_random_partition(f, rng) for f in g.space.factors])
-        if mp.num_cells() <= g.n and shatters_minor(g, mp):
-            if mp.nontrivial_factors() > best:
-                best, best_mp = mp.nontrivial_factors(), mp
-    return max(best, base), False, best_mp
+    """(vcd*, exact?, witness); see `minor_search`."""
+    d, witness, _, _, exact = minor_search(g, budget)
+    return d, exact, witness
 
 
 def vcdens_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
-                 f_cap: int = F_CAP, m_cap: int = M_CAP, seed: int = 0,
                  ) -> tuple[Fraction, bool, Optional[MinorPartition]]:
-    """(vcdens*, exact?, witness); same exhaustive/heuristic split as
-    vcd_minor."""
-    _require_induced(g)
-    if g.n == 0:
-        return Fraction(0), True, None
-    if _exhaustive_minor_feasible(g, f_cap, m_cap):
-        best, witness = Fraction(0), None
-        for parts, _, density in _minor_scan(g):
-            if density > best:
-                best, witness = density, MinorPartition(g.space, parts)
-        return best, True, witness
-
-    base, set_witness = vcdens_induced(g)
-    best_mp = _seed_partition_from_edges(g, set_witness)
-    best = best_mp.minor_density() if shatters_minor(g, best_mp) else Fraction(0)
-    rng = random.Random(seed)
-    for _ in range(budget):
-        mp = MinorPartition(g.space, [_random_partition(f, rng) for f in g.space.factors])
-        if mp.num_cells() <= g.n and shatters_minor(g, mp):
-            d = mp.minor_density()
-            if d > best:
-                best, best_mp = d, mp
-    return max(best, base), False, best_mp
+    """(vcdens*, exact?, witness); see `minor_search`."""
+    _, _, s, witness, exact = minor_search(g, budget)
+    return s, exact, witness
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +428,12 @@ class VcReport:
     vcdens_star_witness: Optional[MinorPartition] = field(default=None, repr=False)
 
 
-def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
-                      f_cap: int = F_CAP, m_cap: int = M_CAP) -> VcReport:
+def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> VcReport:
     vcd, w1 = vcd_induced(g)
     vcdens, w2 = vcdens_induced(g)
-    vcd_star, e1, w3 = vcd_minor(g, budget=budget, f_cap=f_cap, m_cap=m_cap)
-    vcdens_star, e2, w4 = vcdens_minor(g, budget=budget, f_cap=f_cap, m_cap=m_cap)
+    vcd_star, w3, vcdens_star, w4, exact = minor_search(g, budget)
     return VcReport(vcd=vcd, vcdens=vcdens, vcd_star=vcd_star, vcdens_star=vcdens_star,
-                    vcd_star_exact=e1, vcdens_star_exact=e2,
+                    vcd_star_exact=exact, vcdens_star_exact=exact,
                     vcd_witness=w1, vcdens_witness=w2,
                     vcd_star_witness=w3, vcdens_star_witness=w4)
 

@@ -47,6 +47,11 @@ def test_flow_matches_bruteforce_oracle():
     for _ in range(200):
         g = random_graph(rng)
         assert densest_subgraph(g).density == densest_subgraph_bruteforce(g).density
+    # each triangle and their union all have density 1: the oracle's witness
+    # is the first of them in subset-mask order
+    two_triangles = FactorGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert densest_subgraph(two_triangles).density == 1
+    assert densest_subgraph_bruteforce(two_triangles).witness == (0, 1, 2)
 
 
 def test_product_density_is_sum_of_factor_densities():

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from prodvc.harness import (FAMILIES, GeneratorSpec, check_density_sum,
                             generate, instance_digest, random_factor,
                             report_to_json, resolve_mu, run_suite)
 from prodvc.products import ProductSpace, ProductSubgraph, instance_to_json
+from prodvc.vc import MinorPartition, shatters_minor
 
 
 def test_generator_families_and_determinism():
@@ -140,6 +142,24 @@ def test_cli_vcd(capsys, instance_file):
     assert doc["vcd"] == 1 and doc["vcd_star"] == 2
     assert doc["vcdens_star"]["exact"] == "1/1"
     assert doc["vcd_star_witness"] == [[[0, 1], [2]], [[0], [1, 2]]]
+
+
+def test_cli_vcd_long_path_products(capsys, tmp_path):
+    # P12 x K2 scans completely; P22 x K2 stops at the scan budget and keeps
+    # the induced witness grown into a partition
+    for k, density, exact in ((12, "17/12", True), (22, "16/11", False)):
+        g = ProductSpace([path_graph(k), complete_graph(2)]).materialize()
+        p = tmp_path / f"p{k}k2.json"
+        p.write_text(instance_to_json(g))
+        code, doc = run_cli(capsys, "vcd", str(p), "--minor")
+        assert code == 0
+        assert (doc["vcd"], doc["vcd_star"]) == (2, 2)
+        assert doc["vcdens"]["exact"] == doc["vcdens_star"]["exact"] == density
+        assert doc["vcd_star_exact"] is doc["vcdens_star_exact"] is exact
+        d_mp = MinorPartition(g.space, doc["vcd_star_witness"])
+        s_mp = MinorPartition(g.space, doc["vcdens_star_witness"])
+        assert shatters_minor(g, d_mp) and d_mp.nontrivial_factors() == 2
+        assert shatters_minor(g, s_mp) and s_mp.minor_density() == Fraction(density)
 
 
 def test_cli_reduce(capsys, instance_file):

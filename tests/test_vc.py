@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
-from prodvc.graph import GraphError, complete_graph, path_graph
+from prodvc.density import densest_subgraph_bruteforce
+from prodvc.graph import GraphError, complete_graph, cycle_graph, path_graph, star_graph
 from prodvc.products import ProductSpace, ProductSubgraph, Subproduct, hypercube
 from prodvc.vc import (MinorPartition, compute_vc_report, connected_partitions,
-                       quotient_graph, shatters_minor, shatters_subproduct,
-                       vcd_induced, vcd_minor, vcd_set_system, vcdens_induced,
-                       vcdens_minor)
+                       minor_search, quotient_graph, shatters_minor,
+                       shatters_subproduct, vcd_induced, vcd_minor, vcd_set_system,
+                       vcdens_induced, vcdens_minor)
 
 PATH_IN_Q4 = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
 PATH_IN_Q3 = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0)]
@@ -137,13 +139,51 @@ def test_minor_witnesses_shatter():
 def test_heuristic_mode_is_lower_bound():
     g = ProductSubgraph(grid_space(), GRID_FIVE, induced=True)
     exact_d, _, _ = vcd_minor(g)
-    heur_d, heur_exact, _ = vcd_minor(g, f_cap=2, budget=200)
-    assert not heur_exact
-    assert vcd_induced(g)[0] <= heur_d <= exact_d
     exact_s, _, _ = vcdens_minor(g)
-    heur_s, s_exact, _ = vcdens_minor(g, f_cap=2, budget=200)
-    assert not s_exact
-    assert vcdens_induced(g)[0] <= heur_s <= exact_s
+    budget = 0
+    while True:  # every budget short of the full scan gives a bounded result
+        d, d_exact, d_mp = vcd_minor(g, budget=budget)
+        s, s_exact, s_mp = vcdens_minor(g, budget=budget)
+        assert d_exact == s_exact
+        if d_exact:
+            break
+        assert vcd_induced(g)[0] <= d <= exact_d
+        assert vcdens_induced(g)[0] <= s <= exact_s
+        assert shatters_minor(g, d_mp) and d_mp.nontrivial_factors() == d
+        assert shatters_minor(g, s_mp) and s_mp.minor_density() == s
+        budget += 1
+    assert budget > 1 and (d, s) == (exact_d, exact_s)
+
+
+def naive_minor_values(g):
+    """(vcd*, witness parts, vcdens*, witness parts) over every combination
+    of connected partitions, without pruning, with brute-force minor
+    densities; each witness is the first strict maximum."""
+    d, d_parts, s, s_parts = 0, None, Fraction(0), None
+    for parts in iproduct(*(connected_partitions(f) for f in g.space.factors)):
+        mp = MinorPartition(g.space, parts)
+        if shatters_minor(g, mp):
+            density = sum((densest_subgraph_bruteforce(q).density for q in mp.minors()),
+                          Fraction(0))
+            if mp.nontrivial_factors() > d:
+                d, d_parts = mp.nontrivial_factors(), parts
+            if density > s:
+                s, s_parts = density, parts
+    return d, d_parts, s, s_parts
+
+
+def test_minor_search_matches_naive_oracle():
+    rng = random.Random(2017)
+    makers = (path_graph, complete_graph, star_graph, lambda k: cycle_graph(max(k, 3)))
+    for _ in range(40):
+        factors = [rng.choice(makers)(rng.randint(2, 4)) for _ in range(rng.randint(1, 3))]
+        sp = ProductSpace(factors)
+        size = sp.num_vertices()
+        verts = rng.sample(list(sp.vertices()), rng.randint(min(size, 4), min(size, 24)))
+        g = ProductSubgraph(sp, verts, induced=True)
+        d, d_mp, s, s_mp, exact = minor_search(g)
+        assert exact
+        assert (d, d_mp and d_mp.parts, s, s_mp and s_mp.parts) == naive_minor_values(g)
 
 
 def test_full_product_has_full_dimension():
