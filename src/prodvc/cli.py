@@ -101,8 +101,8 @@ def cmd_vcd(args) -> int:
             "vcd_star": rep.vcd_star, "vcdens_star": _rational(rep.vcdens_star),
             "vcd_star_exact": rep.vcd_star_exact,
             "vcdens_star_exact": rep.vcdens_star_exact,
-            "vcd_witness": _edge_witness(rep.vcd_witness),
-            "vcdens_witness": _set_witness(rep.vcdens_witness),
+            "vcd_witness": _factor_witness(rep.vcd_witness),
+            "vcdens_witness": _factor_witness(rep.vcdens_witness),
             "vcd_star_witness": _partition_witness(rep.vcd_star_witness),
             "vcdens_star_witness": _partition_witness(rep.vcdens_star_witness),
         })
@@ -110,18 +110,14 @@ def cmd_vcd(args) -> int:
         d, w1 = vcd_induced(g)
         s, w2 = vcdens_induced(g)
         doc.update({"vcd": d, "vcdens": _rational(s),
-                    "vcd_witness": _edge_witness(w1),
-                    "vcdens_witness": _set_witness(w2)})
+                    "vcd_witness": _factor_witness(w1),
+                    "vcdens_witness": _factor_witness(w2)})
     _emit(doc)
     return 0
 
 
-def _edge_witness(w):
-    return None if w is None else {str(i): list(e) for i, e in w.items()}
-
-
-def _set_witness(w):
-    return None if w is None else {str(i): list(s) for i, s in w.items()}
+def _factor_witness(w):
+    return None if w is None else {str(i): list(vs) for i, vs in w.items()}
 
 
 def _partition_witness(mp):
@@ -271,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minor", action="store_true",
                    help="also compute the minor (starred) quantities")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="scan nodes (factor partitions tried) before the minor "
-                        "search stops with a bounded, inexact result")
+                   help="work units of the minor search before it stops with inexact bounds")
     p.set_defaults(func=cmd_vcd)
 
     p = subs.add_parser("reduce", help="one reduction step along a factor edge")

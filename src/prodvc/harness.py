@@ -73,13 +73,6 @@ def random_factor(rng: random.Random, family: str, max_n: int) -> FactorGraph:
     raise GraphError(f"unknown factor family {family!r}")
 
 
-def random_space(rng: random.Random, m_max: int = 3, f_max: int = 5,
-                 families: tuple[str, ...] = FAMILIES) -> ProductSpace:
-    m = rng.randint(1, m_max)
-    return ProductSpace([random_factor(rng, rng.choice(families), f_max)
-                         for _ in range(m)])
-
-
 def random_subgraph(rng: random.Random, space: ProductSpace,
                     cap: int = 512) -> ProductSubgraph:
     """A random nonempty induced subgraph; spaces above the cap are sampled

@@ -159,10 +159,6 @@ class ProductSubgraph:
         return f"<ProductSubgraph n={self.n} m={self.num_edges} induced={self.induced}>"
 
 
-def induced_product_subgraph(space: ProductSpace, vertices: Iterable[Coord]) -> ProductSubgraph:
-    return ProductSubgraph(space, vertices, induced=True)
-
-
 # ---------------------------------------------------------------------------
 # subproducts
 

@@ -195,8 +195,10 @@ def vc_monotonicity_check(step: ReductionStep) -> list[InequalityRecord]:
     d_g, _, s_g, _, e_g = minor_search(step.g)
     records = []
 
-    def record(name, lhs, rhs, lhs_exact, rhs_exact):
-        if lhs <= rhs:
+    def record(name, lhs=0, rhs="-", lhs_exact=True, rhs_exact=True, skipped=False):
+        if skipped:
+            verdict = "skipped"
+        elif lhs <= rhs:
             verdict = "holds"
         elif lhs_exact and rhs_exact:
             verdict = "violated"
@@ -217,18 +219,14 @@ def vc_monotonicity_check(step: ReductionStep) -> list[InequalityRecord]:
         record("vcdens_star(centers) <= vcdens_star(g) - 1/2",
                s_cc, s_g - Fraction(1, 2), e_cc, e_g)
     else:
-        records.append(InequalityRecord("vcd_star(centers) <= vcd_star(g) - 1",
-                                        "0", "-", "skipped"))
-        records.append(InequalityRecord("vcdens_star(centers) <= vcdens_star(g) - 1/2",
-                                        "0", "-", "skipped"))
+        record("vcd_star(centers) <= vcd_star(g) - 1", skipped=True)
+        record("vcdens_star(centers) <= vcdens_star(g) - 1/2", skipped=True)
 
     if step.g_link.n:
         record("tips <= common_neighbors * centers",
-               len(step.tips), step.num_common_neighbors * step.g_link_centers.n,
-               True, True)
+               len(step.tips), step.num_common_neighbors * step.g_link_centers.n)
     else:
-        records.append(InequalityRecord("tips <= common_neighbors * centers",
-                                        "0", "-", "skipped"))
+        record("tips <= common_neighbors * centers", skipped=True)
     return records
 
 

@@ -4,7 +4,7 @@ factorwise connected partitions).
 
 The induced pair is exact (exhaustive enumeration with canonical
 deduplication).  The minor pair comes from one depth-first scan that tracks
-both maxima; it is exact when the scan ends within its budget of scan nodes
+both maxima; it is exact when the scan ends within its work budget
 and otherwise a lower bound, flagged inexact, that its witnesses reach.
 """
 
@@ -13,14 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, product as iproduct
+from itertools import combinations, product as iproduct
+from math import prod
 from typing import Iterable, Iterator, Optional
 
 from .density import densest_subgraph
-from .graph import FactorGraph, GraphError, induced_subgraph, is_connected
+from .graph import (FactorGraph, GraphError, connected_components, induced_subgraph,
+                    is_connected)
 from .products import ProductSpace, ProductSubgraph, Subproduct, trace
 
-DEFAULT_BUDGET = 100_000   # scan nodes: factor partitions tried on a prefix
+DEFAULT_BUDGET = 10_000_000  # work units of the minor scan; see `minor_search`
 
 Partition = tuple[frozenset, ...]
 
@@ -33,47 +35,87 @@ def _require_induced(g: ProductSubgraph) -> None:
 # ---------------------------------------------------------------------------
 # connected subsets and connected partitions of a factor
 
+class _BudgetSpent(Exception):
+    """Raised by a scan's work meter once its budget is spent."""
+
+
 def _connected_subsets_with_seed(g: FactorGraph, allowed: frozenset, seed: int,
+                                 hits: frozenset, spend=lambda units: None,
                                  ) -> Iterator[frozenset]:
     """The subsets of `allowed` containing `seed` that induce a connected
-    subgraph, in increasing order of their vertex bitmask.
-
-    Vertices are decided from the largest down, left out before taken in.  A
-    branch ends as soon as its taken vertices cannot all reach `seed` through
-    undecided ones, so every branch yields a subset and the work tracks the
-    output."""
+    subgraph and meet `hits`, in increasing order of their vertex bitmask.
+    Vertices are decided from the largest down, left out first; a branch
+    ends once its taken vertices cannot all reach `seed` through undecided
+    ones or it can no longer meet `hits`, so every branch yields a subset.
+    `spend` is charged per adjacency entry the reachability tests read."""
     order = sorted(allowed - {seed}, reverse=True)
+    lowest_hit = min((allowed & hits) - {seed}, default=g.n)  # undecided while order[j] >= it
 
     def joinable(taken: frozenset, j: int) -> bool:
-        pool = taken.union(order[j:])
-        seen, stack = {seed}, [seed]
-        while stack:
-            for w in g.adj[stack.pop()]:
-                if w in pool and w not in seen:
+        undecided_max = order[j] if j < len(order) else -1
+        seen, stack, missing, looked = {seed}, [seed], len(taken) - 1, 1
+        while stack and missing:
+            adj = g.adj[stack.pop()]
+            looked += len(adj)
+            for w in adj:
+                if w not in seen and (w in taken or (w <= undecided_max and w in allowed)):
                     seen.add(w)
                     stack.append(w)
-        return taken <= seen
+                    missing -= w in taken
+        spend(looked)
+        return not missing
 
-    stack = [(0, frozenset({seed}))]
+    stack = [(0, frozenset({seed}), seed in hits)]
     while stack:
-        j, taken = stack.pop()
+        j, taken, met = stack.pop()
+        if not (met or (j < len(order) and order[j] >= lowest_hit)) or not joinable(taken, j):
+            continue
         if j == len(order):
             yield taken
             continue
-        for nxt in (taken | {order[j]}, taken):  # pushed so that leaving out pops first
-            if joinable(nxt, j + 1):
-                stack.append((j + 1, nxt))
+        stack.append((j + 1, taken | {order[j]}, met or order[j] in hits))
+        stack.append((j + 1, taken, met))  # leaving out pops first
 
 
-def _partitions(g: FactorGraph, remaining: frozenset) -> Iterator[Partition]:
-    """The partitions of `remaining` into connected parts, lazily and in the
-    order of `connected_partitions`."""
-    if not remaining:
+def _finishable(g: FactorGraph, rest: frozenset, hits: frozenset, spend) -> bool:
+    """True iff every component of g[rest] meets `hits`, that is, iff rest
+    splits into connected parts that each meet `hits`."""
+    spend(len(rest))
+    if rest <= hits:
+        return True
+    spend(g.m)
+    sub, remap = induced_subgraph(g, rest)
+    hit = {remap[v] for v in rest & hits}
+    return all(hit.intersection(comp) for comp in connected_components(sub))
+
+
+def _partitions(g: FactorGraph, hits: frozenset, spend=lambda units: None,
+                ) -> Iterator[Partition]:
+    """The partitions of V(g) into connected parts that each meet `hits`,
+    lazily and in the order of `connected_partitions`.  An explicit stack
+    holds one stream of candidate parts per part placed, so long factors do
+    not recurse; a candidate is kept only if what it leaves can be finished."""
+    if g.n == 0:
         yield ()
         return
-    for part in _connected_subsets_with_seed(g, remaining, min(remaining)):
-        for rest in _partitions(g, remaining - part):
-            yield (part,) + rest
+    everything = frozenset(range(g.n))
+    stack = [(everything, (), _connected_subsets_with_seed(g, everything, 0, hits, spend))]
+    while stack:
+        remaining, placed, candidates = stack[-1]
+        part = next(candidates, None)
+        if part is None:
+            stack.pop()
+            continue
+        rest = remaining - part
+        if not _finishable(g, rest, hits, spend):
+            continue
+        if not rest:
+            yield placed + (part,)
+        elif len(rest & hits) == 1:  # rest is connected: the last part
+            yield placed + (part, rest)
+        else:
+            stack.append((rest, placed + (part,),
+                          _connected_subsets_with_seed(g, rest, min(rest), hits, spend)))
 
 
 @lru_cache(maxsize=None)
@@ -83,30 +125,10 @@ def connected_partitions(g: FactorGraph) -> tuple[Partition, ...]:
     return tuple(_partitions(g, frozenset(range(g.n))))
 
 
-@lru_cache(maxsize=None)
-def _partition_stream(g: FactorGraph) -> tuple[Iterator[Partition], list[list]]:
-    """The partitions of V(g) that scans have pulled so far, each kept as
-    [part_of, part count, minor density once needed], with the generator
-    that continues them.  Scans share them, so each partition is built once
-    while cached, and only as far as some scan has reached."""
-    return _partitions(g, frozenset(range(g.n))), []
-
-
-def _parts_of(part_of: tuple[int, ...]) -> Partition:
-    """The partition whose part j holds the vertices v with part_of[v] == j."""
-    parts: list[set[int]] = [set() for _ in range(max(part_of) + 1)]
-    for v, j in enumerate(part_of):
-        parts[j].add(v)
-    return tuple(frozenset(p) for p in parts)
-
-
 def quotient_graph(g: FactorGraph, parts: Partition) -> FactorGraph:
     """Contract each part to a single vertex; parts are indexed by their
     position in `parts`."""
-    part_of = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
     edges = set()
     for u, v in g.edges:
         a, b = part_of[u], part_of[v]
@@ -115,10 +137,23 @@ def quotient_graph(g: FactorGraph, parts: Partition) -> FactorGraph:
     return FactorGraph(len(parts), edges)
 
 
+def _parts_of(part_of) -> list[list[int]]:
+    """The partition whose part j holds the vertices v with part_of[v] == j."""
+    parts: list[list[int]] = [[] for _ in range(max(part_of) + 1)]
+    for v, j in enumerate(part_of):
+        parts[j].append(v)
+    return parts
+
+
+@lru_cache(maxsize=1 << 14)
+def _partition_density(g: FactorGraph, part_of) -> Fraction:
+    """Density of the minor of g that the partition `part_of` defines."""
+    return _quotient_density(quotient_graph(g, _parts_of(part_of)))
+
+
 @lru_cache(maxsize=None)
-def _partition_density(quotient: FactorGraph) -> Fraction:
-    """Density of the minor a partition defines, cached by its quotient
-    graph, which many partitions share."""
+def _quotient_density(quotient: FactorGraph) -> Fraction:
+    """Cached by the quotient graph, which many partitions share."""
     return densest_subgraph(quotient).density
 
 
@@ -160,10 +195,7 @@ class MinorPartition:
         return tuple(cell)
 
     def num_cells(self) -> int:
-        total = 1
-        for factor_parts in self.parts:
-            total *= len(factor_parts)
-        return total
+        return prod(len(factor_parts) for factor_parts in self.parts)
 
     def nontrivial_factors(self) -> int:
         return sum(1 for factor_parts in self.parts if len(factor_parts) >= 2)
@@ -172,7 +204,7 @@ class MinorPartition:
         return [quotient_graph(f, p) for f, p in zip(self.space.factors, self.parts)]
 
     def minor_density(self) -> Fraction:
-        return sum((_partition_density(q) for q in self.minors()), Fraction(0))
+        return sum((_quotient_density(q) for q in self.minors()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +285,7 @@ def vcdens_induced(g: ProductSubgraph) -> tuple[Fraction, Optional[dict[int, tup
         if len(vals) >= 2:
             for seed in sorted(vals):
                 above = frozenset(v for v in vals if v >= seed)
-                for s in _connected_subsets_with_seed(f, above, seed):
+                for s in _connected_subsets_with_seed(f, above, seed, above):
                     if 2 <= len(s) <= g.n:
                         sub, _ = induced_subgraph(f, s)
                         options.append((s, densest_subgraph(sub).density))
@@ -290,81 +322,93 @@ def vcdens_induced(g: ProductSubgraph) -> tuple[Fraction, Optional[dict[int, tup
 # ---------------------------------------------------------------------------
 # minor VC-dimension and VC-density
 
-def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
+def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
                  ) -> tuple[int, Optional[MinorPartition], Fraction,
                             Optional[MinorPartition], bool]:
     """(vcd*, witness, vcdens*, witness, exact?) from one depth-first scan
-    over factorwise connected partitions.  Each witness is the first strict
-    maximum in scan order.
+    over factorwise connected partitions whose parts all meet the
+    coordinates of g.  Each witness is the first strict maximum in scan
+    order.  Shattering marginalizes, so the scan drops any prefix of
+    factors with more cells than g has vertices or whose cell signatures do
+    not already cover all prefix cells.
 
-    Shattering marginalizes: if the full cell product is covered, so is
-    every prefix of factors, so the scan drops any prefix with more cells
-    than g has vertices or whose cell signatures do not already cover all
-    prefix cells.  Every factor partition tried on a prefix is one scan
-    node.  A scan stopped after `budget` nodes is inexact; the induced
-    witnesses, grown into partitions, then replace the scan's witnesses
-    they beat.  Either way each value is the one its witness reaches.
+    The budget counts work: |V(g)| units per partition tried on a prefix
+    (its cell signatures), |V(f)| + |V(g)| per partition of a factor f
+    built, one per vertex or edge read by the connectivity tests that
+    build parts.  A scan that runs out is inexact; the induced witnesses
+    (`induced()` gives the pair, None for one not wanted; by default both
+    are computed), grown into partitions, then replace the scan's
+    witnesses they beat.  Each value is the one its witness reaches.
     """
     _require_induced(g)
-    if g.n == 0:
-        return 0, None, Fraction(0), None, True
     n, m, factors = g.n, g.space.m, g.space.factors
     verts = sorted(g.vertices)
-    streams = [_partition_stream(f) for f in factors]
-    combo: list = [None] * m
-    d, d_combo, s, s_combo, nodes = 0, None, Fraction(0), None, 0
+    left = budget
 
-    def rec(i: int, sigs: list[int], cells: int, nontrivial: int, density: Fraction) -> bool:
-        """Scan the partitions of factors i.. below a prefix; False once the
-        budget is spent."""
-        nonlocal d, d_combo, s, s_combo, nodes
+    def spend(units: int) -> None:
+        nonlocal left
+        left -= units
+        if left < 0:
+            raise _BudgetSpent
+
+    # per factor: the generator of its partitions and those kept so far, each
+    # [part of each factor vertex, part of each vertex of g, part count,
+    # minor density once needed]
+    streams = [(_partitions(f, frozenset(v[i] for v in verts), spend), [])
+               for i, f in enumerate(factors)]
+    combo: list = [None] * m
+    d, d_combo, s, s_combo = 0, None, Fraction(0), None
+
+    def entries(i: int) -> Iterator[list]:
+        """Those kept, then new ones; inner factors keep theirs for the next prefix."""
+        pending, kept = streams[i]
+        yield from kept
+        for parts in pending:
+            spend(factors[i].n + n)
+            index = {v: j for j, p in enumerate(parts) for v in p}
+            part_of = [index[v] for v in range(factors[i].n)]
+            labels = [part_of[v[i]] for v in verts]
+            pack = bytes if len(parts) < 256 else tuple  # compact: a scan may keep many
+            entry = [pack(part_of), pack(labels), len(parts), None]
+            if i:
+                kept.append(entry)
+            yield entry
+
+    def rec(i: int, sigs: list[int], cells: int, nontrivial: int, density: Fraction) -> None:
+        """Scan the partitions of factors i.. below a prefix."""
+        nonlocal d, d_combo, s, s_combo
         if i == m:
             if nontrivial > d:
                 d, d_combo = nontrivial, tuple(combo)
             if density > s:
                 s, s_combo = density, tuple(combo)
-            return True
-        pending, pulled = streams[i]
-        for k in count():
-            if k == len(pulled):
-                try:
-                    parts = next(pending, None)
-                except BaseException:
-                    _partition_stream.cache_clear()  # a generator that raised ends early
-                    raise
-                if parts is None:
-                    return True
-                part_of = [0] * factors[i].n
-                for j, p in enumerate(parts):
-                    for v in p:
-                        part_of[v] = j
-                pulled.append([tuple(part_of), len(parts), None])
-            entry = pulled[k]
-            nodes += 1
-            if nodes > budget:
-                return False
-            part_of, t, minor_density = entry
+            return
+        for entry in entries(i):
+            spend(n)
+            part_of, labels, t, minor_density = entry
             if cells * t > n:
                 continue
-            new_sigs = [sig * t + part_of[v[i]] for sig, v in zip(sigs, verts)]
+            new_sigs = [sig * t + j for sig, j in zip(sigs, labels)]
             if len(set(new_sigs)) != cells * t:
                 continue
             if minor_density is None:
-                minor_density = entry[2] = _partition_density(
-                    quotient_graph(factors[i], _parts_of(part_of)))
+                minor_density = entry[3] = _partition_density(factors[i], part_of)
             combo[i] = part_of
-            if not rec(i + 1, new_sigs, cells * t, nontrivial + (t >= 2),
-                       density + minor_density):
-                return False
+            rec(i + 1, new_sigs, cells * t, nontrivial + (t >= 2), density + minor_density)
 
-    exact = rec(0, [0] * n, 1, 0, Fraction(0))
+    try:
+        rec(0, [0] * n, 1, 0, Fraction(0))
+        exact = True
+    except _BudgetSpent:
+        exact = False
     d_mp, s_mp = (c and MinorPartition(g.space, [_parts_of(po) for po in c])
                   for c in (d_combo, s_combo))
     if not exact:
-        grown = _seed_partition_from_edges(g, vcd_induced(g)[1])
+        w_vcd, w_dens = induced() if induced else (vcd_induced(g)[1], vcdens_induced(g)[1])
+        grown = _seed_partition_from_edges(g, w_vcd)  # one part per factor if None
         if shatters_minor(g, grown) and grown.nontrivial_factors() > d:
             d, d_mp = grown.nontrivial_factors(), grown
-        grown = _seed_partition_from_edges(g, vcdens_induced(g)[1])
+        grown = _seed_partition_from_edges(g, w_dens)
         if shatters_minor(g, grown) and grown.minor_density() > s:
             s, s_mp = grown.minor_density(), grown
     return d, d_mp, s, s_mp, exact
@@ -390,24 +434,21 @@ def _seed_partition_from_edges(g: ProductSubgraph,
                 if w not in owner:
                     owner[w] = owner[v]
                     queue.append(w)
-        groups = [set() for _ in seeds]
-        for v, j in owner.items():
-            groups[j].add(v)
-        parts.append([frozenset(p) for p in groups])
+        parts.append(_parts_of([owner[v] for v in range(f.n)]))  # factors are connected
     return MinorPartition(g.space, parts)
 
 
 def vcd_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
               ) -> tuple[int, bool, Optional[MinorPartition]]:
     """(vcd*, exact?, witness); see `minor_search`."""
-    d, witness, _, _, exact = minor_search(g, budget)
+    d, witness, _, _, exact = minor_search(g, budget, lambda: (vcd_induced(g)[1], None))
     return d, exact, witness
 
 
 def vcdens_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
                  ) -> tuple[Fraction, bool, Optional[MinorPartition]]:
     """(vcdens*, exact?, witness); see `minor_search`."""
-    _, _, s, witness, exact = minor_search(g, budget)
+    _, _, s, witness, exact = minor_search(g, budget, lambda: (None, vcdens_induced(g)[1]))
     return s, exact, witness
 
 
@@ -431,7 +472,7 @@ class VcReport:
 def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> VcReport:
     vcd, w1 = vcd_induced(g)
     vcdens, w2 = vcdens_induced(g)
-    vcd_star, w3, vcdens_star, w4, exact = minor_search(g, budget)
+    vcd_star, w3, vcdens_star, w4, exact = minor_search(g, budget, lambda: (w1, w2))
     return VcReport(vcd=vcd, vcdens=vcdens, vcd_star=vcd_star, vcdens_star=vcdens_star,
                     vcd_star_exact=exact, vcdens_star_exact=exact,
                     vcd_witness=w1, vcdens_witness=w2,

@@ -162,6 +162,28 @@ def test_cli_vcd_long_path_products(capsys, tmp_path):
         assert shatters_minor(g, s_mp) and s_mp.minor_density() == Fraction(density)
 
 
+def test_cli_vcd_small_subgraph_of_long_factor(capsys, tmp_path):
+    # four vertices of P1200 x K2: the scan builds parts of the 1200-vertex
+    # path without recursing and stops at its budget, which bounds that work
+    sp = ProductSpace([path_graph(1200), complete_graph(2)])
+    for verts, known in (([(0, 0), (400, 1), (800, 0), (1199, 1)], None),
+                         ([(600, 0), (600, 1), (601, 0), (601, 1)], (2, "1/1"))):
+        g = ProductSubgraph(sp, verts, induced=True)
+        p = tmp_path / "long.json"
+        p.write_text(instance_to_json(g))
+        code, doc = run_cli(capsys, "vcd", str(p), "--minor")
+        assert code == 0
+        assert doc["vcd_star_exact"] is doc["vcdens_star_exact"] is False
+        d, s = doc["vcd_star"], Fraction(doc["vcdens_star"]["exact"])
+        assert d >= doc["vcd"] and s >= Fraction(doc["vcdens"]["exact"])
+        if known:  # two coordinates per factor: no partition does better
+            assert (d, doc["vcdens_star"]["exact"]) == known
+        d_mp = MinorPartition(sp, doc["vcd_star_witness"])
+        s_mp = MinorPartition(sp, doc["vcdens_star_witness"])
+        assert shatters_minor(g, d_mp) and d_mp.nontrivial_factors() == d
+        assert shatters_minor(g, s_mp) and s_mp.minor_density() == s
+
+
 def test_cli_reduce(capsys, instance_file):
     code, doc = run_cli(capsys, "reduce", instance_file,
                         "--factor", "0", "--edge", "0,1")

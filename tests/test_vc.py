@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from prodvc.density import densest_subgraph_bruteforce
-from prodvc.graph import GraphError, complete_graph, cycle_graph, path_graph, star_graph
+from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
+                          induced_subgraph, is_connected, path_graph, star_graph)
 from prodvc.products import ProductSpace, ProductSubgraph, Subproduct, hypercube
-from prodvc.vc import (MinorPartition, compute_vc_report, connected_partitions,
+from prodvc.vc import (MinorPartition, _partitions, compute_vc_report, connected_partitions,
                        minor_search, quotient_graph, shatters_minor,
                        shatters_subproduct, vcd_induced, vcd_minor, vcd_set_system,
                        vcdens_induced, vcdens_minor)
@@ -28,6 +29,36 @@ def test_connected_partitions_counts():
     # complete graphs admit every partition (Bell numbers)
     assert len(connected_partitions(complete_graph(3))) == 5
     assert len(connected_partitions(complete_graph(4))) == 15
+
+
+def swept_partitions(f, remaining):
+    """Connected partitions by sweeping every bitmask of the part holding
+    the smallest vertex, in increasing mask order."""
+    if not remaining:
+        return [()]
+    seed, others = min(remaining), sorted(remaining - {min(remaining)})
+    out = []
+    for mask in range(1 << len(others)):
+        part = frozenset([seed] + [v for j, v in enumerate(others) if mask >> j & 1])
+        if is_connected(induced_subgraph(f, part)[0]):
+            out += [(part,) + rest for rest in swept_partitions(f, remaining - part)]
+    return out
+
+
+def test_partitions_meeting_hits_keep_order():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        f = FactorGraph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        every = swept_partitions(f, frozenset(range(n)))
+        assert list(connected_partitions(f)) == every
+        hits = frozenset(v for v in range(n) if rng.random() < 0.5)
+        assert list(_partitions(f, hits)) == [p for p in every
+                                               if all(part & hits for part in p)]
+    # a long path is enumerated without recursion
+    long_path = path_graph(1100)
+    assert next(_partitions(long_path, frozenset(range(1100)))) == tuple(
+        frozenset({v}) for v in range(1100))
 
 
 def test_quotient_graph():
