@@ -313,7 +313,8 @@ def is_chordal_bruteforce(g: FactorGraph) -> bool:
 # clique number
 
 def clique_number(g: FactorGraph) -> int:
-    """Maximum clique size by branch and bound over neighbor masks."""
+    """Maximum clique size by branch and bound over neighbor masks, on an
+    explicit stack, so a long graph cannot overflow the interpreter stack."""
     if g.n == 0:
         return 0
     adj_mask = [0] * g.n
@@ -321,18 +322,17 @@ def clique_number(g: FactorGraph) -> int:
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
     best = 0
-
-    def rec(candidates: int, size: int):
-        nonlocal best
+    stack = [((1 << g.n) - 1, 0)]  # (candidates, size)
+    while stack:
+        candidates, size = stack.pop()
         if size + candidates.bit_count() <= best:
-            return
+            continue
         if candidates == 0:
-            best = max(best, size)
-            return
+            best = size
+            continue
         v = (candidates & -candidates).bit_length() - 1
-        rec(candidates & adj_mask[v], size + 1)       # take v
-        rec(candidates & ~(1 << v), size)             # skip v
-    rec((1 << g.n) - 1, 0)
+        stack.append((candidates & ~(1 << v), size))       # skip v
+        stack.append((candidates & adj_mask[v], size + 1))  # take v (popped first)
     return best
 
 

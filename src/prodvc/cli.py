@@ -71,10 +71,8 @@ def cmd_density(args) -> int:
 
 def cmd_arboricity(args) -> int:
     g = _load_graph(args.file)
-    k = arboricity(g)
-    doc = {"schema": SCHEMA, "arboricity": k}
-    _, degeneracy = degeneracy_ordering(g)
-    fd = forest_decomposition(g, degeneracy)
+    doc = {"schema": SCHEMA, "arboricity": arboricity(g)}
+    fd = forest_decomposition(g)
     doc["forests"] = {str(j): [list(e) for e in fd.forest_edges(j)]
                       for j in range(fd.k)}
     _emit(doc)
@@ -177,13 +175,7 @@ def cmd_classify(args) -> int:
 
 def cmd_label(args) -> int:
     if args.action == "encode":
-        g = _load_graph(args.file)
-        if args.forests is not None:
-            fd = forest_decomposition(g, args.forests)
-        else:
-            fd = None
-        scheme = encode(g, fd)
-        text = to_label_file(scheme)
+        text = to_label_file(encode(_load_graph(args.file)))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -282,11 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
 
-    p = subs.add_parser("label", help="adjacency labels from forests")
+    p = subs.add_parser("label", help="adjacency labels from the degeneracy forests")
     label_subs = p.add_subparsers(dest="action", required=True)
     pe = label_subs.add_parser("encode")
     pe.add_argument("file")
-    pe.add_argument("--forests", type=int, default=None)
     pe.add_argument("--out", default=None)
     pe.set_defaults(func=cmd_label, action="encode")
     pd = label_subs.add_parser("decode")

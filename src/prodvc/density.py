@@ -25,38 +25,50 @@ class DensityReport:
 
 @dataclass(frozen=True)
 class ForestDecomposition:
+    """`parents[j][v]` is v's parent in forest j, or n at a root."""
     k: int
-    assignment: dict[tuple[int, int], int]
+    parents: list[list[int]]
 
     def forest_edges(self, j: int) -> list[tuple[int, int]]:
-        return sorted(e for e, f in self.assignment.items() if f == j)
+        n = len(self.parents[j])
+        return sorted((min(v, p), max(v, p)) for v, p in enumerate(self.parents[j]) if p != n)
+
+
+def _edge_network(g: FactorGraph, vertex_cap, edge_cap,
+                  endpoint_cap) -> tuple[MaxFlow, list[tuple[int, int]]]:
+    """The network source -> edge node (edge_cap) -> both endpoints
+    (endpoint_cap) -> sink (vertex_cap), and each edge's two endpoint arcs.
+
+    Nodes: 0 = source, 1 = sink, 2 + v = vertex v, then one per edge.
+    """
+    net = MaxFlow(2 + g.n + g.m)
+    for v in range(g.n):
+        net.add_edge(2 + v, 1, vertex_cap)
+    arcs = []
+    for enode, (u, v) in enumerate(g.edges, 2 + g.n):
+        net.add_edge(0, enode, edge_cap)
+        arcs.append((net.add_edge(enode, 2 + u, endpoint_cap),
+                     net.add_edge(enode, 2 + v, endpoint_cap)))
+    return net, arcs
 
 
 def _denser_subgraph(g: FactorGraph, threshold: Fraction) -> Optional[set[int]]:
     """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None.
 
-    Min-cut over the network s -> edge(cap q) -> endpoints(cap inf) -> t
-    (vertex cap p): the cut for a source side S costs q(|E|-|E(S)|) + p|S|,
-    so the cut drops below q|E| exactly when q|E(S)| > p|S|.
+    Min-cut over the edge network with edge cap q, endpoint cap inf and
+    vertex cap p: the cut for a source side S costs q(|E|-|E(S)|) + p|S|,
+    so the cut drops below q|E| exactly when q|E(S)| > p|S|.  The witness
+    is the minimal min-cut source side, whichever augmenting paths found it.
     """
     if g.m == 0:
         return None
     p, q = threshold.numerator, threshold.denominator
-    # nodes: 0 = source, 1 = sink, 2.. = vertices, then edge nodes
-    net = MaxFlow(2 + g.n + g.m)
-    vnode = lambda v: 2 + v
-    for v in range(g.n):
-        net.add_edge(vnode(v), 1, p)
-    for idx, (u, v) in enumerate(g.edges):
-        enode = 2 + g.n + idx
-        net.add_edge(0, enode, q)
-        net.add_edge(enode, vnode(u), INF)
-        net.add_edge(enode, vnode(v), INF)
+    net, _ = _edge_network(g, p, q, INF)
     cut = net.max_flow(0, 1)
     if cut >= q * g.m:
         return None
     side = net.min_cut_source_side(0)
-    witness = {v for v in range(g.n) if vnode(v) in side}
+    witness = {v for v in range(g.n) if 2 + v in side}
     assert witness
     return witness
 
@@ -122,16 +134,8 @@ def _violates_forest_bound(g: FactorGraph, k: int) -> bool:
     maximum reaches 1 - k (all quantities are integers).
     """
     for forced in range(g.n):
-        net = MaxFlow(2 + g.n + g.m)
-        vnode = lambda v: 2 + v
-        for v in range(g.n):
-            net.add_edge(vnode(v), 1, k)
-        net.add_edge(0, vnode(forced), INF)
-        for idx, (u, v) in enumerate(g.edges):
-            enode = 2 + g.n + idx
-            net.add_edge(0, enode, 1)
-            net.add_edge(enode, vnode(u), INF)
-            net.add_edge(enode, vnode(v), INF)
+        net, _ = _edge_network(g, k, 1, INF)
+        net.add_edge(0, 2 + forced, INF)
         cut = net.max_flow(0, 1)
         if g.m - cut >= 1 - k:
             return True
@@ -155,8 +159,8 @@ def arboricity(g: FactorGraph) -> int:
        edges, the most a set of size s can hold: p;
     3. otherwise one forced-vertex min-cut round at k = p decides.
 
-    `forest_decomposition` builds its forests from the degeneracy order, so
-    it may use more forests than this value (Q3: 3 for arboricity 2).
+    `forest_decomposition` builds degeneracy(g) forests, which may exceed
+    this value (Q3: 3 for arboricity 2).
     """
     if g.m == 0:
         return 0
@@ -193,46 +197,26 @@ def arboricity_bruteforce(g: FactorGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# forest decomposition via degeneracy-ordering slot assignment
+# forest decomposition from the degeneracy orientation
 
-def _assert_forest(g: FactorGraph, edges: list[tuple[int, int]]) -> None:
-    parent = list(range(g.n))
+def forest_decomposition(g: FactorGraph) -> ForestDecomposition:
+    """Partition E(g) into k = degeneracy(g) forests.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        assert ru != rv, f"cycle through edge ({u},{v})"
-        parent[ru] = rv
-
-
-def forest_decomposition(g: FactorGraph, k: int) -> ForestDecomposition:
-    """Partition E(g) into at most k forests (requires k >= degeneracy(g)).
-
-    Each vertex owns its forward edges in a degeneracy order and hands them
-    distinct slots; within a slot every vertex has at most one forward edge
-    of an acyclic orientation, so each slot class is a forest.
+    Every edge points from its endpoint earlier in a degeneracy order to the
+    later one, so each vertex has at most k out-neighbours; in forest j a
+    vertex's parent is its j-th out-neighbour by id (n if it has fewer).
+    Parents lie strictly later in the order, so no forest has a cycle.
     """
-    order, degeneracy = degeneracy_ordering(g)
-    if k < degeneracy:
-        raise GraphError(
-            f"insufficient classes for this construction: k={k} < degeneracy={degeneracy}")
-    pos = {v: i for i, v in enumerate(order)}
-    assignment: dict[tuple[int, int], int] = {}
-    slots_used = [0] * g.n
-    for u, v in g.edges:
-        tail = u if pos[u] < pos[v] else v
-        assignment[(u, v)] = slots_used[tail]
-        slots_used[tail] += 1
-    assert all(s <= k for s in slots_used)
-    fd = ForestDecomposition(k=k, assignment=assignment)
-    for j in range(k):
-        _assert_forest(g, fd.forest_edges(j))
-    return fd
+    order, k = degeneracy_ordering(g)
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    parents = [[g.n] * g.n for _ in range(k)]
+    for v in range(g.n):
+        later = sorted(w for w in g.adj[v] if pos[w] > pos[v])
+        for j, w in enumerate(later):
+            parents[j][v] = w
+    return ForestDecomposition(k=k, parents=parents)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +230,11 @@ def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int
     """
     if d < 0:
         raise GraphError(f"infeasible, density exceeds {d}")
-    net = MaxFlow(2 + g.n + g.m)
-    vnode = lambda v: 2 + v
-    for v in range(g.n):
-        net.add_edge(vnode(v), 1, d)
-    arcs = {}
-    for idx, (u, v) in enumerate(g.edges):
-        enode = 2 + g.n + idx
-        net.add_edge(0, enode, 1)
-        arcs[(u, v)] = (net.add_edge(enode, vnode(u), 1), net.add_edge(enode, vnode(v), 1))
+    net, arcs = _edge_network(g, d, 1, 1)
     if net.max_flow(0, 1) != g.m:
         raise GraphError(f"infeasible, density exceeds {d}")
     orientation = {}
-    for (u, v), (au, av) in arcs.items():
+    for (u, v), (au, _) in zip(g.edges, arcs):
         # the endpoint that absorbed the unit of flow is the tail
         orientation[(u, v)] = v if net.cap[au] == 0 else u
     outdeg = [0] * g.n

@@ -99,23 +99,11 @@ def induced_subgraph(g: FactorGraph, vertices: Iterable[int]) -> tuple[FactorGra
     return FactorGraph(len(vs), edges), remap
 
 
-def complement_graph(g: FactorGraph) -> FactorGraph:
-    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in g.adj[u]]
-    return FactorGraph(g.n, edges)
-
-
 # ---------------------------------------------------------------------------
 # degrees and density-adjacent helpers
 
 def degree_sequence(g: FactorGraph) -> list[int]:
     return [len(g.adj[v]) for v in range(g.n)]
-
-
-def average_degree(g: FactorGraph) -> Fraction:
-    """2|E|/|V| as an exact rational."""
-    if g.n == 0:
-        raise GraphError("empty graph")
-    return Fraction(2 * g.m, g.n)
 
 
 def is_connected(g: FactorGraph) -> bool:
@@ -257,6 +245,14 @@ def to_edgelist(g: FactorGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(row: list[str], what: str) -> tuple[int, int]:
+    try:
+        a, b = map(int, row)
+    except ValueError:
+        raise GraphError(f"malformed {what} line: {' '.join(row)!r}") from None
+    return a, b
+
+
 def from_edgelist(text: str, name: Optional[str] = None) -> FactorGraph:
     rows = []
     for raw in text.splitlines():
@@ -265,12 +261,12 @@ def from_edgelist(text: str, name: Optional[str] = None) -> FactorGraph:
             rows.append(line.split())
     if not rows:
         raise GraphError("empty edge-list file")
-    n, m = map(int, rows[0])
+    n, m = _int_pair(rows[0], "header")
     if len(rows) - 1 != m:
         raise GraphError(f"header says {m} edges, found {len(rows) - 1}")
     edges = []
     for row in rows[1:]:
-        u, v = map(int, row)
+        u, v = _int_pair(row, "edge")
         if not (0 <= u < v < n):
             raise GraphError(f"edge line '{u} {v}' violates 0 <= u < v < n")
         edges.append((u, v))

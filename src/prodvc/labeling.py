@@ -1,20 +1,20 @@
-"""Adjacency labels from forest decompositions.
+"""Adjacency labels from the degeneracy orientation (Kannan, Naor and
+Rudich, "Implicit representation of graphs").
 
-A graph whose edges split into k forests gets labels of (k+1) fields of
-w = ceil(log2(n+1)) bits each: the vertex id followed by its parent id in
-each forest (the value n marks a root).  Two labels decide adjacency alone:
-the vertices are adjacent exactly when one's id appears among the other's
-parent fields.
+A graph of degeneracy k gets labels of (k+1) fields of w = ceil(log2(n+1))
+bits each: the vertex id followed by its parents in the k degeneracy forests
+of `forest_decomposition`, i.e. its out-neighbours (the value n marks a
+root).  Two labels decide adjacency alone: the vertices are adjacent exactly
+when one's id appears among the other's parent fields.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .density import ForestDecomposition, forest_decomposition
-from .graph import FactorGraph, GraphError, degeneracy_ordering
+from .density import forest_decomposition
+from .graph import FactorGraph, GraphError
 
 
 def field_width(n: int) -> int:
@@ -34,56 +34,19 @@ class LabelScheme:
         return (self.k + 1) * self.w
 
 
-def _forest_parents(g: FactorGraph, edges: list[tuple[int, int]]) -> list[int]:
-    """BFS parents in the forest spanned by `edges`, each tree rooted at its
-    smallest vertex; the sentinel n marks roots and isolated vertices."""
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [g.n] * g.n
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root] or not adj[root]:
-            seen[root] = True
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    queue.append(w)
-    return parent
-
-
-def encode(g: FactorGraph, fd: ForestDecomposition | None = None) -> LabelScheme:
-    """Labels for g from a forest decomposition (by default the degeneracy
-    one, which never needs more than ceil(mad) forests)."""
+def encode(g: FactorGraph) -> LabelScheme:
+    """Labels for g from its degeneracy forests (k = degeneracy(g) <= mad)."""
     if g.n == 0:
         raise GraphError("empty graph")
-    if fd is None:
-        _, degeneracy = degeneracy_ordering(g)
-        fd = forest_decomposition(g, max(degeneracy, 0))
+    fd = forest_decomposition(g)
     w = field_width(g.n)
-    parents = [_forest_parents(g, fd.forest_edges(j)) for j in range(fd.k)]
     labels = []
     for v in range(g.n):
         value = v
-        for j in range(fd.k):
-            value = (value << w) | parents[j][v]
+        for forest in fd.parents:
+            value = (value << w) | forest[v]
         labels.append(value)
     return LabelScheme(n=g.n, k=fd.k, w=w, labels=tuple(labels))
-
-
-def _fields(label: int, k: int, w: int) -> list[int]:
-    out = []
-    for t in range(k + 1):
-        shift = (k - t) * w
-        out.append((label >> shift) & ((1 << w) - 1))
-    return out
 
 
 def decode(label_x: int, label_y: int, k: int, w: int) -> bool:
@@ -92,13 +55,17 @@ def decode(label_x: int, label_y: int, k: int, w: int) -> bool:
     below the sentinel value."""
     if label_x < 0 or label_y < 0:
         raise GraphError("labels are nonnegative integers")
-    if max(label_x, label_y).bit_length() > (k + 1) * w:
+    top = k * w
+    if max(label_x, label_y).bit_length() > top + w:
         raise GraphError("label too long for the declared field layout")
-    fx = _fields(label_x, k, w)
-    fy = _fields(label_y, k, w)
-    if fx[0] == fy[0]:
+    x, y = label_x >> top, label_y >> top
+    if x == y:
         return False
-    return fy[0] in fx[1:] or fx[0] in fy[1:]
+    mask = (1 << w) - 1
+    for shift in range(0, top, w):
+        if (label_x >> shift) & mask == y or (label_y >> shift) & mask == x:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +90,8 @@ def from_label_file(text: str) -> LabelScheme:
         n, k, w = map(int, rows[0].split())
     except ValueError:
         raise GraphError("malformed label file header")
+    if k < 0 or w < 1:
+        raise GraphError(f"bad field layout in label file header: k={k}, w={w}")
     if len(rows) - 1 != n:
         raise GraphError(f"header says {n} labels, found {len(rows) - 1}")
     bits = (k + 1) * w
@@ -134,13 +103,16 @@ def from_label_file(text: str) -> LabelScheme:
         parts = row.split()
         if len(parts) != 2:
             raise GraphError(f"malformed label line: {row!r}")
-        v = int(parts[0])
+        try:
+            v, label = int(parts[0]), int(parts[1], 16)
+        except ValueError:
+            raise GraphError(f"malformed label line: {row!r}")
         if not (0 <= v < n) or v in seen:
             raise GraphError(f"bad or repeated vertex id {v}")
         if len(parts[1]) != hexlen:
             raise GraphError(f"label for {v} has {len(parts[1])} hex digits, want {hexlen}")
         seen.add(v)
-        labels[v] = int(parts[1], 16) >> pad
+        labels[v] = label >> pad
     return LabelScheme(n=n, k=k, w=w, labels=tuple(labels))
 
 

@@ -136,6 +136,14 @@ def test_clique_number():
     assert clique_number(cycle_graph(5)) == 2
     assert clique_number(FactorGraph(3, [])) == 1
     assert clique_number(FactorGraph(0, [])) == 0
+    assert clique_number(cycle_graph(3000)) == 2  # no recursion on long graphs
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(21)
+    for _ in range(150):
+        g = random_graph(rng, n_max=10)
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.n))
+        assert clique_number(g) == max(len(c) for c in nx.find_cliques(h))
 
 
 def test_suboctahedron_structure():

@@ -125,24 +125,45 @@ def test_arboricity_consistency_with_density():
         assert a <= math.ceil(dens(g) * g.n / (g.n - 1))
 
 
+def _assert_forest(n, edges):
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        assert ru != rv, f"cycle through edge ({u},{v})"
+        root[ru] = rv
+
+
 def test_forest_decomposition_partitions_into_forests():
     for g, k in [(cycle_graph(6), 2), (complete_graph(4), 3), (path_graph(5), 1)]:
-        fd = forest_decomposition(g, k)
+        fd = forest_decomposition(g)
+        assert fd.k == k == degeneracy_ordering(g)[1]
         seen = set()
         for j in range(fd.k):
+            _assert_forest(g.n, fd.forest_edges(j))
             seen.update(fd.forest_edges(j))
         assert seen == set(g.edges)
-    with pytest.raises(GraphError):
-        forest_decomposition(complete_graph(4), 1)
 
 
 def test_forest_decomposition_random():
     rng = random.Random(13)
     for _ in range(60):
         g = random_graph(rng)
-        _, k = degeneracy_ordering(g)
-        fd = forest_decomposition(g, k)  # acyclicity asserted internally
-        assert sum(len(fd.forest_edges(j)) for j in range(max(fd.k, 1))) == g.m
+        order, k = degeneracy_ordering(g)
+        fd = forest_decomposition(g)
+        assert fd.k == k
+        pos = {v: i for i, v in enumerate(order)}
+        for v in range(g.n):  # parents: the later neighbours by id, then roots
+            later = sorted(w for w in g.adj[v] if pos[w] > pos[v])
+            assert [fd.parents[j][v] for j in range(k)] == later + [g.n] * (k - len(later))
+        for j in range(fd.k):
+            _assert_forest(g.n, fd.forest_edges(j))
+        assert sum(len(fd.forest_edges(j)) for j in range(fd.k)) == g.m
 
 
 def test_orientation_bounds_outdegree():

@@ -1,12 +1,10 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from prodvc.graph import (FactorGraph, GraphError, average_degree, complement_graph,
-                          complete_graph, connected_components, contract_edge,
-                          cycle_graph, degeneracy_ordering, from_edgelist,
+from prodvc.graph import (FactorGraph, GraphError, complete_graph, connected_components,
+                          contract_edge, cycle_graph, degeneracy_ordering, from_edgelist,
                           induced_subgraph, is_connected, path_graph, star_graph,
                           star_of_edge, to_edgelist, two_min_degree_vertices)
 
@@ -65,11 +63,6 @@ def test_induced_subgraph_compacts():
     assert sub.n == 3
     assert remap == {1: 0, 2: 1, 4: 2}
     assert sub.edges == ((0, 1),)
-
-
-def test_complement():
-    assert complement_graph(complete_graph(4)).m == 0
-    assert complement_graph(FactorGraph(3, [])).m == 3
 
 
 def test_contract_edge():
@@ -132,9 +125,6 @@ def test_edgelist_comments_and_errors():
         from_edgelist("3 1\n1 0\n")  # requires u < v
     with pytest.raises(GraphError):
         from_edgelist("")
-
-
-def test_average_degree():
-    assert average_degree(complete_graph(4)) == Fraction(3)
-    with pytest.raises(GraphError):
-        average_degree(FactorGraph(0, []))
+    for bad in ("x 1\n0 1\n", "3 1\n0 1 2\n", "3\n0 1\n", "3 1\n0 y\n"):
+        with pytest.raises(GraphError):
+            from_edgelist(bad)

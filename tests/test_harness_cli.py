@@ -228,8 +228,17 @@ def test_cli_verify_and_fuzz(capsys, tmp_path):
     assert isinstance(doc["violations"], list)
 
 
-def test_cli_io_error(capsys):
+def test_cli_io_error(capsys, tmp_path):
     code, _ = run_cli(capsys, "density", "/no/such/file")
+    assert code == 2
+    for idx, text in enumerate(("x 1\n0 1\n", "3 1\n0 1 2\n", "3\n0 1\n")):
+        p = tmp_path / f"bad{idx}.txt"
+        p.write_text(text)
+        code, _ = run_cli(capsys, "density", str(p))
+        assert code == 2
+    p = tmp_path / "bad.labels"
+    p.write_text("1 0 1\nz 00\n")
+    code, _ = run_cli(capsys, "label", "decode", str(p), "0", "0")
     assert code == 2
 
 
@@ -246,3 +255,5 @@ def test_cli_shuffled_long_cycle(capsys, tmp_path):
     code, doc = run_cli(capsys, "orient", "--max-outdegree", "1", str(p))
     assert code == 0 and len(doc["arcs_tail_head"]) == n
     assert sorted(t for t, _ in doc["arcs_tail_head"]) == list(range(n))
+    code, doc = run_cli(capsys, "classify", str(p))
+    assert code == 0 and doc["omega"] == 2

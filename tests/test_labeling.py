@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from prodvc.density import forest_decomposition, mad
+from prodvc.density import mad
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           degeneracy_ordering, path_graph)
 from prodvc.labeling import (decode, decoded_graph, encode, field_width,
@@ -53,14 +53,6 @@ def test_label_sizes_and_forest_count():
             assert degeneracy <= math.floor(mad(g))
 
 
-def test_custom_forest_count():
-    g = cycle_graph(6)
-    fd = forest_decomposition(g, 3)
-    scheme = encode(g, fd)
-    assert scheme.k == 3
-    assert decoded_graph(scheme) == g
-
-
 def test_decode_is_irreflexive_and_symmetric():
     g = complete_graph(4)
     s = encode(g)
@@ -100,6 +92,10 @@ def test_label_file_errors():
         from_label_file("1 0 1\n0 zz\n")
     with pytest.raises(GraphError):
         from_label_file("2 0 1\n0 0\n0 1\n")  # repeated vertex
+    for bad in ("1 0 1\nz 00\n", "1 0 1\nz 0\n", "1 0 1\n0 z\n",
+                "2 -2 -1\n0 0\n1 8\n"):  # negative k and w pass the digit count
+        with pytest.raises(GraphError):
+            from_label_file(bad)
 
 
 def test_empty_graph_rejected():
