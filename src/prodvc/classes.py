@@ -112,7 +112,8 @@ def _greedy_dismantling(g: FactorGraph) -> Optional[DismantlingCertificate]:
     while len(alive) > 1:
         pick = None
         for u in sorted(alive, key=lambda x: (len(closed[x]) - 1, x)):
-            dom = next((v for v in alive if v != u and closed[u] <= closed[v]), None)
+            # a dominator of u is a neighbour: it holds u in its closed neighbourhood
+            dom = min((v for v in closed[u] if v != u and closed[u] <= closed[v]), default=None)
             if dom is not None:
                 pick = (u, dom)
                 break

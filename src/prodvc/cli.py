@@ -17,7 +17,7 @@ from .classes import (chordal_certificate, clique_number, min_dismantling_order,
 from .density import (arboricity, bounded_outdegree_orientation, densest_subgraph,
                       forest_decomposition)
 from .graph import FactorGraph, GraphError, degeneracy_ordering, from_edgelist
-from .harness import (SUITES, fuzz_records, report_to_json, resolve_mu, run_suite)
+from .harness import SUITES, fuzz_records, report_to_json, resolve_mu, run_suite
 from .labeling import decode, encode, from_label_file, to_label_file
 from .products import (ProductSpace, instance_from_json, instance_to_json)
 from .reductions import reduce_edge, reduce_opposite_pair
@@ -41,13 +41,17 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _emit(doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _write(text: str, out: str | None = None) -> None:
+    """Write `text` to the file `out`, or to stdout when there is none."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(doc: dict) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph(path: str) -> FactorGraph:
@@ -97,6 +101,7 @@ def cmd_vcd(args) -> int:
         doc.update({
             "vcd": rep.vcd, "vcdens": _rational(rep.vcdens),
             "vcd_star": rep.vcd_star, "vcdens_star": _rational(rep.vcdens_star),
+            "vcdens_exact": rep.vcdens_exact,
             "vcd_star_exact": rep.vcd_star_exact,
             "vcdens_star_exact": rep.vcdens_star_exact,
             "vcd_witness": _factor_witness(rep.vcd_witness),
@@ -106,8 +111,8 @@ def cmd_vcd(args) -> int:
         })
     else:
         d, w1 = vcd_induced(g)
-        s, w2 = vcdens_induced(g)
-        doc.update({"vcd": d, "vcdens": _rational(s),
+        s, w2, exact = vcdens_induced(g, args.budget)
+        doc.update({"vcd": d, "vcdens": _rational(s), "vcdens_exact": exact,
                     "vcd_witness": _factor_witness(w1),
                     "vcdens_witness": _factor_witness(w2)})
     _emit(doc)
@@ -175,12 +180,7 @@ def cmd_classify(args) -> int:
 
 def cmd_label(args) -> int:
     if args.action == "encode":
-        text = to_label_file(encode(_load_graph(args.file)))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(to_label_file(encode(_load_graph(args.file))), args.out)
         return 0
     scheme = from_label_file(_read(args.file))
     x, y = args.x, args.y
@@ -194,12 +194,7 @@ def cmd_label(args) -> int:
 def cmd_verify(args) -> int:
     records = run_suite(args.suite, trials=args.trials, seed=args.seed,
                         mu=resolve_mu(args.mu) if args.mu is not None else None)
-    text = report_to_json(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(report_to_json(records) + "\n", args.out)
     violated = [r for r in records if r.verdict == "violated" and r.claim != "Conj3"]
     return 1 if violated else 0
 
@@ -221,14 +216,7 @@ def cmd_fuzz(args) -> int:
         recs, viols = fuzz_records(space, args.trials, seed=args.seed + idx)
         records.extend(recs)
         violations.extend(viols)
-    doc = json.loads(report_to_json(records))
-    doc["violations"] = violations
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(report_to_json(records, violations=violations) + "\n", args.out)
     return 0  # discoveries are archived, never a failure
 
 
@@ -259,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minor", action="store_true",
                    help="also compute the minor (starred) quantities")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="work units of the minor search before it stops with inexact bounds")
+                   help="work units of each VC scan before it stops with inexact bounds")
     p.set_defaults(func=cmd_vcd)
 
     p = subs.add_parser("reduce", help="one reduction step along a factor edge")

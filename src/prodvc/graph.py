@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from fractions import Fraction
 from typing import Iterable, Optional
 
 
@@ -219,19 +218,14 @@ def degeneracy_ordering(g: FactorGraph) -> tuple[list[int], int]:
     return order, degeneracy
 
 
-def two_min_degree_vertices(g: FactorGraph, mad_bound: Optional[Fraction] = None) -> tuple[int, int]:
-    """Two distinct vertices each of degree at most ceil(mad(g)).
-
-    `mad_bound` may be supplied to skip recomputing the maximum average
-    degree.  The returned degrees are asserted against the bound.
-    """
+def two_min_degree_vertices(g: FactorGraph) -> tuple[int, int]:
+    """Two distinct vertices each of degree at most ceil(mad(g)); the
+    returned degrees are asserted against that bound."""
     if g.n < 2:
         raise GraphError("need at least 2 vertices")
-    if mad_bound is None:
-        from .density import mad
-        mad_bound = mad(g)
+    from .density import mad
     a, b = sorted(range(g.n), key=lambda v: (len(g.adj[v]), v))[:2]
-    cap = math.ceil(mad_bound)
+    cap = math.ceil(mad(g))
     assert len(g.adj[a]) <= cap and len(g.adj[b]) <= cap
     return a, b
 

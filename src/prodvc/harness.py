@@ -24,7 +24,7 @@ from .density import dens, densest_subgraph, mad
 from .graph import FactorGraph, GraphError, complete_graph, cycle_graph, path_graph
 from .products import (ProductSpace, ProductSubgraph, instance_to_json, octahedron,
                        project_factor, instance_from_json)
-from .vc import compute_vc_report, vcd_induced, vcdens_minor
+from .vc import vcd_induced, vcdens_minor
 
 FAMILIES = ("path", "cycle", "tree", "chordal", "clique", "octahedron", "sparse")
 
@@ -148,12 +148,13 @@ class VerificationRecord:
                 "runtime": round(self.runtime, 6), "detail": self.detail}
 
 
-def report_to_json(records: list[VerificationRecord]) -> str:
+def report_to_json(records: list[VerificationRecord], **extra) -> str:
+    """The report document, with any `extra` top-level keys."""
     ordered = sorted(records, key=lambda r: (r.instance, r.claim))
     doc = {"schema": "prodvc-report-1",
            "counts": {v: sum(1 for r in ordered if r.verdict == v)
                       for v in ("holds", "violated", "inconclusive")},
-           "records": [r.to_dict() for r in ordered]}
+           "records": [r.to_dict() for r in ordered], **extra}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -362,21 +363,21 @@ def check_dd_sum(space: ProductSpace, cap: int = 216) -> VerificationRecord:
 # ---------------------------------------------------------------------------
 # density-versus-minor-density fuzzing
 
-def fuzz_minor_density(space: ProductSpace, trials: int, seed: int = 0,
-                       ) -> tuple[int, list[dict]]:
-    """Sample induced subgraphs and test |E|/|V| <= vcdens_star exactly.
-
-    Returns (trials run, violations); a violation carries a reproducer
-    instance, and never raises.
-    """
+def fuzz_records(space: ProductSpace, trials: int, seed: int = 0,
+                 ) -> tuple[list[VerificationRecord], list[dict]]:
+    """Sample induced subgraphs and test |E|/|V| <= vcdens_star exactly,
+    summarized as one record.  A violation carries a reproducer instance;
+    violations are archived and reported as a discovery, not a failed
+    proof, and never raise."""
+    start = time.monotonic()
     rng = random.Random(seed)
     violations = []
-    cache: dict[frozenset, None] = {}
+    seen: set[frozenset] = set()
     for _ in range(trials):
         g = random_subgraph(rng, space)
-        if g.vertices in cache:
+        if g.vertices in seen:
             continue
-        cache[g.vertices] = None
+        seen.add(g.vertices)
         d, exact, _ = vcdens_minor(g)
         if not exact:
             continue
@@ -388,20 +389,10 @@ def fuzz_minor_density(space: ProductSpace, trials: int, seed: int = 0,
                                "ratio": _frac_str(lhs),
                                "vcdens_star": _frac_str(d),
                                "digest": instance_digest(g)})
-    return trials, violations
-
-
-def fuzz_records(space: ProductSpace, trials: int, seed: int = 0,
-                 ) -> tuple[list[VerificationRecord], list[dict]]:
-    """Fuzz the density-vs-minor-density inequality and summarize as one
-    record; violations are archived but reported as a discovery, not a
-    failed proof."""
-    start = time.monotonic()
-    ran, violations = fuzz_minor_density(space, trials, seed=seed)
     rec = _timed("Conj3", instance_digest(space.materialize()),
                  str(len(violations)), "0",
                  "holds" if not violations else "inconclusive", start,
-                 trials=ran, violations=[v["digest"] for v in violations],
+                 trials=trials, violations=[v["digest"] for v in violations],
                  statement="|E|/|V| <= vcdens_star (open; discoveries archived)")
     return [rec], violations
 
@@ -426,6 +417,14 @@ def _monotonicity_records(step, digest: str) -> list[VerificationRecord]:
     return out
 
 
+def _split_record(claim: str, step, start: float, statement: str) -> VerificationRecord:
+    """A reduction step splits the vertices of g exactly into the contracted
+    part and the centers."""
+    whole, split = step.g.n, step.g_contracted.n + step.g_link_centers.n
+    return _timed(claim, instance_digest(step.g), str(whole), str(split),
+                  "holds" if whole == split else "violated", start, statement=statement)
+
+
 def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
               ) -> list[VerificationRecord]:
     if suite == "all":
@@ -448,19 +447,16 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
 
     if suite == "thm5":
         for t in range(trials):
-            if t % 2 == 0:
-                spec = GeneratorSpec(family="tree", m=rng.randint(1, 3),
-                                     factor_size=rng.randint(2, 5),
-                                     seed=rng.randrange(2 ** 32))
-                trial_mu = 2 if mu is None else resolve_mu(mu)
+            family = ("tree", "chordal")[t % 2]
+            spec = GeneratorSpec(family=family, m=rng.randint(1, 3),
+                                 factor_size=rng.randint(2, 5), seed=rng.randrange(2 ** 32))
+            space, g = generate(spec)
+            if mu is not None:
+                trial_mu = resolve_mu(mu)
+            elif family == "tree":
+                trial_mu = 2
             else:
-                spec = GeneratorSpec(family="chordal", m=rng.randint(1, 3),
-                                     factor_size=rng.randint(2, 5),
-                                     seed=rng.randrange(2 ** 32))
-                space_preview, _ = generate(spec)
-                trial_mu = (max(math.ceil(mad(f)) for f in space_preview.factors)
-                            if mu is None else resolve_mu(mu))
-            _, g = generate(spec)
+                trial_mu = max(math.ceil(mad(f)) for f in space.factors)
             records.extend(check_mu_bound(g, trial_mu))
         return records
 
@@ -482,22 +478,16 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
                 continue
             u, v = rng.choice(f.edges)
             start = time.monotonic()
-            step = reduce_edge(g, i, u, v)  # counting identities asserted inside
-            digest = instance_digest(g)
-            records.append(_timed("Lem10", digest, str(g.n),
-                                  str(step.g_contracted.n + step.g_link_centers.n),
-                                  "holds", start,
-                                  statement="vertex and edge counting split"))
-            records.extend(_monotonicity_records(step, digest))
+            step = reduce_edge(g, i, u, v)
+            records.append(_split_record("Lem10", step, start,
+                                         "vertex and edge counting split"))
+            records.extend(_monotonicity_records(step, instance_digest(g)))
             oct_space = ProductSpace([octahedron(2)] +
                                      [random_factor(rng, "path", 3)])
             og = random_subgraph(rng, oct_space)
             start = time.monotonic()
             ostep = reduce_opposite_pair(og, 0, rng.randrange(4))
-            records.append(_timed("Lem16", instance_digest(og), str(og.n),
-                                  str(ostep.g_contracted.n + ostep.g_link_centers.n),
-                                  "holds", start,
-                                  statement="octahedral counting split"))
+            records.append(_split_record("Lem16", ostep, start, "octahedral counting split"))
         return records
 
     if suite == "classes":

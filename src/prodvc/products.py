@@ -173,8 +173,7 @@ class Subproduct:
 
     __slots__ = ("space", "chosen")
 
-    def __init__(self, space: ProductSpace, chosen: dict[int, Iterable[int]],
-                 allow_trivial: bool = False):
+    def __init__(self, space: ProductSpace, chosen: dict[int, Iterable[int]]):
         if not chosen:
             raise GraphError("a subproduct selects at least one factor")
         norm: dict[int, tuple[int, ...]] = {}
@@ -182,7 +181,7 @@ class Subproduct:
             if not (0 <= i < space.m):
                 raise GraphError(f"no factor {i}")
             vs = tuple(sorted(set(vs)))
-            if len(vs) < 2 and not allow_trivial:
+            if len(vs) < 2:
                 raise GraphError(f"factor {i} selection is trivial")
             sub, _ = induced_subgraph(space.factors[i], vs)
             if not is_connected(sub):

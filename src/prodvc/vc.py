@@ -2,10 +2,11 @@
 products: the induced pair (over subproducts) and the minor pair (over
 factorwise connected partitions).
 
-The induced pair is exact (exhaustive enumeration with canonical
-deduplication).  The minor pair comes from one depth-first scan that tracks
-both maxima; it is exact when the scan ends within its work budget
-and otherwise a lower bound, flagged inexact, that its witnesses reach.
+vcd is exact (exhaustive over candidate cubes).  vcdens, vcd* and vcdens*
+come from one depth-first scan (`_scan`), run once over subproducts and
+once over partitions for both minor maxima; each is exact when its scan
+ends within its work budget and otherwise a lower bound, flagged inexact,
+that its witness reaches.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .graph import (FactorGraph, GraphError, connected_components, induced_subgr
                     is_connected)
 from .products import ProductSpace, ProductSubgraph, Subproduct, trace
 
-DEFAULT_BUDGET = 10_000_000  # work units of the minor scan; see `minor_search`
+DEFAULT_BUDGET = 10_000_000  # work units of each VC scan; see `_scan`
 
 Partition = tuple[frozenset, ...]
 
@@ -118,7 +119,7 @@ def _partitions(g: FactorGraph, hits: frozenset, spend=lambda units: None,
                           _connected_subsets_with_seed(g, rest, min(rest), hits, spend)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def connected_partitions(g: FactorGraph) -> tuple[Partition, ...]:
     """Every partition of V(g) into connected parts, each generated once:
     the smallest unassigned vertex always seeds the next part."""
@@ -151,9 +152,10 @@ def _partition_density(g: FactorGraph, part_of) -> Fraction:
     return _quotient_density(quotient_graph(g, _parts_of(part_of)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _quotient_density(quotient: FactorGraph) -> Fraction:
-    """Cached by the quotient graph, which many partitions share."""
+    """Density of a quotient or induced subgraph, cached by the graph, which
+    many partitions (and many subsets) share."""
     return densest_subgraph(quotient).density
 
 
@@ -240,107 +242,28 @@ def shatters_minor(g: ProductSubgraph, mp: MinorPartition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# induced VC-dimension and VC-density
+# the scan behind vcdens, vcd* and vcdens*
 
-def _coordinate_values(g: ProductSubgraph, i: int) -> set[int]:
-    return {v[i] for v in g.vertices}
+def _scan(g: ProductSubgraph, budget: int, options, density, drops: bool = False,
+          ) -> tuple[int, Optional[tuple], Fraction, Optional[tuple], bool]:
+    """Depth-first over one option per factor: (most factors with two or
+    more labels, its choice, largest density, its choice, exact?).  A
+    choice is a tuple of option keys, the first strict maximum in scan
+    order.
 
+    `options(i, f, spend)` yields the options of factor f = factors[i] as
+    (key, label of each vertex of f, t), labels in range(t); label t drops
+    the vertex (only if `drops`).  A choice is shattered when the vertices
+    of g that no option drops carry every combination of labels; this
+    marginalizes, so the scan drops any prefix with more cells than g has
+    vertices or whose cell signatures miss a prefix cell.
+    `density(i, key, spend)` is asked when an option first survives a prefix.
 
-def _projection_set(g: ProductSubgraph, indices: tuple[int, ...]) -> set[tuple[int, ...]]:
-    return {tuple(v[i] for i in indices) for v in g.vertices}
-
-
-def vcd_induced(g: ProductSubgraph) -> tuple[int, Optional[dict[int, tuple[int, int]]]]:
-    """Largest dimension of a shattered cube-subproduct, with the witness
-    as factor -> edge.  Exact (exhaustive over candidate edges)."""
-    _require_induced(g)
-    if g.n == 0:
-        return 0, None
-    candidates: dict[int, list[tuple[int, int]]] = {}
-    for i, f in enumerate(g.space.factors):
-        vals = _coordinate_values(g, i)
-        edges = [e for e in f.edges if e[0] in vals and e[1] in vals]
-        if edges:
-            candidates[i] = edges
-    kmax = min(len(candidates), g.n.bit_length() - 1)
-    for k in range(kmax, 0, -1):
-        for idxs in combinations(sorted(candidates), k):
-            proj = _projection_set(g, idxs)
-            for choice in iproduct(*(candidates[i] for i in idxs)):
-                if all(combo in proj for combo in iproduct(*choice)):
-                    return k, dict(zip(idxs, choice))
-    return 0, None
-
-
-def vcdens_induced(g: ProductSubgraph) -> tuple[Fraction, Optional[dict[int, tuple[int, ...]]]]:
-    """Largest density of a shattered subproduct (sum of factorwise densities
-    of the chosen induced subgraphs).  Exact at desk scale."""
-    _require_induced(g)
-    if g.n == 0:
-        return Fraction(0), None
-    per_factor: list[list[tuple[frozenset, Fraction]]] = []
-    for i, f in enumerate(g.space.factors):
-        vals = frozenset(_coordinate_values(g, i))
-        options: list[tuple[frozenset, Fraction]] = []
-        if len(vals) >= 2:
-            for seed in sorted(vals):
-                above = frozenset(v for v in vals if v >= seed)
-                for s in _connected_subsets_with_seed(f, above, seed, above):
-                    if 2 <= len(s) <= g.n:
-                        sub, _ = induced_subgraph(f, s)
-                        options.append((s, densest_subgraph(sub).density))
-        per_factor.append(options)
-
-    best = Fraction(0)
-    best_witness: Optional[dict[int, tuple[int, ...]]] = None
-    m = g.space.m
-
-    def rec(i: int, chosen: dict[int, frozenset], cells: int, score: Fraction):
-        nonlocal best, best_witness
-        if cells > g.n:
-            return
-        if i == m:
-            if chosen and score > best:
-                idxs = tuple(sorted(chosen))
-                proj = _projection_set(g, idxs)
-                if all(combo in proj
-                       for combo in iproduct(*(sorted(chosen[j]) for j in idxs))):
-                    best = score
-                    best_witness = {j: tuple(sorted(chosen[j])) for j in idxs}
-            return
-        rec(i + 1, chosen, cells, score)
-        for s, d in per_factor[i]:
-            if cells * len(s) <= g.n:
-                chosen[i] = s
-                rec(i + 1, chosen, cells * len(s), score + d)
-                del chosen[i]
-
-    rec(0, {}, 1, Fraction(0))
-    return best, best_witness
-
-
-# ---------------------------------------------------------------------------
-# minor VC-dimension and VC-density
-
-def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
-                 ) -> tuple[int, Optional[MinorPartition], Fraction,
-                            Optional[MinorPartition], bool]:
-    """(vcd*, witness, vcdens*, witness, exact?) from one depth-first scan
-    over factorwise connected partitions whose parts all meet the
-    coordinates of g.  Each witness is the first strict maximum in scan
-    order.  Shattering marginalizes, so the scan drops any prefix of
-    factors with more cells than g has vertices or whose cell signatures do
-    not already cover all prefix cells.
-
-    The budget counts work: |V(g)| units per partition tried on a prefix
-    (its cell signatures), |V(f)| + |V(g)| per partition of a factor f
-    built, one per vertex or edge read by the connectivity tests that
-    build parts.  A scan that runs out is inexact; the induced witnesses
-    (`induced()` gives the pair, None for one not wanted; by default both
-    are computed), grown into partitions, then replace the scan's
-    witnesses they beat.  Each value is the one its witness reaches.
+    `spend` charges the budget, which counts work: |V(g)| units per option
+    tried on a prefix, |V(f)| + |V(g)| per option of f built, and what
+    `options` and `density` charge.  A scan that runs out is inexact.  Inner
+    factors keep their options, compactly, for the next prefix.
     """
-    _require_induced(g)
     n, m, factors = g.n, g.space.m, g.space.factors
     verts = sorted(g.vertices)
     left = budget
@@ -351,56 +274,142 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
         if left < 0:
             raise _BudgetSpent
 
-    # per factor: the generator of its partitions and those kept so far, each
-    # [part of each factor vertex, part of each vertex of g, part count,
-    # minor density once needed]
-    streams = [(_partitions(f, frozenset(v[i] for v in verts), spend), [])
-               for i, f in enumerate(factors)]
+    streams = [options(i, f, spend) for i, f in enumerate(factors)]
+    kept: list[list] = [[] for _ in range(m)]
     combo: list = [None] * m
     d, d_combo, s, s_combo = 0, None, Fraction(0), None
 
     def entries(i: int) -> Iterator[list]:
-        """Those kept, then new ones; inner factors keep theirs for the next prefix."""
-        pending, kept = streams[i]
-        yield from kept
-        for parts in pending:
+        """Those kept, then new ones: [key, label of each vertex of g, t, density]."""
+        yield from kept[i]
+        for key, label_of, t in streams[i]:
             spend(factors[i].n + n)
-            index = {v: j for j, p in enumerate(parts) for v in p}
-            part_of = [index[v] for v in range(factors[i].n)]
-            labels = [part_of[v[i]] for v in verts]
-            pack = bytes if len(parts) < 256 else tuple  # compact: a scan may keep many
-            entry = [pack(part_of), pack(labels), len(parts), None]
+            labels = [label_of[v[i]] for v in verts]
+            entry = [key, bytes(labels) if t < 256 else tuple(labels), t, None]
             if i:
-                kept.append(entry)
+                kept[i].append(entry)
             yield entry
 
-    def rec(i: int, sigs: list[int], cells: int, nontrivial: int, density: Fraction) -> None:
-        """Scan the partitions of factors i.. below a prefix."""
+    def rec(i: int, sigs: list[int], cells: int, nontrivial: int, total: Fraction) -> None:
+        """Scan the options of factors i.. below a prefix."""
         nonlocal d, d_combo, s, s_combo
         if i == m:
             if nontrivial > d:
                 d, d_combo = nontrivial, tuple(combo)
-            if density > s:
-                s, s_combo = density, tuple(combo)
+            if total > s:
+                s, s_combo = total, tuple(combo)
             return
         for entry in entries(i):
             spend(n)
-            part_of, labels, t, minor_density = entry
+            key, labels, t, value = entry
             if cells * t > n:
                 continue
-            new_sigs = [sig * t + j for sig, j in zip(sigs, labels)]
-            if len(set(new_sigs)) != cells * t:
+            if drops:  # a dropped vertex keeps the signature -1
+                new_sigs = [sig * t + j if j < t and sig >= 0 else -1
+                            for sig, j in zip(sigs, labels)]
+                covered = len(set(new_sigs) - {-1})
+            else:
+                new_sigs = [sig * t + j for sig, j in zip(sigs, labels)]
+                covered = len(set(new_sigs))
+            if covered != cells * t:
                 continue
-            if minor_density is None:
-                minor_density = entry[3] = _partition_density(factors[i], part_of)
-            combo[i] = part_of
-            rec(i + 1, new_sigs, cells * t, nontrivial + (t >= 2), density + minor_density)
+            if value is None:
+                value = entry[3] = density(i, key, spend)
+            combo[i] = key
+            rec(i + 1, new_sigs, cells * t, nontrivial + (t >= 2), total + value)
 
     try:
         rec(0, [0] * n, 1, 0, Fraction(0))
         exact = True
     except _BudgetSpent:
         exact = False
+    return d, d_combo, s, s_combo, exact
+
+
+# ---------------------------------------------------------------------------
+# induced VC-dimension and VC-density
+
+def vcd_induced(g: ProductSubgraph) -> tuple[int, Optional[dict[int, tuple[int, int]]]]:
+    """Largest dimension of a shattered cube-subproduct, with the witness
+    as factor -> edge.  Exact (exhaustive over candidate edges)."""
+    _require_induced(g)
+    if g.n == 0:
+        return 0, None
+    candidates: dict[int, list[tuple[int, int]]] = {}
+    for i, f in enumerate(g.space.factors):
+        vals = {v[i] for v in g.vertices}
+        edges = [e for e in f.edges if e[0] in vals and e[1] in vals]
+        if edges:
+            candidates[i] = edges
+    kmax = min(len(candidates), g.n.bit_length() - 1)
+    for k in range(kmax, 0, -1):
+        for idxs in combinations(sorted(candidates), k):
+            proj = {tuple(v[i] for i in idxs) for v in g.vertices}
+            for choice in iproduct(*(candidates[i] for i in idxs)):
+                if all(combo in proj for combo in iproduct(*choice)):
+                    return k, dict(zip(idxs, choice))
+    return 0, None
+
+
+def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
+                   ) -> tuple[Fraction, Optional[dict[int, tuple[int, ...]]], bool]:
+    """(vcdens, witness, exact?): the largest density of a shattered
+    subproduct (sum of the densities of the chosen induced subgraphs of the
+    factors), from one `_scan` whose options for a factor are "skip", then
+    the connected subsets of its coordinate values with 2..|V(g)| vertices
+    (seed ascending, then bitmask order); a vertex whose coordinate lies
+    outside the chosen subset drops out.  Each density is charged by the
+    node count of its flow network."""
+    _require_induced(g)
+    factors = g.space.factors
+
+    def options(i: int, f: FactorGraph, spend) -> Iterator[tuple[tuple, list[int], int]]:
+        yield (), [0] * f.n, 1  # skip the factor
+        vals = frozenset(v[i] for v in g.vertices)
+        for seed in sorted(vals):
+            above = frozenset(v for v in vals if v >= seed)
+            for s in _connected_subsets_with_seed(f, above, seed, above, spend):
+                if 2 <= len(s) <= g.n:
+                    key = tuple(sorted(s))
+                    yield key, [key.index(v) if v in s else len(s) for v in range(f.n)], len(s)
+
+    def density(i: int, key: tuple, spend) -> Fraction:
+        if not key:
+            return Fraction(0)
+        sub, _ = induced_subgraph(factors[i], key)
+        spend(2 + sub.n + sub.m)
+        return _quotient_density(sub)
+
+    _, _, s, choice, exact = _scan(g, budget, options, density, drops=True)
+    return s, choice and {i: key for i, key in enumerate(choice) if key}, exact
+
+
+# ---------------------------------------------------------------------------
+# minor VC-dimension and VC-density
+
+def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
+                 ) -> tuple[int, Optional[MinorPartition], Fraction,
+                            Optional[MinorPartition], bool]:
+    """(vcd*, witness, vcdens*, witness, exact?) from one `_scan` over the
+    factorwise connected partitions whose parts all meet the coordinates of
+    g, each vertex labelled by the part holding its coordinate.  The budget
+    also counts one unit per vertex or edge read by the connectivity tests
+    that build parts.  When it runs out, the induced witnesses (`induced()`
+    gives the pair, None for one not wanted; by default both are computed),
+    grown into partitions, replace the scan's witnesses they beat.  Each
+    value is the one its witness reaches.
+    """
+    _require_induced(g)
+    factors = g.space.factors
+
+    def options(i: int, f: FactorGraph, spend) -> Iterator[tuple[bytes, list[int], int]]:
+        for parts in _partitions(f, frozenset(v[i] for v in g.vertices), spend):
+            index = {v: j for j, p in enumerate(parts) for v in p}
+            part_of = [index[v] for v in range(f.n)]
+            yield (bytes if len(parts) < 256 else tuple)(part_of), part_of, len(parts)
+
+    d, d_combo, s, s_combo, exact = _scan(
+        g, budget, options, lambda i, part_of, spend: _partition_density(factors[i], part_of))
     d_mp, s_mp = (c and MinorPartition(g.space, [_parts_of(po) for po in c])
                   for c in (d_combo, s_combo))
     if not exact:
@@ -461,6 +470,7 @@ class VcReport:
     vcdens: Fraction
     vcd_star: int
     vcdens_star: Fraction
+    vcdens_exact: bool
     vcd_star_exact: bool
     vcdens_star_exact: bool
     vcd_witness: Optional[dict] = None
@@ -471,10 +481,10 @@ class VcReport:
 
 def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> VcReport:
     vcd, w1 = vcd_induced(g)
-    vcdens, w2 = vcdens_induced(g)
+    vcdens, w2, vcdens_exact = vcdens_induced(g, budget)
     vcd_star, w3, vcdens_star, w4, exact = minor_search(g, budget, lambda: (w1, w2))
     return VcReport(vcd=vcd, vcdens=vcdens, vcd_star=vcd_star, vcdens_star=vcdens_star,
-                    vcd_star_exact=exact, vcdens_star_exact=exact,
+                    vcdens_exact=vcdens_exact, vcd_star_exact=exact, vcdens_star_exact=exact,
                     vcd_witness=w1, vcdens_witness=w2,
                     vcd_star_witness=w3, vcdens_star_witness=w4)
 

@@ -63,6 +63,36 @@ def test_greedy_fallback_is_flagged():
     assert cert is not None and not cert.exact and cert.dd >= 1
 
 
+def test_greedy_picks_smallest_dominator():
+    """Replaying a greedy certificate on shuffled dismantlable graphs: each
+    removed vertex is the first, by (degree, id), that some alive vertex
+    dominates, and its dominator is the smallest such id."""
+    rng = random.Random(1330)
+    for _ in range(60):
+        n = rng.randint(13, 40)
+        edges = set()
+        for v in range(1, n):  # v is dominated by u when it arrives
+            u = rng.randrange(v)
+            nbrs = [w for w in range(v) if (min(u, w), max(u, w)) in edges]
+            edges |= {(w, v) for w in [u] + [w for w in nbrs if rng.random() < 0.5]}
+        name = rng.sample(range(n), n)
+        g = FactorGraph(n, [(name[a], name[b]) for a, b in edges])
+        cert = min_dismantling_order(g)
+        assert cert is not None and not cert.exact
+        alive = set(range(n))
+
+        def dominators(u):
+            nu = (g.adj[u] | {u}) & alive
+            return [v for v in sorted(alive) if v != u and nu <= (g.adj[v] | {v}) & alive]
+
+        for u, dom in list(zip(cert.order, cert.dominators))[:-1]:
+            by_degree = sorted(alive, key=lambda x: (len(g.adj[x] & alive), x))
+            assert u == next(x for x in by_degree if dominators(x))
+            assert dom == dominators(u)[0]
+            alive.discard(u)
+        assert alive == {cert.order[-1]}
+
+
 def test_elimination_degree_is_minimal():
     # the greedy order on a star contracts leaves at degree 1; dd must be 1
     assert min_dismantling_order(star_graph(6)).dd == 1

@@ -61,6 +61,27 @@ def test_all_suites_have_no_violations():
         assert not [r for r in recs if r.verdict == "violated"], suite
 
 
+def test_counting_split_records_are_computed(monkeypatch):
+    """Lem10/Lem16 judge the vertex split of each step they get, so a step
+    whose counts do not add up is reported violated (with or without -O)."""
+    import dataclasses
+    from prodvc import reductions
+
+    def broken(reduce):
+        # the whole graph as the centers: |V(g)| < contracted + centers
+        return lambda *args: dataclasses.replace(reduce(*args), g_link_centers=args[0])
+
+    honest = {(r.claim, r.verdict) for r in run_suite("lemmas", trials=4, seed=3)}
+    assert {("Lem10", "holds"), ("Lem16", "holds")} <= honest
+    monkeypatch.setattr(reductions, "reduce_edge", broken(reductions.reduce_edge))
+    monkeypatch.setattr(reductions, "reduce_opposite_pair",
+                        broken(reductions.reduce_opposite_pair))
+    records = [r for r in run_suite("lemmas", trials=4, seed=3)
+               if r.claim in ("Lem10", "Lem16")]
+    assert {r.claim for r in records} == {"Lem10", "Lem16"}
+    assert all(r.verdict == "violated" and int(r.lhs) < int(r.rhs) for r in records)
+
+
 def test_resolve_mu():
     assert resolve_mu("tree") == 2
     assert resolve_mu("planar") == 6

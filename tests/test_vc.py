@@ -8,8 +8,8 @@ from prodvc.density import densest_subgraph_bruteforce
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           induced_subgraph, is_connected, path_graph, star_graph)
 from prodvc.products import ProductSpace, ProductSubgraph, Subproduct, hypercube
-from prodvc.vc import (MinorPartition, _partitions, compute_vc_report, connected_partitions,
-                       minor_search, quotient_graph, shatters_minor,
+from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _partitions, compute_vc_report,
+                       connected_partitions, minor_search, quotient_graph, shatters_minor,
                        shatters_subproduct, vcd_induced, vcd_minor, vcd_set_system,
                        vcdens_induced, vcdens_minor)
 
@@ -222,3 +222,82 @@ def test_full_product_has_full_dimension():
     g = sp.materialize()
     assert vcd_induced(g)[0] == 2
     assert vcdens_induced(g)[0] == Fraction(1, 2) + Fraction(2, 3)
+
+
+def naive_induced_values(g):
+    """(vcdens, witness) over every choice of "skip" or a connected subset
+    of each factor's coordinate values with 2..|V(g)| vertices (seed
+    ascending, then bitmask order), without pruning, with brute-force
+    densities and shattering by materialized subproducts; the witness is
+    the first strict maximum."""
+    options = []
+    for i, f in enumerate(g.space.factors):
+        vals = sorted({v[i] for v in g.vertices})
+        factor_options = [None]
+        for k, seed in enumerate(vals):
+            above = vals[k + 1:]
+            for mask in range(1 << len(above)):
+                s = (seed,) + tuple(v for j, v in enumerate(above) if mask >> j & 1)
+                if 2 <= len(s) <= g.n and is_connected(induced_subgraph(f, s)[0]):
+                    factor_options.append(s)
+        options.append(factor_options)
+    best, witness = Fraction(0), None
+    for choice in iproduct(*options):
+        chosen = {i: s for i, s in enumerate(choice) if s is not None}
+        if chosen and induced_witness_value(g, chosen) > best:
+            best, witness = induced_witness_value(g, chosen), chosen
+    return best, witness
+
+
+def induced_witness_value(g, witness):
+    """The density a vcdens witness reaches (brute force), or -1 if it
+    does not shatter."""
+    if witness is None:
+        return Fraction(0)
+    if not shatters_subproduct(g, Subproduct(g.space, witness)):
+        return -1
+    return sum((densest_subgraph_bruteforce(induced_subgraph(g.space.factors[i], s)[0]).density
+                for i, s in witness.items()), Fraction(0))
+
+
+def test_vcdens_induced_matches_naive_oracle():
+    rng = random.Random(1707)
+    makers = (path_graph, complete_graph, star_graph, lambda k: cycle_graph(max(k, 3)))
+    for _ in range(40):
+        factors = [rng.choice(makers)(rng.randint(2, 4)) for _ in range(rng.randint(1, 3))]
+        sp = ProductSpace(factors)
+        size = sp.num_vertices()
+        verts = rng.sample(list(sp.vertices()), rng.randint(1, min(size, 24)))
+        g = ProductSubgraph(sp, verts, induced=True)
+        s, witness, exact = vcdens_induced(g)
+        assert exact
+        assert (s, witness) == naive_induced_values(g)
+
+
+def test_vcdens_induced_budget_walk_on_star_products():
+    # K1,3 x K2 at every budget until the scan completes; each bounded
+    # result is flagged and reached by its shattering witness
+    g = ProductSpace([star_graph(3), complete_graph(2)]).materialize()
+    full, _, full_exact = vcdens_induced(g)
+    assert full_exact and full == Fraction(3, 4) + Fraction(1, 2)
+    budget, last = 0, Fraction(0)
+    while True:
+        s, witness, exact = vcdens_induced(g, budget=budget)
+        if exact:
+            break
+        assert induced_witness_value(g, witness) == s
+        assert last <= s <= full
+        budget, last = budget + 1, s
+    assert budget > 1 and s == full
+    # K1,14 x K2 (16,383 subsets of the star) completes within the default
+    # budget; a quarter of it and less give bounded, reached values
+    g = ProductSpace([star_graph(14), complete_graph(2)]).materialize()
+    s, witness, exact = vcdens_induced(g)
+    assert exact and s == Fraction(43, 30)
+    assert witness == {0: tuple(range(15)), 1: (0, 1)}
+    budget = DEFAULT_BUDGET
+    while budget > 1000:
+        budget //= 4
+        s, witness, exact = vcdens_induced(g, budget=budget)
+        assert not exact
+        assert induced_witness_value(g, witness) == s <= Fraction(43, 30)
