@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 from .classes import (chordal_certificate, clique_number, product_elimination_report,
                       suboctahedron_structure)
@@ -148,13 +149,16 @@ class VerificationRecord:
                 "runtime": round(self.runtime, 6), "detail": self.detail}
 
 
-def report_to_json(records: list[VerificationRecord], **extra) -> str:
-    """The report document, with any `extra` top-level keys."""
+def report_to_json(records: list[VerificationRecord],
+                   violations: Optional[list] = None) -> str:
+    """The report document; `violations`, when given, becomes a top-level key."""
     ordered = sorted(records, key=lambda r: (r.instance, r.claim))
     doc = {"schema": "prodvc-report-1",
            "counts": {v: sum(1 for r in ordered if r.verdict == v)
                       for v in ("holds", "violated", "inconclusive")},
-           "records": [r.to_dict() for r in ordered], **extra}
+           "records": [r.to_dict() for r in ordered]}
+    if violations is not None:
+        doc["violations"] = violations
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

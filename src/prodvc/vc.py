@@ -244,7 +244,7 @@ def shatters_minor(g: ProductSubgraph, mp: MinorPartition) -> bool:
 # ---------------------------------------------------------------------------
 # the scan behind vcdens, vcd* and vcdens*
 
-def _scan(g: ProductSubgraph, budget: int, options, density, drops: bool = False,
+def _scan(g: ProductSubgraph, budget: int, options, density,
           ) -> tuple[int, Optional[tuple], Fraction, Optional[tuple], bool]:
     """Depth-first over one option per factor: (most factors with two or
     more labels, its choice, largest density, its choice, exact?).  A
@@ -253,7 +253,7 @@ def _scan(g: ProductSubgraph, budget: int, options, density, drops: bool = False
 
     `options(i, f, spend)` yields the options of factor f = factors[i] as
     (key, label of each vertex of f, t), labels in range(t); label t drops
-    the vertex (only if `drops`).  A choice is shattered when the vertices
+    the vertex.  A choice is shattered when the vertices
     of g that no option drops carry every combination of labels; this
     marginalizes, so the scan drops any prefix with more cells than g has
     vertices or whose cell signatures miss a prefix cell.
@@ -304,14 +304,12 @@ def _scan(g: ProductSubgraph, budget: int, options, density, drops: bool = False
             key, labels, t, value = entry
             if cells * t > n:
                 continue
-            if drops:  # a dropped vertex keeps the signature -1
-                new_sigs = [sig * t + j if j < t and sig >= 0 else -1
-                            for sig, j in zip(sigs, labels)]
-                covered = len(set(new_sigs) - {-1})
-            else:
-                new_sigs = [sig * t + j for sig, j in zip(sigs, labels)]
-                covered = len(set(new_sigs))
-            if covered != cells * t:
+            # a dropped vertex keeps the signature -1
+            new_sigs = [sig * t + j if j < t and sig >= 0 else -1
+                        for sig, j in zip(sigs, labels)]
+            hit = set(new_sigs)
+            hit.discard(-1)
+            if len(hit) != cells * t:
                 continue
             if value is None:
                 value = entry[3] = density(i, key, spend)
@@ -380,7 +378,7 @@ def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
         spend(2 + sub.n + sub.m)
         return _quotient_density(sub)
 
-    _, _, s, choice, exact = _scan(g, budget, options, density, drops=True)
+    _, _, s, choice, exact = _scan(g, budget, options, density)
     return s, choice and {i: key for i, key in enumerate(choice) if key}, exact
 
 
@@ -456,7 +454,8 @@ def vcd_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
 
 def vcdens_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
                  ) -> tuple[Fraction, bool, Optional[MinorPartition]]:
-    """(vcdens*, exact?, witness); see `minor_search`."""
+    """(vcdens*, exact?, witness); see `minor_search`.  A scan that runs out
+    falls back on `vcdens_induced` at the default budget, not at `budget`."""
     _, _, s, witness, exact = minor_search(g, budget, lambda: (None, vcdens_induced(g)[1]))
     return s, exact, witness
 
