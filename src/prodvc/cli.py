@@ -298,6 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, low in (("budget", 0), ("trials", 1)):
+        if getattr(args, name, low) < low:
+            return _fail(f"--{name} must be at least {low}")
     try:
         return args.func(args)
     except GraphError as exc:

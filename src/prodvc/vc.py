@@ -3,19 +3,24 @@ products: the induced pair (over subproducts) and the minor pair (over
 factorwise connected partitions).
 
 vcd is exact (exhaustive over candidate cubes).  vcdens, vcd* and vcdens*
-come from one depth-first scan (`_scan`), run once over subproducts and
-once over partitions for both minor maxima; each is exact when its scan
-ends within its work budget and otherwise a lower bound, flagged inexact,
-that its witness reaches.
+come from one depth-first branch-and-bound scan (`_scan`), run once over
+subproducts and once over partitions for the minor maxima wanted.  It cuts
+an option when, by the vertex count P of the prefix's smallest cell and
+per-factor density ceilings, nothing below it can strictly beat the best
+so far for a wanted maximum; a cut option is still charged, and a cut can
+only skip ties, so witnesses are those of the full scan.  Each value is
+exact when its scan ends within its work budget and otherwise a lower
+bound, flagged inexact, that its witness reaches.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iproduct
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Iterator, Optional
 
 from .density import densest_subgraph
@@ -244,12 +249,32 @@ def shatters_minor(g: ProductSubgraph, mp: MinorPartition) -> bool:
 # ---------------------------------------------------------------------------
 # the scan behind vcdens, vcd* and vcdens*
 
-def _scan(g: ProductSubgraph, budget: int, options, density,
-          ) -> tuple[int, Optional[tuple], Fraction, Optional[tuple], bool]:
+def _minor_ceilings(f: FactorGraph, h: int) -> list[Fraction]:
+    """Entry t, for t <= h, bounds the density of any graph on t vertices
+    that is a minor of the connected graph f, such as a subgraph of f: a
+    densest subgraph of it on u <= t vertices has at most u(u-1)/2 edges,
+    at most |E(f)|, and at most u - 1 + c edges, since c = |E(f)| - |V(f)|
+    + 1, the cyclomatic number of f, bounds its own."""
+    row = [Fraction(0), Fraction(0)]
+    for u in range(2, h + 1):
+        row.append(max(row[-1], Fraction(min(u * (u - 1) // 2, f.m, u + f.m - f.n), u)))
+    return row
+
+
+def _induced_ceilings(f: FactorGraph, vals: frozenset) -> list[Fraction]:
+    """Entry t bounds the density of f[S] for the subsets S of `vals` with
+    t vertices: that of a minor of f, and that of f[vals]."""
+    top = _quotient_density(induced_subgraph(f, vals)[0])
+    return [min(top, c) for c in _minor_ceilings(f, len(vals))]
+
+
+def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ceilings=None,
+          ) -> tuple[Optional[int], Optional[tuple], Optional[Fraction], Optional[tuple], bool]:
     """Depth-first over one option per factor: (most factors with two or
     more labels, its choice, largest density, its choice, exact?).  A
     choice is a tuple of option keys, the first strict maximum in scan
-    order.
+    order.  Only the wanted maxima are sought, the dimension when `dims`
+    and the density when `density` is given; the others come back None.
 
     `options(i, f, spend)` yields the options of factor f = factors[i] as
     (key, label of each vertex of f, t), labels in range(t); label t drops
@@ -257,12 +282,29 @@ def _scan(g: ProductSubgraph, budget: int, options, density,
     of g that no option drops carry every combination of labels; this
     marginalizes, so the scan drops any prefix with more cells than g has
     vertices or whose cell signatures miss a prefix cell.
-    `density(i, key, spend)` is asked when an option first survives a prefix.
+    `density(i, key, spend)` is asked when an option first survives a
+    prefix; entry t of `ceilings(i)` bounds the density of any option of
+    factor i with t labels.
+
+    Branch and bound: let P be the fewest surviving vertices of g in a cell
+    of a prefix.  Every final cell needs a vertex, so the label counts t_j
+    of the factors still to come multiply to at most P, and each t_j is at
+    most h_j, the number of coordinates g takes in factor j.  So at most
+    min(#{j : h_j >= 2}, log2 P) of them have two or more labels, and
+    their densities add up to at most the best sum of ceilings, a table
+    kept per scan and keyed by (factor, P).  An option is cut when no
+    wanted maximum can still strictly beat the best so far: checked first
+    with P <= |V(g)| // (cells * t) and the option's density if known, else
+    its ceiling, then with the P its signatures give.  A cut leaf could at
+    best tie, so witnesses and exact results are those of the full scan.
+    Densities are integers scaled by lcm(1..max h_j), which divides every
+    denominator met.
 
     `spend` charges the budget, which counts work: |V(g)| units per option
-    tried on a prefix, |V(f)| + |V(g)| per option of f built, and what
-    `options` and `density` charge.  A scan that runs out is inexact.  Inner
-    factors keep their options, compactly, for the next prefix.
+    tried on a prefix, cut or not, |V(f)| + |V(g)| per option of f built,
+    and what `options` and `density` charge; the bound's own work is not
+    charged.  A scan that runs out is inexact.  Inner factors keep their
+    options, compactly, for the next prefix.
     """
     n, m, factors = g.n, g.space.m, g.space.factors
     verts = sorted(g.vertices)
@@ -274,29 +316,59 @@ def _scan(g: ProductSubgraph, budget: int, options, density,
         if left < 0:
             raise _BudgetSpent
 
+    h = [len({v[i] for v in verts}) for i in range(m)]
+    wide = [0] * (m + 1)  # wide[i]: factors i.. with h >= 2
+    for i in reversed(range(m)):
+        wide[i] = wide[i + 1] + (h[i] >= 2)
+    scale = lcm(*range(1, max(h) + 1))
+    caps = []  # caps[i][t]: the ceiling of factor i at t labels, scaled
+    if density is not None and n:
+        caps = [[c.numerator * scale // c.denominator for c in ceilings(i)] for i in range(m)]
+    table: dict[tuple[int, int], int] = {}
+
+    def most_density(i: int, p: int) -> int:
+        """The most scaled density factors i.. can add when their label
+        counts multiply to at most p."""
+        if i == m:
+            return 0
+        got = table.get((i, p))
+        if got is None:
+            row = caps[i]
+            got = table[i, p] = max(row[t] + most_density(i + 1, p // t)
+                                    for t in range(1, min(h[i], p) + 1))
+        return got
+
+    def hopeless(i: int, p: int, nontrivial: int, total: int) -> bool:
+        """True iff no choice for factors i.. can make a wanted maximum
+        beat the best so far, their label counts multiplying to at most p."""
+        return ((not dims or nontrivial + min(wide[i], p.bit_length() - 1) <= d)
+                and (density is None or total + most_density(i, p) <= s))
+
     streams = [options(i, f, spend) for i, f in enumerate(factors)]
     kept: list[list] = [[] for _ in range(m)]
     combo: list = [None] * m
-    d, d_combo, s, s_combo = 0, None, Fraction(0), None
+    d, d_combo, s, s_combo = 0, None, 0, None
 
     def entries(i: int) -> Iterator[list]:
-        """Those kept, then new ones: [key, label of each vertex of g, t, density]."""
+        """Those kept, then new ones: [key, label of each vertex of g, t,
+        scaled density]."""
         yield from kept[i]
         for key, label_of, t in streams[i]:
             spend(factors[i].n + n)
             labels = [label_of[v[i]] for v in verts]
-            entry = [key, bytes(labels) if t < 256 else tuple(labels), t, None]
+            entry = [key, bytes(labels) if t < 256 else tuple(labels), t,
+                     None if density else 0]
             if i:
                 kept[i].append(entry)
             yield entry
 
-    def rec(i: int, sigs: list[int], cells: int, nontrivial: int, total: Fraction) -> None:
+    def rec(i: int, sigs: list[int], cells: int, nontrivial: int, total: int) -> None:
         """Scan the options of factors i.. below a prefix."""
         nonlocal d, d_combo, s, s_combo
         if i == m:
-            if nontrivial > d:
+            if dims and nontrivial > d:
                 d, d_combo = nontrivial, tuple(combo)
-            if total > s:
+            if density is not None and total > s:
                 s, s_combo = total, tuple(combo)
             return
         for entry in entries(i):
@@ -304,24 +376,34 @@ def _scan(g: ProductSubgraph, budget: int, options, density,
             key, labels, t, value = entry
             if cells * t > n:
                 continue
+            more = nontrivial + (t >= 2)
+            most = total + (caps[i][t] if value is None else value)
+            if hopeless(i + 1, n // (cells * t), more, most):
+                continue
             # a dropped vertex keeps the signature -1
             new_sigs = [sig * t + j if j < t and sig >= 0 else -1
                         for sig, j in zip(sigs, labels)]
-            hit = set(new_sigs)
-            hit.discard(-1)
-            if len(hit) != cells * t:
+            counts = Counter(new_sigs)
+            counts.pop(-1, None)
+            if len(counts) != cells * t:
                 continue
-            if value is None:
-                value = entry[3] = density(i, key, spend)
+            p = min(counts.values())
+            if value is None and not hopeless(i + 1, p, more, most):
+                found = density(i, key, spend)
+                value = entry[3] = found.numerator * scale // found.denominator
+                most = total + value
+            if value is None or hopeless(i + 1, p, more, most):  # None: cut on its ceiling
+                continue
             combo[i] = key
-            rec(i + 1, new_sigs, cells * t, nontrivial + (t >= 2), total + value)
+            rec(i + 1, new_sigs, cells * t, more, most)
 
     try:
-        rec(0, [0] * n, 1, 0, Fraction(0))
+        rec(0, [0] * n, 1, 0, 0)
         exact = True
     except _BudgetSpent:
         exact = False
-    return d, d_combo, s, s_combo, exact
+    return (d if dims else None, d_combo, None if density is None else Fraction(s, scale),
+            s_combo, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +442,12 @@ def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
     node count of its flow network."""
     _require_induced(g)
     factors = g.space.factors
+    vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
     def options(i: int, f: FactorGraph, spend) -> Iterator[tuple[tuple, list[int], int]]:
         yield (), [0] * f.n, 1  # skip the factor
-        vals = frozenset(v[i] for v in g.vertices)
-        for seed in sorted(vals):
-            above = frozenset(v for v in vals if v >= seed)
+        for seed in sorted(vals[i]):
+            above = frozenset(v for v in vals[i] if v >= seed)
             for s in _connected_subsets_with_seed(f, above, seed, above, spend):
                 if 2 <= len(s) <= g.n:
                     key = tuple(sorted(s))
@@ -378,7 +460,8 @@ def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
         spend(2 + sub.n + sub.m)
         return _quotient_density(sub)
 
-    _, _, s, choice, exact = _scan(g, budget, options, density)
+    _, _, s, choice, exact = _scan(g, budget, options, dims=False, density=density,
+                                   ceilings=lambda i: _induced_ceilings(factors[i], vals[i]))
     return s, choice and {i: key for i, key in enumerate(choice) if key}, exact
 
 
@@ -386,38 +469,50 @@ def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
 # minor VC-dimension and VC-density
 
 def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
-                 ) -> tuple[int, Optional[MinorPartition], Fraction,
+                 dims: bool = True, dens: bool = True,
+                 ) -> tuple[Optional[int], Optional[MinorPartition], Optional[Fraction],
                             Optional[MinorPartition], bool]:
     """(vcd*, witness, vcdens*, witness, exact?) from one `_scan` over the
     factorwise connected partitions whose parts all meet the coordinates of
-    g, each vertex labelled by the part holding its coordinate.  The budget
-    also counts one unit per vertex or edge read by the connectivity tests
-    that build parts.  When it runs out, the induced witnesses (`induced()`
-    gives the pair, None for one not wanted; by default both are computed),
-    grown into partitions, replace the scan's witnesses they beat.  Each
-    value is the one its witness reaches.
+    g, each vertex labelled by the part holding its coordinate.  Only the
+    wanted quantities are sought, vcd* when `dims` and vcdens* when `dens`
+    (a density-free scan solves no flows); the others come back as None.
+    The budget also counts one unit per vertex or edge read by the
+    connectivity tests that build parts.  When it runs out, the induced
+    witnesses (`induced()` gives the pair, None for one not wanted; by
+    default the wanted ones are computed), grown into partitions, replace
+    the scan's witnesses they beat.  Each value is the one its witness
+    reaches.
     """
     _require_induced(g)
     factors = g.space.factors
+    hits = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
     def options(i: int, f: FactorGraph, spend) -> Iterator[tuple[bytes, list[int], int]]:
-        for parts in _partitions(f, frozenset(v[i] for v in g.vertices), spend):
+        for parts in _partitions(f, hits[i], spend):
             index = {v: j for j, p in enumerate(parts) for v in p}
             part_of = [index[v] for v in range(f.n)]
             yield (bytes if len(parts) < 256 else tuple)(part_of), part_of, len(parts)
 
+    def density(i: int, part_of, spend) -> Fraction:
+        return _partition_density(factors[i], part_of)
+
     d, d_combo, s, s_combo, exact = _scan(
-        g, budget, options, lambda i, part_of, spend: _partition_density(factors[i], part_of))
+        g, budget, options, dims=dims, density=density if dens else None,
+        ceilings=lambda i: _minor_ceilings(factors[i], len(hits[i])))
     d_mp, s_mp = (c and MinorPartition(g.space, [_parts_of(po) for po in c])
                   for c in (d_combo, s_combo))
     if not exact:
-        w_vcd, w_dens = induced() if induced else (vcd_induced(g)[1], vcdens_induced(g)[1])
-        grown = _seed_partition_from_edges(g, w_vcd)  # one part per factor if None
-        if shatters_minor(g, grown) and grown.nontrivial_factors() > d:
-            d, d_mp = grown.nontrivial_factors(), grown
-        grown = _seed_partition_from_edges(g, w_dens)
-        if shatters_minor(g, grown) and grown.minor_density() > s:
-            s, s_mp = grown.minor_density(), grown
+        w_vcd, w_dens = induced() if induced else (
+            vcd_induced(g)[1] if dims else None, vcdens_induced(g)[1] if dens else None)
+        if dims:
+            grown = _seed_partition_from_edges(g, w_vcd)  # one part per factor if None
+            if shatters_minor(g, grown) and grown.nontrivial_factors() > d:
+                d, d_mp = grown.nontrivial_factors(), grown
+        if dens:
+            grown = _seed_partition_from_edges(g, w_dens)
+            if shatters_minor(g, grown) and grown.minor_density() > s:
+                s, s_mp = grown.minor_density(), grown
     return d, d_mp, s, s_mp, exact
 
 
@@ -448,7 +543,7 @@ def _seed_partition_from_edges(g: ProductSubgraph,
 def vcd_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
               ) -> tuple[int, bool, Optional[MinorPartition]]:
     """(vcd*, exact?, witness); see `minor_search`."""
-    d, witness, _, _, exact = minor_search(g, budget, lambda: (vcd_induced(g)[1], None))
+    d, witness, _, _, exact = minor_search(g, budget, dens=False)
     return d, exact, witness
 
 
@@ -456,7 +551,7 @@ def vcdens_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
                  ) -> tuple[Fraction, bool, Optional[MinorPartition]]:
     """(vcdens*, exact?, witness); see `minor_search`.  A scan that runs out
     falls back on `vcdens_induced` at the default budget, not at `budget`."""
-    _, _, s, witness, exact = minor_search(g, budget, lambda: (None, vcdens_induced(g)[1]))
+    _, _, s, witness, exact = minor_search(g, budget, dims=False)
     return s, exact, witness
 
 

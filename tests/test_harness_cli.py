@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,32 @@ def test_cli_verify_and_fuzz(capsys, tmp_path):
     assert code == 0
     assert doc["schema"] == "prodvc-report-1"
     assert isinstance(doc["violations"], list)
+
+
+def test_cli_rejects_out_of_range_numbers(capsys, instance_file):
+    # a negative budget, or fewer than one trial, is bad input: exit 2 with
+    # a one-line error and no report
+    for argv in (("vcd", instance_file, "--budget", "-5"),
+                 ("vcd", instance_file, "--minor", "--budget", "-1"),
+                 ("verify", "--trials", "-3"), ("verify", "--trials", "0"),
+                 ("fuzz-conj3", "--trials", "-1")):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    code, doc = run_cli(capsys, "vcd", instance_file, "--minor", "--budget", "0")
+    assert code == 0
+    assert doc["vcdens_exact"] is doc["vcd_star_exact"] is doc["vcdens_star_exact"] is False
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "prodvc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: prodvc")
 
 
 def test_cli_io_error(capsys, tmp_path):

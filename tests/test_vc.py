@@ -7,11 +7,12 @@ import pytest
 from prodvc.density import densest_subgraph_bruteforce
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           induced_subgraph, is_connected, path_graph, star_graph)
+from prodvc.harness import random_factor
 from prodvc.products import ProductSpace, ProductSubgraph, Subproduct, hypercube
-from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _partitions, compute_vc_report,
-                       connected_partitions, minor_search, quotient_graph, shatters_minor,
-                       shatters_subproduct, vcd_induced, vcd_minor, vcd_set_system,
-                       vcdens_induced, vcdens_minor)
+from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _induced_ceilings, _minor_ceilings,
+                       _partitions, compute_vc_report, connected_partitions, minor_search,
+                       quotient_graph, shatters_minor, shatters_subproduct, vcd_induced,
+                       vcd_minor, vcd_set_system, vcdens_induced, vcdens_minor)
 
 PATH_IN_Q4 = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
 PATH_IN_Q3 = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0)]
@@ -289,15 +290,71 @@ def test_vcdens_induced_budget_walk_on_star_products():
         assert last <= s <= full
         budget, last = budget + 1, s
     assert budget > 1 and s == full
-    # K1,14 x K2 (16,383 subsets of the star) completes within the default
-    # budget; a quarter of it and less give bounded, reached values
+    # K1,14 x K2 (16,383 subsets of the star), walking down from the default
+    # budget: exact at 43/30 with the full star until the first bounded
+    # budget; from there down to 1000, bounded values its witness reaches
     g = ProductSpace([star_graph(14), complete_graph(2)]).materialize()
-    s, witness, exact = vcdens_induced(g)
-    assert exact and s == Fraction(43, 30)
-    assert witness == {0: tuple(range(15)), 1: (0, 1)}
-    budget = DEFAULT_BUDGET
-    while budget > 1000:
-        budget //= 4
+    budget, exact = DEFAULT_BUDGET, True
+    while exact:
+        s, witness, exact = vcdens_induced(g, budget=budget)
+        if exact:
+            assert s == Fraction(43, 30)
+            assert witness == {0: tuple(range(15)), 1: (0, 1)}
+            budget //= 4
+    assert budget < DEFAULT_BUDGET
+    while budget >= 1000:
         s, witness, exact = vcdens_induced(g, budget=budget)
         assert not exact
         assert induced_witness_value(g, witness) == s <= Fraction(43, 30)
+        budget //= 4
+
+
+def test_density_ceilings_bound_every_option():
+    # the scan's bound: an option with t labels (a connected subset of the
+    # hit values with t vertices, or a connected partition into t parts that
+    # each meet them) is never denser than entry t of its factor's ceilings
+    rng = random.Random(66)
+    for _ in range(80):
+        f = (star_graph(rng.randint(1, 6)) if rng.random() < 0.2 else
+             random_factor(rng, rng.choice(("path", "cycle", "tree", "clique")), 7))
+        vals = frozenset(rng.sample(range(f.n), rng.randint(1, f.n)))
+        induced, minor = _induced_ceilings(f, vals), _minor_ceilings(f, len(vals))
+        assert len(induced) > len(vals) and len(minor) > len(vals)
+        order = sorted(vals)
+        for mask in range(1, 1 << len(order)):
+            s = [v for j, v in enumerate(order) if mask >> j & 1]
+            sub = induced_subgraph(f, s)[0]
+            if len(s) >= 2 and is_connected(sub):
+                assert densest_subgraph_bruteforce(sub).density <= induced[len(s)]
+        for parts in _partitions(f, vals):
+            quotient = quotient_graph(f, parts)
+            assert densest_subgraph_bruteforce(quotient).density <= minor[len(parts)]
+
+
+def assert_matches_oracles(g):
+    """minor_search, vcd_minor, vcdens_minor and vcdens_induced are exact
+    and agree, values and witnesses, with the unpruned oracles."""
+    want = naive_minor_values(g)
+    d, d_mp, s, s_mp, exact = minor_search(g)
+    assert exact and (d, d_mp and d_mp.parts, s, s_mp and s_mp.parts) == want
+    d, exact, d_mp = vcd_minor(g)
+    assert exact and (d, d_mp and d_mp.parts) == want[:2]
+    s, exact, s_mp = vcdens_minor(g)
+    assert exact and (s, s_mp and s_mp.parts) == want[2:]
+    s, witness, exact = vcdens_induced(g)
+    assert exact and (s, witness) == naive_induced_values(g)
+
+
+def test_branch_and_bound_matches_naive_oracles():
+    # full products and dense generated subgraphs of products of up to
+    # three factors: the bound cuts options on each of them
+    for factors in ([complete_graph(3)] * 2, [complete_graph(4), complete_graph(2)],
+                    [complete_graph(2)] * 4, [star_graph(4), complete_graph(2)]):
+        assert_matches_oracles(ProductSpace(factors).materialize())
+    rng = random.Random(606)
+    for _ in range(6):
+        factors = [random_factor(rng, rng.choice(("path", "cycle", "tree", "clique")), 4)
+                   for _ in range(rng.randint(2, 3))]
+        sp = ProductSpace(factors)
+        verts = [v for v in sp.vertices() if rng.random() < 0.8][:40]
+        assert_matches_oracles(ProductSubgraph(sp, verts, induced=True))
