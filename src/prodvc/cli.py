@@ -222,27 +222,23 @@ def cmd_fuzz(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="prodvc",
-        description="density and VC-dimension toolkit for subgraphs of "
-                    "Cartesian products")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("density", help="exact densest subgraph of an edge-list graph")
+def _density_args(p) -> None:
     p.add_argument("file")
     p.set_defaults(func=cmd_density)
 
-    p = subs.add_parser("arboricity", help="exact arboricity and a forest decomposition")
+
+def _arboricity_args(p) -> None:
     p.add_argument("file")
     p.set_defaults(func=cmd_arboricity)
 
-    p = subs.add_parser("orient", help="orientation with bounded outdegree")
+
+def _orient_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--max-outdegree", type=int, required=True)
     p.set_defaults(func=cmd_orient)
 
-    p = subs.add_parser("vcd", help="VC quantities of a product-subgraph instance")
+
+def _vcd_args(p) -> None:
     p.add_argument("instance")
     p.add_argument("--minor", action="store_true",
                    help="also compute the minor (starred) quantities")
@@ -250,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="work units of each VC scan before it stops with inexact bounds")
     p.set_defaults(func=cmd_vcd)
 
-    p = subs.add_parser("reduce", help="one reduction step along a factor edge")
+
+def _reduce_args(p) -> None:
     p.add_argument("instance")
     p.add_argument("--factor", type=int, required=True)
     p.add_argument("--edge", help="factor edge as u,v")
@@ -258,11 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reduce along the opposite pair of this factor vertex")
     p.set_defaults(func=cmd_reduce)
 
-    p = subs.add_parser("classify", help="structure classes of an edge-list graph")
+
+def _classify_args(p) -> None:
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
 
-    p = subs.add_parser("label", help="adjacency labels from the degeneracy forests")
+
+def _label_args(p) -> None:
     label_subs = p.add_subparsers(dest="action", required=True)
     pe = label_subs.add_parser("encode")
     pe.add_argument("file")
@@ -274,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("y", type=int)
     pd.set_defaults(func=cmd_label, action="decode")
 
-    p = subs.add_parser("verify", help="run a verification suite")
+
+def _verify_args(p) -> None:
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
@@ -284,20 +284,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("fuzz-conj3",
-                        help="fuzz |E|/|V| <= vcdens_star on small grids")
+
+def _fuzz_args(p) -> None:
     p.add_argument("--spaces", nargs="+", default=["p3p3", "p4p3"])
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fuzz)
 
+
+# subcommand -> (help line, function adding its arguments), in help order
+_COMMANDS = {
+    "density": ("exact densest subgraph of an edge-list graph", _density_args),
+    "arboricity": ("exact arboricity and a forest decomposition", _arboricity_args),
+    "orient": ("orientation with bounded outdegree", _orient_args),
+    "vcd": ("VC quantities of a product-subgraph instance", _vcd_args),
+    "reduce": ("one reduction step along a factor edge", _reduce_args),
+    "classify": ("structure classes of an edge-list graph", _classify_args),
+    "label": ("adjacency labels from the degeneracy forests", _label_args),
+    "verify": ("run a verification suite", _verify_args),
+    "fuzz-conj3": ("fuzz |E|/|V| <= vcdens_star on small grids", _fuzz_args),
+}
+
+
+def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with the subcommands named in `commands` (all by default)."""
+    parser = argparse.ArgumentParser(
+        prog="prodvc",
+        description="density and VC-dimension toolkit for subgraphs of "
+                    "Cartesian products")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        help_line, add_args = _COMMANDS[name]
+        add_args(subs.add_parser(name, help=help_line))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the subcommand that argv[0] names.  Help and errors
+    that show the list of subcommands (no subcommand, an unknown one, or a
+    stray argument after a known one) come from the full parser, so they
+    read the same."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[:1]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     for name, low in (("budget", 0), ("trials", 1)):
         if getattr(args, name, low) < low:
             return _fail(f"--{name} must be at least {low}")

@@ -1,9 +1,10 @@
 """Exact density, maximum average degree, densest subgraph, Nash-Williams
 arboricity, forest decompositions, and bounded-outdegree orientations.
 
-Every ratio is an exact `Fraction`.  The densest-subgraph search runs a
-parametric min-cut (source -> edge nodes -> endpoints -> sink) with the test
-ratio p/q scaled to integer capacities, so no tolerance is involved anywhere.
+Every ratio is an exact `Fraction`.  The densest-subgraph search and the
+arboricity round run min-cuts on Goldberg's vertex network (source ->
+vertices -> sink, one two-way arc per edge) with the test ratio p/q scaled
+to integer capacities, so no tolerance is involved anywhere.
 """
 
 from __future__ import annotations
@@ -34,38 +35,58 @@ class ForestDecomposition:
         return sorted((min(v, p), max(v, p)) for v, p in enumerate(self.parents[j]) if p != n)
 
 
-def _edge_network(g: FactorGraph, vertex_cap, edge_cap,
-                  endpoint_cap) -> tuple[MaxFlow, list[tuple[int, int]]]:
-    """The network source -> edge node (edge_cap) -> both endpoints
-    (endpoint_cap) -> sink (vertex_cap), and each edge's two endpoint arcs.
+def _vertex_network(g: FactorGraph, p: int, q: int) -> tuple[MaxFlow, int]:
+    """Goldberg's network for the ratio p/q, and its supply (the capacity
+    out of the source).
+
+    Nodes: 0 = source, 1 = sink, 2 + v = vertex v.  Vertex v has the arc
+    source -> v with capacity q deg v - 2p when that is positive, else
+    v -> sink with 2p - q deg v; each edge is one arc pair with q both ways.
+    A source side S of vertices cuts supply + 2(p|S| - q|E(S)|).
+    """
+    net = MaxFlow(2 + g.n)
+    supply = 0
+    for v in range(g.n):
+        excess = q * len(g.adj[v]) - 2 * p
+        if excess > 0:
+            net.add_edge(0, 2 + v, excess)
+            supply += excess
+        elif excess < 0:
+            net.add_edge(2 + v, 1, -excess)
+    for u, v in g.edges:
+        net.add_edge(2 + u, 2 + v, q, q)
+    return net, supply
+
+
+def _edge_network(g: FactorGraph, d: int) -> tuple[MaxFlow, list[tuple[int, int]]]:
+    """The orientation network source -> edge node -> both endpoints (unit
+    capacities) -> sink (d per vertex), and each edge's two endpoint arcs:
+    the endpoint that takes an edge's unit of flow is its tail.
 
     Nodes: 0 = source, 1 = sink, 2 + v = vertex v, then one per edge.
     """
     net = MaxFlow(2 + g.n + g.m)
     for v in range(g.n):
-        net.add_edge(2 + v, 1, vertex_cap)
+        net.add_edge(2 + v, 1, d)
     arcs = []
     for enode, (u, v) in enumerate(g.edges, 2 + g.n):
-        net.add_edge(0, enode, edge_cap)
-        arcs.append((net.add_edge(enode, 2 + u, endpoint_cap),
-                     net.add_edge(enode, 2 + v, endpoint_cap)))
+        net.add_edge(0, enode, 1)
+        arcs.append((net.add_edge(enode, 2 + u, 1), net.add_edge(enode, 2 + v, 1)))
     return net, arcs
 
 
 def _denser_subgraph(g: FactorGraph, threshold: Fraction) -> Optional[set[int]]:
     """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None.
 
-    Min-cut over the edge network with edge cap q, endpoint cap inf and
-    vertex cap p: the cut for a source side S costs q(|E|-|E(S)|) + p|S|,
-    so the cut drops below q|E| exactly when q|E(S)| > p|S|.  The witness
-    is the minimal min-cut source side, whichever augmenting paths found it.
+    Min-cut over the vertex network for p/q: the cut for a source side S
+    costs supply + 2(p|S| - q|E(S)|), so it drops below the supply exactly
+    when q|E(S)| > p|S|.  The witness is the minimal min-cut source side,
+    whichever augmenting paths found it.
     """
     if g.m == 0:
         return None
-    p, q = threshold.numerator, threshold.denominator
-    net, _ = _edge_network(g, p, q, INF)
-    cut = net.max_flow(0, 1)
-    if cut >= q * g.m:
+    net, supply = _vertex_network(g, threshold.numerator, threshold.denominator)
+    if net.max_flow(0, 1) >= supply:
         return None
     side = net.min_cut_source_side(0)
     witness = {v for v in range(g.n) if 2 + v in side}
@@ -129,15 +150,15 @@ def mad(g: FactorGraph) -> Fraction:
 def _violates_forest_bound(g: FactorGraph, k: int) -> bool:
     """True if some subgraph has |E'| > k(|V'| - 1).
 
-    One min-cut per forced vertex v: over sets S containing v,
-    max(|E(S)| - k|S|) equals |E| - mincut, and a violation means that
-    maximum reaches 1 - k (all quantities are integers).
+    One min-cut per forced vertex v on the vertex network for k/1: over sets
+    S containing v, max 2(|E(S)| - k|S|) equals supply - mincut, and a
+    violation means that maximum reaches 2 - 2k (all quantities are
+    integers).
     """
     for forced in range(g.n):
-        net, _ = _edge_network(g, k, 1, INF)
+        net, supply = _vertex_network(g, k, 1)
         net.add_edge(0, 2 + forced, INF)
-        cut = net.max_flow(0, 1)
-        if g.m - cut >= 1 - k:
+        if supply - net.max_flow(0, 1) >= 2 - 2 * k:
             return True
     return False
 
@@ -230,7 +251,7 @@ def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int
     """
     if d < 0:
         raise GraphError(f"infeasible, density exceeds {d}")
-    net, arcs = _edge_network(g, d, 1, 1)
+    net, arcs = _edge_network(g, d)
     if net.max_flow(0, 1) != g.m:
         raise GraphError(f"infeasible, density exceeds {d}")
     orientation = {}

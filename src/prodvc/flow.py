@@ -19,13 +19,14 @@ class MaxFlow:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity) -> int:
+    def add_edge(self, u: int, v: int, capacity, reverse=0) -> int:
+        """Add the arc pair u -> v (`capacity`) and v -> u (`reverse`)."""
         idx = len(self.to)
         self.to.append(v)
         self.cap.append(capacity)
         self.head[u].append(idx)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(reverse)
         self.head[v].append(idx + 1)
         return idx
 

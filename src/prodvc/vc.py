@@ -438,8 +438,8 @@ def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
     factors), from one `_scan` whose options for a factor are "skip", then
     the connected subsets of its coordinate values with 2..|V(g)| vertices
     (seed ascending, then bitmask order); a vertex whose coordinate lies
-    outside the chosen subset drops out.  Each density is charged by the
-    node count of its flow network."""
+    outside the chosen subset drops out.  Each density solve is charged
+    2 + |V| + |E| units of the subgraph."""
     _require_induced(g)
     factors = g.space.factors
     vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]

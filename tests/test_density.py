@@ -54,6 +54,43 @@ def test_flow_matches_bruteforce_oracle():
     assert densest_subgraph_bruteforce(two_triangles).witness == (0, 1, 2)
 
 
+def _edge_counts(g):
+    """|E(S)| for every nonempty vertex set S of g, keyed by bitmask."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return {mask: sum((adj[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1) // 2
+            for mask in range(1, 1 << g.n)}
+
+
+def test_witness_is_the_union_of_all_densest_sets():
+    # the densest sets are closed under union, and the witness is the
+    # largest of them, whichever flow network finds it
+    rng = random.Random(424)
+    graphs = [random_graph(rng) for _ in range(80)]
+    graphs.append(FactorGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    for g in graphs:
+        top = densest_subgraph_bruteforce(g).density
+        union = 0
+        for mask, e in _edge_counts(g).items():
+            if e * top.denominator == top.numerator * mask.bit_count():
+                union |= mask
+        assert densest_subgraph(g).witness == tuple(v for v in range(g.n) if union >> v & 1)
+
+
+def test_forest_bound_round_matches_bruteforce():
+    rng = random.Random(31)
+    outcomes = set()
+    for g in [random_graph(rng) for _ in range(60)] + [complete_graph(10)]:
+        counts = _edge_counts(g)
+        for k in range(1, 5):
+            violated = any(e > k * (mask.bit_count() - 1) for mask, e in counts.items())
+            assert density._violates_forest_bound(g, k) == violated
+            outcomes.add((k, violated))
+    assert outcomes == {(k, b) for k in range(1, 5) for b in (False, True)}
+
+
 def test_product_density_is_sum_of_factor_densities():
     rng = random.Random(7)
     for _ in range(20):
@@ -214,13 +251,14 @@ def test_max_flow_matches_networkx():
         arcs = []
         for _ in range(rng.randint(0, 3 * n)):
             u, v = rng.sample(range(n), 2)
-            c = rng.randint(1, 9)
-            net.add_edge(u, v, c)
-            arcs.append((u, v, c))
-            if ref.has_edge(u, v):
-                ref[u][v]["capacity"] += c
-            else:
-                ref.add_edge(u, v, capacity=c)
+            c, r = rng.randint(1, 9), rng.choice((0, 0, rng.randint(1, 9)))
+            net.add_edge(u, v, c, r)  # r > 0: a two-way arc pair
+            for a, b, cap in ((u, v, c), (v, u, r)):
+                arcs.append((a, b, cap))
+                if ref.has_edge(a, b):
+                    ref[a][b]["capacity"] += cap
+                else:
+                    ref.add_edge(a, b, capacity=cap)
         value = net.max_flow(0, n - 1)
         assert value == nx.maximum_flow_value(ref, 0, n - 1)
         side = net.min_cut_source_side(0)

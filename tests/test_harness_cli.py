@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from prodvc.cli import main
+from prodvc.cli import build_parser, main
 from prodvc.graph import FactorGraph, complete_graph, path_graph, to_edgelist
 from prodvc.harness import (FAMILIES, GeneratorSpec, check_density_sum,
                             check_log_bound, check_splitting_step, fuzz_records,
@@ -267,6 +267,22 @@ def test_cli_rejects_out_of_range_numbers(capsys, instance_file):
     code, doc = run_cli(capsys, "vcd", instance_file, "--minor", "--budget", "0")
     assert code == 0
     assert doc["vcdens_exact"] is doc["vcd_star_exact"] is doc["vcdens_star_exact"] is False
+
+
+def test_cli_help_and_errors_match_the_full_parser(capsys):
+    # main builds only the parser of the subcommand it is given; what it
+    # prints, and its exit code, must be those of the full parser
+    cases = [[], ["-h"], ["bogus"], ["vcd"], ["label", "encode", "-h"],
+             ["density", "graph.txt", "extra"]]
+    cases += [[name, "-h"] for name in ("density", "arboricity", "orient", "vcd", "reduce",
+                                        "classify", "label", "verify", "fuzz-conj3")]
+    for argv in cases:
+        seen = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1], argv
 
 
 def test_python_dash_m_runs_the_cli():
