@@ -101,7 +101,7 @@ def cmd_vcd(args) -> int:
         doc.update({
             "vcd": rep.vcd, "vcdens": _rational(rep.vcdens),
             "vcd_star": rep.vcd_star, "vcdens_star": _rational(rep.vcdens_star),
-            "vcdens_exact": rep.vcdens_exact,
+            "vcd_exact": rep.vcd_exact, "vcdens_exact": rep.vcdens_exact,
             "vcd_star_exact": rep.vcd_star_exact,
             "vcdens_star_exact": rep.vcdens_star_exact,
             "vcd_witness": _factor_witness(rep.vcd_witness),
@@ -110,9 +110,10 @@ def cmd_vcd(args) -> int:
             "vcdens_star_witness": _partition_witness(rep.vcdens_star_witness),
         })
     else:
-        d, w1 = vcd_induced(g)
-        s, w2, exact = vcdens_induced(g, args.budget)
-        doc.update({"vcd": d, "vcdens": _rational(s), "vcdens_exact": exact,
+        d, w1, d_exact = vcd_induced(g, args.budget)
+        s, w2, s_exact = vcdens_induced(g, args.budget)
+        doc.update({"vcd": d, "vcdens": _rational(s),
+                    "vcd_exact": d_exact, "vcdens_exact": s_exact,
                     "vcd_witness": _factor_witness(w1),
                     "vcdens_witness": _factor_witness(w2)})
     _emit(doc)

@@ -99,7 +99,9 @@ def _edge_count_within(g: FactorGraph, vertices: set[int]) -> int:
 
 
 def densest_subgraph(g: FactorGraph) -> DensityReport:
-    """Exact maximizer of |E'|/|V'| over nonempty vertex subsets."""
+    """Exact maximizer of |E'|/|V'| over nonempty vertex subsets.  Each
+    round must strictly raise the density, so a wrong cut raises
+    RuntimeError instead of looping forever."""
     if g.n == 0:
         raise GraphError("empty graph")
     best_set = set(range(g.n))
@@ -108,8 +110,11 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
         improved = _denser_subgraph(g, best)
         if improved is None:
             break
-        best_set = improved
-        best = Fraction(_edge_count_within(g, improved), len(improved))
+        found = Fraction(_edge_count_within(g, improved), len(improved)) if improved else best
+        if found <= best:
+            raise RuntimeError(f"densest_subgraph: a round reached density {found}, "
+                               f"not above {best}")
+        best_set, best = improved, found
     return DensityReport(density=best, witness=tuple(sorted(best_set)), mad=2 * best)
 
 

@@ -192,9 +192,10 @@ def check_hypercube_bound(g: ProductSubgraph) -> VerificationRecord:
     induced VC-dimension."""
     start = time.monotonic()
     lhs = Fraction(g.num_edges, g.n)
-    rhs, _ = vcd_induced(g)
-    verdict = "holds" if lhs <= rhs else "violated"
-    return _timed("Thm1", instance_digest(g), lhs, rhs, verdict, start,
+    rhs, _, exact = vcd_induced(g)
+    # a bounded vcd is a lower bound, so only lhs <= rhs settles the claim
+    verdict = "holds" if lhs <= rhs else "violated" if exact else "inconclusive"
+    return _timed("Thm1", instance_digest(g), lhs, rhs, verdict, start, vcd_exact=exact,
                   statement="|E|/|V| <= vcd for induced hypercube subgraphs")
 
 
@@ -312,15 +313,16 @@ def check_elimination_bound(g: ProductSubgraph) -> VerificationRecord:
     degrees) * vcd."""
     start = time.monotonic()
     rep = product_elimination_report(g)
-    d, _ = vcd_induced(g)
+    d, _, exact = vcd_induced(g)
     lhs = Fraction(g.num_edges, g.n)
     rhs = rep.dd_product * d
     if lhs <= rhs:
         verdict = "holds"
     else:
-        verdict = "violated" if rep.exact else "inconclusive"
+        verdict = "violated" if rep.exact and exact else "inconclusive"
     return _timed("Prop13", instance_digest(g), lhs, rhs, verdict, start,
                   dd_product=rep.dd_product, dd_subgraph=rep.dd_subgraph, vcd=d,
+                  vcd_exact=exact,
                   statement="|E|/|V| <= DD * vcd for dismantlable factors")
 
 
@@ -338,13 +340,13 @@ def check_clique_bound(g: ProductSubgraph, kind: str) -> VerificationRecord:
             raise GraphError(f"unknown kind {kind!r}")
     flat, _ = g.to_factor_graph()
     omega = clique_number(flat)
-    d, _ = vcd_induced(g)
+    d, _, exact = vcd_induced(g)
     lhs = Fraction(g.num_edges, g.n)
     rhs = omega * d
-    verdict = "holds" if lhs <= rhs else "violated"
+    verdict = "holds" if lhs <= rhs else "violated" if exact else "inconclusive"
     claim = "Cor14" if kind == "chordal" else "Prop15"
     return _timed(claim, instance_digest(g), lhs, rhs, verdict, start,
-                  omega=omega, vcd=d, kind=kind,
+                  omega=omega, vcd=d, vcd_exact=exact, kind=kind,
                   statement="|E|/|V| <= omega * vcd")
 
 

@@ -2,15 +2,15 @@
 products: the induced pair (over subproducts) and the minor pair (over
 factorwise connected partitions).
 
-vcd is exact (exhaustive over candidate cubes).  vcdens, vcd* and vcdens*
-come from one depth-first branch-and-bound scan (`_scan`), run once over
-subproducts and once over partitions for the minor maxima wanted.  It cuts
-an option when, by the vertex count P of the prefix's smallest cell and
-per-factor density ceilings, nothing below it can strictly beat the best
-so far for a wanted maximum; a cut option is still charged, and a cut can
-only skip ties, so witnesses are those of the full scan.  Each value is
-exact when its scan ends within its work budget and otherwise a lower
-bound, flagged inexact, that its witness reaches.
+All four come from one depth-first branch-and-bound scan (`_scan`), run
+over cube-subproducts for vcd, over subproducts for vcdens and over
+partitions for the minor maxima wanted.  It cuts an option when, by the
+vertex count P of the prefix's smallest cell and per-factor density
+ceilings, nothing below it can strictly beat the best so far for a wanted
+maximum; a cut option is still charged, and a cut can only skip ties, so
+witnesses are those of the full scan.  Each value is exact when its scan
+ends within its work budget and otherwise a lower bound, flagged inexact,
+that its witness reaches.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Iterator, Optional
 
@@ -409,26 +409,23 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
 # ---------------------------------------------------------------------------
 # induced VC-dimension and VC-density
 
-def vcd_induced(g: ProductSubgraph) -> tuple[int, Optional[dict[int, tuple[int, int]]]]:
-    """Largest dimension of a shattered cube-subproduct, with the witness
-    as factor -> edge.  Exact (exhaustive over candidate edges)."""
+def vcd_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
+                ) -> tuple[int, Optional[dict[int, tuple[int, int]]], bool]:
+    """(vcd, witness as factor -> edge, exact?): the most factors of a
+    shattered cube-subproduct, from one `_scan` whose options for a factor
+    are its edges between coordinate values of g, in `f.edges` order, ends
+    labelled 0 and 1 and every other vertex dropped, then "skip"."""
     _require_induced(g)
-    if g.n == 0:
-        return 0, None
-    candidates: dict[int, list[tuple[int, int]]] = {}
-    for i, f in enumerate(g.space.factors):
-        vals = {v[i] for v in g.vertices}
-        edges = [e for e in f.edges if e[0] in vals and e[1] in vals]
-        if edges:
-            candidates[i] = edges
-    kmax = min(len(candidates), g.n.bit_length() - 1)
-    for k in range(kmax, 0, -1):
-        for idxs in combinations(sorted(candidates), k):
-            proj = {tuple(v[i] for i in idxs) for v in g.vertices}
-            for choice in iproduct(*(candidates[i] for i in idxs)):
-                if all(combo in proj for combo in iproduct(*choice)):
-                    return k, dict(zip(idxs, choice))
-    return 0, None
+    vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
+
+    def options(i: int, f: FactorGraph, spend) -> Iterator[tuple[tuple, list[int], int]]:
+        for a, b in f.edges:
+            if a in vals[i] and b in vals[i]:
+                yield (a, b), [0 if v == a else 1 if v == b else 2 for v in range(f.n)], 2
+        yield (), [0] * f.n, 1  # skip the factor
+
+    d, choice, _, _, exact = _scan(g, budget, options, dims=True)
+    return d, choice and {i: key for i, key in enumerate(choice) if key}, exact
 
 
 def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
@@ -542,7 +539,8 @@ def _seed_partition_from_edges(g: ProductSubgraph,
 
 def vcd_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
               ) -> tuple[int, bool, Optional[MinorPartition]]:
-    """(vcd*, exact?, witness); see `minor_search`."""
+    """(vcd*, exact?, witness); see `minor_search`.  A scan that runs out
+    falls back on `vcd_induced` at the default budget, not at `budget`."""
     d, witness, _, _, exact = minor_search(g, budget, dens=False)
     return d, exact, witness
 
@@ -564,6 +562,7 @@ class VcReport:
     vcdens: Fraction
     vcd_star: int
     vcdens_star: Fraction
+    vcd_exact: bool
     vcdens_exact: bool
     vcd_star_exact: bool
     vcdens_star_exact: bool
@@ -574,11 +573,12 @@ class VcReport:
 
 
 def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> VcReport:
-    vcd, w1 = vcd_induced(g)
+    vcd, w1, vcd_exact = vcd_induced(g, budget)
     vcdens, w2, vcdens_exact = vcdens_induced(g, budget)
     vcd_star, w3, vcdens_star, w4, exact = minor_search(g, budget, lambda: (w1, w2))
     return VcReport(vcd=vcd, vcdens=vcdens, vcd_star=vcd_star, vcdens_star=vcdens_star,
-                    vcdens_exact=vcdens_exact, vcd_star_exact=exact, vcdens_star_exact=exact,
+                    vcd_exact=vcd_exact, vcdens_exact=vcdens_exact,
+                    vcd_star_exact=exact, vcdens_star_exact=exact,
                     vcd_witness=w1, vcdens_witness=w2,
                     vcd_star_witness=w3, vcdens_star_witness=w4)
 

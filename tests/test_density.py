@@ -32,6 +32,16 @@ def test_known_densities():
         densest_subgraph(FactorGraph(0, []))
 
 
+def test_round_that_does_not_raise_the_density_fails(monkeypatch):
+    # a wrong cut, whose side is no denser than the density so far, would
+    # repeat forever; the round check raises instead (an explicit raise, so
+    # it holds under python -O too)
+    for side in (lambda g: set(range(g.n)), lambda g: {0, 1}):
+        monkeypatch.setattr(density, "_denser_subgraph", lambda g, threshold: side(g))
+        with pytest.raises(RuntimeError):
+            densest_subgraph(cycle_graph(5))
+
+
 def test_witness_achieves_density():
     for seed in range(30):
         g = random_graph(random.Random(seed))

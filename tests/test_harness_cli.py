@@ -14,8 +14,9 @@ from prodvc.harness import (FAMILIES, GeneratorSpec, check_density_sum,
                             check_log_bound, check_splitting_step, fuzz_records,
                             generate, instance_digest, random_factor,
                             report_to_json, resolve_mu, run_suite)
-from prodvc.products import ProductSpace, ProductSubgraph, instance_to_json
-from prodvc.vc import MinorPartition, shatters_minor
+from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, hypercube,
+                             instance_to_json)
+from prodvc.vc import MinorPartition, shatters_minor, shatters_subproduct
 
 
 def test_generator_families_and_determinism():
@@ -84,6 +85,26 @@ def test_counting_split_records_are_computed(monkeypatch):
                if r.claim in ("Lem10", "Lem16")]
     assert {r.claim for r in records} == {"Lem10", "Lem16"}
     assert all(r.verdict == "violated" and int(r.lhs) < int(r.rhs) for r in records)
+
+
+def test_bounded_vcd_makes_failed_comparisons_inconclusive(monkeypatch):
+    """Thm1, Prop13 and Cor14/Prop15 compare |E|/|V| with a multiple of
+    vcd; a bounded vcd is only a lower bound, so a failed comparison is
+    "violated" only when vcd is exact."""
+    from prodvc import harness
+    cube = ProductSubgraph(hypercube(3), [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)],
+                           induced=True)
+    grid = ProductSpace([path_graph(3), path_graph(3)]).materialize()
+    checks = (lambda: harness.check_hypercube_bound(cube),
+              lambda: harness.check_elimination_bound(grid),
+              lambda: harness.check_clique_bound(grid, "chordal"))
+    assert [check().verdict for check in checks] == ["holds"] * 3
+    for exact, verdict in ((False, "inconclusive"), (True, "violated")):
+        monkeypatch.setattr(harness, "vcd_induced", lambda g: (0, None, exact))
+        records = [check() for check in checks]
+        assert [r.claim for r in records] == ["Thm1", "Prop13", "Cor14"]
+        assert all(r.verdict == verdict and r.detail["vcd_exact"] is exact
+                   for r in records)
 
 
 def test_resolve_mu():
@@ -209,6 +230,27 @@ def test_cli_vcd_small_subgraph_of_long_factor(capsys, tmp_path):
         assert shatters_minor(g, s_mp) and s_mp.minor_density() == s
 
 
+def test_cli_vcd_on_a_large_hamming_subgraph(capsys, tmp_path):
+    # 300 vertices of K8^5: vcd comes from the budgeted scan, exact at the
+    # default budget; a small budget gives a bounded vcd that its witness
+    # reaches, if it has one
+    sp = ProductSpace([complete_graph(8)] * 5)
+    g = ProductSubgraph(sp, random.Random(8).sample(list(sp.vertices()), 300), induced=True)
+    p = tmp_path / "k8_5.json"
+    p.write_text(instance_to_json(g))
+    code, doc = run_cli(capsys, "vcd", str(p))
+    assert code == 0 and doc["vcd_exact"] is True
+    full = doc["vcd"]
+    for budget in ("1000", "300000"):
+        code, doc = run_cli(capsys, "vcd", str(p), "--budget", budget)
+        assert code == 0 and doc["vcd_exact"] is False and doc["vcd"] <= full
+        witness = doc["vcd_witness"]
+        assert (witness is None) == (doc["vcd"] == 0)
+        if witness:
+            sub = Subproduct(sp, {int(i): tuple(e) for i, e in witness.items()})
+            assert len(witness) == doc["vcd"] and shatters_subproduct(g, sub)
+
+
 def test_cli_reduce(capsys, instance_file):
     code, doc = run_cli(capsys, "reduce", instance_file,
                         "--factor", "0", "--edge", "0,1")
@@ -266,7 +308,8 @@ def test_cli_rejects_out_of_range_numbers(capsys, instance_file):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     code, doc = run_cli(capsys, "vcd", instance_file, "--minor", "--budget", "0")
     assert code == 0
-    assert doc["vcdens_exact"] is doc["vcd_star_exact"] is doc["vcdens_star_exact"] is False
+    assert doc["vcd_exact"] is doc["vcdens_exact"] is False
+    assert doc["vcd_star_exact"] is doc["vcdens_star_exact"] is False
 
 
 def test_cli_help_and_errors_match_the_full_parser(capsys):

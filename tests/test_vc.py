@@ -106,8 +106,8 @@ def test_path_embedding_in_q4():
 def test_path_embedding_in_q3():
     g = ProductSubgraph(hypercube(3), PATH_IN_Q3, induced=True)
     assert g.num_edges == 4
-    k, witness = vcd_induced(g)
-    assert k == 2
+    k, witness, exact = vcd_induced(g)
+    assert (k, exact) == (2, True)
     assert shatters_subproduct(
         g, Subproduct(g.space, {i: e for i, e in witness.items()}))
     d, exact, _ = vcd_minor(g)
@@ -223,6 +223,63 @@ def test_full_product_has_full_dimension():
     g = sp.materialize()
     assert vcd_induced(g)[0] == 2
     assert vcdens_induced(g)[0] == Fraction(1, 2) + Fraction(2, 3)
+
+
+def naive_vcd_values(g):
+    """(vcd, witness) over every choice, per factor, of an edge between its
+    coordinate values (in `f.edges` order) or "skip" (last), without
+    pruning, with shattering by materialized subproducts; the witness is
+    the first strict maximum."""
+    options = []
+    for i, f in enumerate(g.space.factors):
+        vals = {v[i] for v in g.vertices}
+        options.append([e for e in f.edges if set(e) <= vals] + [None])
+    best, witness = 0, None
+    for choice in iproduct(*options):
+        chosen = {i: e for i, e in enumerate(choice) if e is not None}
+        if len(chosen) > best and shatters_subproduct(g, Subproduct(g.space, chosen)):
+            best, witness = len(chosen), chosen
+    return best, witness
+
+
+def test_vcd_induced_matches_naive_oracle():
+    rng = random.Random(1808)
+    makers = (path_graph, complete_graph, star_graph, lambda k: cycle_graph(max(k, 3)))
+    for _ in range(40):
+        factors = [rng.choice(makers)(rng.randint(2, 4)) for _ in range(rng.randint(1, 4))]
+        sp = ProductSpace(factors)
+        size = sp.num_vertices()
+        verts = rng.sample(list(sp.vertices()), rng.randint(1, min(size, 40)))
+        g = ProductSubgraph(sp, verts, induced=True)
+        d, witness, exact = vcd_induced(g)
+        assert exact
+        assert (d, witness) == naive_vcd_values(g)
+    # full products, where the dimension bound cuts options
+    for factors in ([complete_graph(3)] * 3, [star_graph(3), cycle_graph(4)],
+                    [complete_graph(2)] * 4):
+        g = ProductSpace(factors).materialize()
+        assert vcd_induced(g) == naive_vcd_values(g) + (True,)
+
+
+def test_vcd_induced_budget_walk():
+    # every budget short of the full scan gives a bounded vcd that its
+    # shattering witness reaches, never above the exact value
+    rng = random.Random(9)
+    sp = ProductSpace([complete_graph(3)] * 4)
+    g = ProductSubgraph(sp, rng.sample(list(sp.vertices()), 30), induced=True)
+    full, _, full_exact = vcd_induced(g)
+    assert full_exact and full >= 2
+    budget, last = 0, 0
+    while True:
+        d, witness, exact = vcd_induced(g, budget=budget)
+        if exact:
+            break
+        assert last <= d <= full
+        assert (witness is None) == (d == 0)
+        if witness:
+            assert len(witness) == d and shatters_subproduct(g, Subproduct(sp, witness))
+        budget, last = budget + 1, d
+    assert budget > 1 and d == full
 
 
 def naive_induced_values(g):
