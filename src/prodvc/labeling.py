@@ -10,7 +10,6 @@ when one's id appears among the other's parent fields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .density import forest_decomposition
@@ -18,8 +17,10 @@ from .graph import FactorGraph, GraphError
 
 
 def field_width(n: int) -> int:
-    """Bits per field: ids 0..n-1 plus the root sentinel n."""
-    return max(1, math.ceil(math.log2(n + 1)))
+    """Bits per field: ids 0..n-1 plus the root sentinel n.  In integers,
+    ceil(log2(n+1)) is n.bit_length(); the float log2 rounds wrongly from
+    n = 2**53 on."""
+    return max(1, n.bit_length())
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,19 @@ def decode(label_x: int, label_y: int, k: int, w: int) -> bool:
     """Adjacency from two labels alone: true iff one id is a parent field of
     the other.  Root sentinels never collide with an id, since every id is
     below the sentinel value."""
-    if label_x < 0 or label_y < 0:
+    both = label_x | label_y  # negative iff either label is
+    if both < 0:
         raise GraphError("labels are nonnegative integers")
     top = k * w
-    if max(label_x, label_y).bit_length() > top + w:
+    if both >> (top + w):
         raise GraphError("label too long for the declared field layout")
     x, y = label_x >> top, label_y >> top
     if x == y:
         return False
     mask = (1 << w) - 1
-    for shift in range(0, top, w):
-        if (label_x >> shift) & mask == y or (label_y >> shift) & mask == x:
+    while top:
+        top -= w
+        if (label_x >> top) & mask == y or (label_y >> top) & mask == x:
             return True
     return False
 
@@ -97,6 +100,7 @@ def from_label_file(text: str) -> LabelScheme:
     bits = (k + 1) * w
     hexlen = -(-bits // 4)
     pad = 4 * hexlen - bits
+    top = bits - w
     labels = [0] * n
     seen = set()
     for row in rows[1:]:
@@ -111,8 +115,16 @@ def from_label_file(text: str) -> LabelScheme:
             raise GraphError(f"bad or repeated vertex id {v}")
         if len(parts[1]) != hexlen:
             raise GraphError(f"label for {v} has {len(parts[1])} hex digits, want {hexlen}")
+        # int(_, 16) also takes a sign, a 0x prefix and underscores
+        if parts[1].strip("0123456789abcdefABCDEF"):
+            raise GraphError(f"label for {v} is not a string of hex digits")
+        if label & ((1 << pad) - 1):
+            raise GraphError(f"label for {v} has nonzero pad bits")
+        label >>= pad
+        if label >> top != v:
+            raise GraphError(f"label on line {v} carries vertex id {label >> top}")
         seen.add(v)
-        labels[v] = label >> pad
+        labels[v] = label
     return LabelScheme(n=n, k=k, w=w, labels=tuple(labels))
 
 

@@ -281,6 +281,21 @@ def test_cli_label_roundtrip(capsys, tmp_path, k4_file):
     assert code == 0 and doc["adjacent"] is False
 
 
+def test_cli_label_decode_rejects_labels_encode_never_writes(capsys, tmp_path):
+    # every label has the right digit count and parses with int(_, 16)
+    p8 = "8 1 4\n0 01\n1 12\n2 23\n3 34\n4 45\n5 56\n6 67\n7 78\n"
+    cases = [("2 1 2\n0 6\n1 4\n", "0", "1"),  # line 0 carries id 1
+             ("1 0 3\n0 1\n", "0", "0"),  # a nonzero pad bit
+             (p8.replace("0 01", "0 +1"), "0", "1"),  # a signed hex string
+             (p8.replace("0 01", "0 -1"), "2", "3")]
+    for idx, (text, x, y) in enumerate(cases):
+        p = tmp_path / f"tampered{idx}.labels"
+        p.write_text(text)
+        assert main(["label", "decode", str(p), x, y]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_cli_verify_and_fuzz(capsys, tmp_path):
     out = str(tmp_path / "report.json")
     code, _ = run_cli(capsys, "verify", "--suite", "labels", "--trials", "3",

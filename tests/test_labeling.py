@@ -21,6 +21,13 @@ def test_field_width():
     assert field_width(1) == 1
     assert field_width(7) == 3
     assert field_width(8) == 4  # needs to hold the sentinel value 8
+    # past 2**53 the float log2 of n + 1 rounds down to an integer
+    assert field_width(2 ** 53) == 54
+    assert field_width(2 ** 53 + 1) == 54
+    assert field_width(2 ** 60) == 61
+    for n in range(2 ** 12):
+        w = field_width(n)
+        assert w >= 1 and 2 ** w > n and (w == 1 or 2 ** (w - 1) <= n)
 
 
 def test_decode_recovers_small_graphs():
@@ -64,6 +71,60 @@ def test_decode_is_irreflexive_and_symmetric():
                     == decode(s.labels[v], s.labels[u], s.k, s.w))
 
 
+def field_list_decode(label_x, label_y, k, w):
+    """decode by the definition: split each label into its id and k fields."""
+    if min(label_x, label_y) < 0:
+        raise GraphError("labels are nonnegative integers")
+    ids, fields = [], []
+    for label in (label_x, label_y):
+        parents = []
+        for _ in range(k):
+            label, field = divmod(label, 2 ** w)
+            parents.append(field)
+        if label >= 2 ** w:
+            raise GraphError("label too long for the declared field layout")
+        ids.append(label)
+        fields.append(parents)
+    return ids[0] != ids[1] and (ids[0] in fields[1] or ids[1] in fields[0])
+
+
+def test_decode_matches_field_list_oracle():
+    rng = random.Random(12)
+
+    def outcome(decoder, x, y, k, w):
+        try:
+            return decoder(x, y, k, w)
+        except GraphError as exc:
+            return str(exc)
+
+    def with_field(label, i, value, w):
+        return label & ~(((1 << w) - 1) << (i * w)) | value << (i * w)
+
+    seen = set()
+    for k in range(7):
+        for w in range(1, 10):
+            bits = (k + 1) * w
+            exact = 1 << (bits - 1)  # lowest label of exactly `bits` bits
+            for _ in range(60):
+                x, y = rng.getrandbits(bits), rng.getrandbits(bits)
+                ids = (x >> (k * w), y >> (k * w))
+                pairs = [(x, y), (x, x), (x | exact, y), (x, y | exact),
+                         (x | exact << 1, y), (x, y | exact << 1),
+                         (-1 - x, y), (x, -1 - y), (-1 - x, -1 - y),
+                         (-1 - x, y | exact << 1)]
+                if k and ids[0] != ids[1]:
+                    pairs += [(with_field(x, 0, ids[1], w), y),
+                              (x, with_field(y, 0, ids[0], w)),
+                              (with_field(x, k - 1, ids[1], w), y),
+                              (x, with_field(y, k - 1, ids[0], w))]
+                for a, b in pairs:
+                    want = outcome(field_list_decode, a, b, k, w)
+                    assert outcome(decode, a, b, k, w) == want, (a, b, k, w)
+                    seen.add(want)
+    assert seen == {True, False, "labels are nonnegative integers",
+                    "label too long for the declared field layout"}
+
+
 def test_decode_validates_length():
     with pytest.raises(GraphError):
         decode(1 << 40, 0, 1, 3)
@@ -79,6 +140,7 @@ def test_label_file_roundtrip():
         text = to_label_file(scheme)
         back = from_label_file(text)
         assert back == scheme
+        assert to_label_file(back) == text
         header = text.splitlines()[0].split()
         assert [int(x) for x in header] == [scheme.n, scheme.k, scheme.w]
 
@@ -92,8 +154,17 @@ def test_label_file_errors():
         from_label_file("1 0 1\n0 zz\n")
     with pytest.raises(GraphError):
         from_label_file("2 0 1\n0 0\n0 1\n")  # repeated vertex
-    for bad in ("1 0 1\nz 00\n", "1 0 1\nz 0\n", "1 0 1\n0 z\n",
-                "2 -2 -1\n0 0\n1 8\n"):  # negative k and w pass the digit count
+    k2 = "2 1 2\n0 1\n1 6\n"
+    p8 = "8 1 4\n0 01\n1 12\n2 23\n3 34\n4 45\n5 56\n6 67\n7 78\n"
+    for good, graph in ((k2, complete_graph(2)), (p8, path_graph(8))):
+        assert to_label_file(encode(graph)) == good
+        assert to_label_file(from_label_file(good)) == good
+    # int(_, 16) takes signed strings, and these pass the digit count
+    signed = [p8.replace("0 01", f"0 {label}") for label in ("+1", "-1", "-0")]
+    for bad in ["1 0 1\nz 00\n", "1 0 1\nz 0\n", "1 0 1\n0 z\n",
+                "2 -2 -1\n0 0\n1 8\n",  # negative k and w pass the digit count
+                "2 1 2\n0 6\n1 4\n",  # line 0 carries id 1
+                "1 0 3\n0 1\n"] + signed:  # a nonzero pad bit, signed labels
         with pytest.raises(GraphError):
             from_label_file(bad)
 
