@@ -308,26 +308,27 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The parser with the subcommands named in `commands` (all by default)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="prodvc",
         description="density and VC-dimension toolkit for subgraphs of "
                     "Cartesian products")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        help_line, add_args = _COMMANDS[name]
+    for name, (help_line, add_args) in _COMMANDS.items():
         add_args(subs.add_parser(name, help=help_line))
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the subcommand that argv[0] names.  Help and errors
-    that show the list of subcommands (no subcommand, an unknown one, or a
-    stray argument after a known one) come from the full parser, so they
-    read the same."""
+    """Parse with a parser of only the subcommand that argv[0] names.  Help
+    and errors that show the list of subcommands (no subcommand, an unknown
+    one, or a stray argument after a known one) come from the full parser,
+    so they read the same."""
     if argv and argv[0] in _COMMANDS:
-        args, extra = build_parser(argv[:1]).parse_known_args(argv)
+        parser = argparse.ArgumentParser(prog=f"prodvc {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
         if not extra:
             return args
     return build_parser().parse_args(argv)

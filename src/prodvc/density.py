@@ -90,7 +90,9 @@ def _denser_subgraph(g: FactorGraph, threshold: Fraction) -> Optional[set[int]]:
         return None
     side = net.min_cut_source_side(0)
     witness = {v for v in range(g.n) if 2 + v in side}
-    assert witness
+    if not witness:
+        raise RuntimeError(f"_denser_subgraph: the cut below the supply at {threshold} "
+                           f"has no vertex on the source side")
     return witness
 
 
@@ -171,25 +173,43 @@ def _violates_forest_bound(g: FactorGraph, k: int) -> bool:
 def arboricity(g: FactorGraph) -> int:
     """max over subgraphs of ceil(|E'|/(|V'|-1)), exactly (0 for edgeless).
 
+    One degeneracy peel bounds it from both sides.  The degeneracy U is an
+    upper bound, since `forest_decomposition` builds U forests.  Each suffix
+    S of the peeling order with |S| >= 2 needs ceil(|E(S)|/(|S|-1)) forests;
+    the largest of these is a lower bound L.
+
     With rho = dens(g) = a/b and p = ceil(rho), p <= arboricity <= p + 1:
     the densest witness S* has more than (p-1)|S*| edges, so its ratio over
     |S*| - 1 exceeds p - 1; and a set S with |S| >= p + 1 has
     |E(S)|/(|S|-1) <= p|S|/(|S|-1) <= p + 1, while a smaller one has
     |E(S)|/(|S|-1) <= |S|/2 <= p.  The arboricity is p + 1 exactly when some
-    S has |E(S)| >= p(|S|-1) + 1.  One density solve decides that in three
-    exact steps:
+    S has |E(S)| >= p(|S|-1) + 1.  Four exact steps decide, the last three
+    after one density solve:
 
-    1. S* itself has rho|S*| >= p(|S*|-1) + 1 edges: p + 1 (always when rho
+    1. L = U: U, with no density solve (every grid closes here);
+    2. S* itself has rho|S*| >= p(|S*|-1) + 1 edges: p + 1 (always when rho
        is an integer);
-    2. no size s in 2..n admits p(s-1) + 1 <= min(floor(a s/b), s(s-1)/2)
+    3. no size s in 2..n admits p(s-1) + 1 <= min(floor(a s/b), s(s-1)/2)
        edges, the most a set of size s can hold: p;
-    3. otherwise one forced-vertex min-cut round at k = p decides.
+    4. otherwise one forced-vertex min-cut round at k = p decides.
 
     `forest_decomposition` builds degeneracy(g) forests, which may exceed
     this value (Q3: 3 for arboricity 2).
     """
     if g.m == 0:
         return 0
+    order, upper = degeneracy_ordering(g)
+    gone = [False] * g.n
+    edges, lower = g.m, 0
+    for i, v in enumerate(order[:-1]):  # the suffix order[i:], of g.n - i >= 2 vertices
+        lower = max(lower, -(-edges // (g.n - i - 1)))
+        gone[v] = True
+        edges -= sum(1 for w in g.adj[v] if not gone[w])
+    if lower > upper:
+        raise RuntimeError(f"arboricity: a peeling suffix needs {lower} forests, "
+                           f"above the degeneracy {upper}")
+    if lower == upper:
+        return upper
     rep = densest_subgraph(g)
     a, b = rep.density.numerator, rep.density.denominator
     p = -(-a // b)
@@ -266,5 +286,7 @@ def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int
     outdeg = [0] * g.n
     for (u, v), head in orientation.items():
         outdeg[u if head == v else v] += 1
-    assert max(outdeg, default=0) <= d
+    if max(outdeg, default=0) > d:
+        raise RuntimeError(f"bounded_outdegree_orientation: the flow oriented "
+                           f"{max(outdeg)} edges out of one vertex, above {d}")
     return orientation

@@ -101,8 +101,11 @@ def from_label_file(text: str) -> LabelScheme:
     hexlen = -(-bits // 4)
     pad = 4 * hexlen - bits
     top = bits - w
+    mask = (1 << w) - 1
+    shifts = range(top - w, -1, -w)  # the k parent fields, forest 0 first
     labels = [0] * n
     seen = set()
+    full = False
     for row in rows[1:]:
         parts = row.split()
         if len(parts) != 2:
@@ -123,8 +126,20 @@ def from_label_file(text: str) -> LabelScheme:
         label >>= pad
         if label >> top != v:
             raise GraphError(f"label on line {v} carries vertex id {label >> top}")
+        # encode writes v's later neighbours by increasing id, then the
+        # root value n in every field left
+        prev = -1
+        for shift in shifts:
+            p = label >> shift & mask
+            if p > n or p == v or p <= prev and p != n:
+                raise GraphError(f"label for {v}: parent fields must be increasing ids "
+                                 f"below {n} other than {v}, then {n} in every field left")
+            prev = p
+        full = full or prev < n
         seen.add(v)
         labels[v] = label
+    if k and not full:
+        raise GraphError(f"no label fills all {k} parent fields")
     return LabelScheme(n=n, k=k, w=w, labels=tuple(labels))
 
 

@@ -129,36 +129,105 @@ def test_known_arboricities():
 
 
 def test_arboricity_matches_bruteforce(monkeypatch):
-    rounds = []
-    real_round = density._violates_forest_bound
+    rounds, solves = [], []
+    real_round, real_solve = density._violates_forest_bound, density.densest_subgraph
 
     def counted_round(g, k):
         rounds.append(real_round(g, k))
         return rounds[-1]
 
+    def counted_solve(g):
+        solves.append(g)
+        return real_solve(g)
+
     monkeypatch.setattr(density, "_violates_forest_bound", counted_round)
+    monkeypatch.setattr(density, "densest_subgraph", counted_solve)
     # K5 minus an edge (9 > 2*4 edges) inside a 10-vertex graph of density
     # 9/5: the densest witness is the whole graph, which has only 2*9 edges,
-    # so only the min-cut round finds the violation
+    # so the density steps would need the min-cut round; the peel ends on
+    # the K5 minus an edge and closes it first, at L = U = 3
     k5_minus_edge = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
     hidden = FactorGraph(10, k5_minus_edge + [(0, 5), (1, 6), (2, 7), (3, 8)]
                          + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    # arboricity 4, whose bounds do not meet and whose violation of the
+    # 3-forest bound only the min-cut round finds
+    round_true = FactorGraph(12, [
+        (0, 5), (0, 9), (0, 10), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6),
+        (2, 8), (2, 9), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (4, 9), (5, 6),
+        (5, 10), (6, 7), (6, 8), (6, 9), (6, 10), (6, 11), (7, 8), (7, 9), (7, 10), (8, 9),
+        (8, 10), (9, 10), (10, 11)])
     q3, _ = hypercube(3).materialize().to_factor_graph()
-    graphs = [complete_graph(5), q3, hidden] + [cycle_graph(n) for n in range(3, 13)]
+    graphs = [complete_graph(5), q3, hidden, round_true] + [cycle_graph(n) for n in range(3, 13)]
     rng = random.Random(99)
     graphs += [random_graph(rng, n_max=9) for _ in range(120)]
     rng = random.Random(2634)
     graphs += [random_graph(rng, n_max=11) for _ in range(300)]
     outcomes = set()
     for g in graphs:
-        before = len(rounds)
+        before, solved = len(rounds), len(solves)
         a = arboricity(g)
         assert a == arboricity_bruteforce(g)
         if len(rounds) > before:
             outcomes.add(("round", rounds[-1]))
-        elif g.m:
+        elif len(solves) > solved:
             outcomes.add(("no round", a - math.ceil(dens(g))))
-    assert outcomes == {("no round", 0), ("no round", 1), ("round", False), ("round", True)}
+        elif g.m:
+            outcomes.add(("bounds meet", a - math.ceil(dens(g))))
+    assert outcomes == {("no round", 0), ("no round", 1), ("round", False), ("round", True),
+                        ("bounds meet", 0), ("bounds meet", 1)}
+
+
+def _grid(a, b, rng=None):
+    """The a x b grid, its vertices relabelled at random when rng is given."""
+    label = list(range(a * b))
+    if rng is not None:
+        rng.shuffle(label)
+    edges = [(label[i * b + j], label[i * b + j + 1]) for i in range(a) for j in range(b - 1)]
+    edges += [(label[i * b + j], label[i * b + b + j]) for i in range(a - 1) for j in range(b)]
+    return FactorGraph(a * b, edges)
+
+
+def test_arboricity_of_grids_and_sparse_random_graphs_needs_no_flow(monkeypatch):
+    # the peel's bounds meet on every grid, so no density solve and no
+    # max-flow runs.  A G(n, 1.25n) needs two forests (more than n - 1
+    # edges), so its bounds meet whenever its degeneracy is 2; one with a
+    # 3-core takes the density steps.  The reference value, the least k
+    # whose forest bound no subgraph violates, comes from the forced-vertex
+    # min-cut round before the patch.
+    rng = random.Random(1964)
+    sparse = []
+    for n in (100, 200, 300):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for _ in range(3):
+            g = FactorGraph(n, rng.sample(pairs, round(1.25 * n)))
+            a = next(k for k in range(1, 4) if not density._violates_forest_bound(g, k))
+            assert a == 2 and arboricity(g) == a
+            if degeneracy_ordering(g)[1] == 2:
+                sparse.append(g)
+    assert sparse
+
+    def no_flow(*args):
+        raise AssertionError("arboricity ran a max-flow")
+
+    monkeypatch.setattr(density, "densest_subgraph", no_flow)
+    monkeypatch.setattr(MaxFlow, "max_flow", no_flow)
+    sides = (1, 2, 3, 5, 8, 13, 21, 30)
+    for a in sides:
+        for b in (b for b in sides if b >= a):
+            want = 0 if a == b == 1 else 1 if a == 1 else 2
+            assert arboricity(_grid(a, b)) == arboricity(_grid(a, b, rng)) == want, (a, b)
+    assert arboricity(_grid(100, 100, rng)) == 2
+    for g in sparse:
+        assert arboricity(g) == 2
+
+
+def test_peel_bounds_that_cross_fail(monkeypatch):
+    # a degeneracy below a suffix's forest count would certify a wrong
+    # value; arboricity raises instead of returning either bound
+    real = degeneracy_ordering
+    monkeypatch.setattr(density, "degeneracy_ordering", lambda g: (real(g)[0], 1))
+    with pytest.raises(RuntimeError):
+        arboricity(complete_graph(4))
 
 
 def test_arboricity_consistency_with_density():
@@ -211,6 +280,23 @@ def test_forest_decomposition_random():
         for j in range(fd.k):
             _assert_forest(g.n, fd.forest_edges(j))
         assert sum(len(fd.forest_edges(j)) for j in range(fd.k)) == g.m
+
+
+def test_empty_cut_witness_fails(monkeypatch):
+    # a cut below the supply always has a vertex on its source side; a
+    # wrong one raises (an explicit raise, so it holds under python -O too)
+    monkeypatch.setattr(MaxFlow, "min_cut_source_side", lambda net, s: {s})
+    k4_and_a_tail = FactorGraph(6, list(complete_graph(4).edges) + [(3, 4), (4, 5)])
+    with pytest.raises(RuntimeError, match="no vertex on the source side"):
+        density._denser_subgraph(k4_and_a_tail, Fraction(4, 3))
+
+
+def test_orientation_above_the_bound_fails(monkeypatch):
+    # a max-flow that claims every edge without routing any leaves each edge
+    # with its larger endpoint as tail, so vertex 3 of K4 gets outdegree 3
+    monkeypatch.setattr(MaxFlow, "max_flow", lambda net, s, t: 6)
+    with pytest.raises(RuntimeError):
+        bounded_outdegree_orientation(complete_graph(4), 2)
 
 
 def test_orientation_bounds_outdegree():

@@ -287,7 +287,9 @@ def test_cli_label_decode_rejects_labels_encode_never_writes(capsys, tmp_path):
     cases = [("2 1 2\n0 6\n1 4\n", "0", "1"),  # line 0 carries id 1
              ("1 0 3\n0 1\n", "0", "0"),  # a nonzero pad bit
              (p8.replace("0 01", "0 +1"), "0", "1"),  # a signed hex string
-             (p8.replace("0 01", "0 -1"), "2", "3")]
+             (p8.replace("0 01", "0 -1"), "2", "3"),
+             ("2 1 2\n0 3\n1 6\n", "0", "1"),  # a parent above the sentinel
+             ("2 3 2\n0 05\n1 6a\n", "0", "1")]  # k above the degeneracy
     for idx, (text, x, y) in enumerate(cases):
         p = tmp_path / f"tampered{idx}.labels"
         p.write_text(text)
@@ -365,6 +367,15 @@ def test_cli_io_error(capsys, tmp_path):
     p.write_text("1 0 1\nz 00\n")
     code, _ = run_cli(capsys, "label", "decode", str(p), "0", "0")
     assert code == 2
+
+
+def test_cli_arboricity_of_a_large_grid(capsys, tmp_path):
+    grid, _ = ProductSpace([path_graph(30), path_graph(30)]).materialize().to_factor_graph()
+    p = tmp_path / "grid30.txt"
+    p.write_text(to_edgelist(grid))
+    code, doc = run_cli(capsys, "arboricity", str(p))
+    assert code == 0 and doc["arboricity"] == 2 and len(doc["forests"]) == 2
+    assert sorted(tuple(e) for f in doc["forests"].values() for e in f) == list(grid.edges)
 
 
 def test_cli_shuffled_long_cycle(capsys, tmp_path):

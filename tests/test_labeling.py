@@ -6,7 +6,7 @@ import pytest
 from prodvc.density import mad
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           degeneracy_ordering, path_graph)
-from prodvc.labeling import (decode, decoded_graph, encode, field_width,
+from prodvc.labeling import (LabelScheme, decode, decoded_graph, encode, field_width,
                              from_label_file, to_label_file)
 
 
@@ -143,6 +143,25 @@ def test_label_file_roundtrip():
         assert to_label_file(back) == text
         header = text.splitlines()[0].split()
         assert [int(x) for x in header] == [scheme.n, scheme.k, scheme.w]
+    for _ in range(200):  # every file encode writes loads, whatever the density
+        n = rng.randint(1, 40)
+        p = rng.choice((0.05, 0.2, 0.5, 0.9))
+        text = to_label_file(encode(FactorGraph(n, [(u, v) for u in range(n)
+                                                    for v in range(u + 1, n)
+                                                    if rng.random() < p])))
+        assert to_label_file(from_label_file(text)) == text
+
+
+def _label_file(n, k, rows):
+    """A label file with header n k field_width(n) and the given parent
+    fields on line v, packed and padded as encode's files are."""
+    w = field_width(n)
+    labels = []
+    for v, parents in enumerate(rows):
+        for p in parents:
+            v = v << w | p
+        labels.append(v)
+    return to_label_file(LabelScheme(n=n, k=k, w=w, labels=tuple(labels)))
 
 
 def test_label_file_errors():
@@ -156,15 +175,27 @@ def test_label_file_errors():
         from_label_file("2 0 1\n0 0\n0 1\n")  # repeated vertex
     k2 = "2 1 2\n0 1\n1 6\n"
     p8 = "8 1 4\n0 01\n1 12\n2 23\n3 34\n4 45\n5 56\n6 67\n7 78\n"
-    for good, graph in ((k2, complete_graph(2)), (p8, path_graph(8))):
+    # encode writes each vertex's later neighbours by increasing id, then
+    # the root value n, and some vertex fills all k = degeneracy fields
+    k3 = _label_file(3, 2, [[1, 2], [2, 3], [3, 3]])
+    for good, graph in ((k2, complete_graph(2)), (p8, path_graph(8)), (k3, complete_graph(3))):
         assert to_label_file(encode(graph)) == good
         assert to_label_file(from_label_file(good)) == good
     # int(_, 16) takes signed strings, and these pass the digit count
     signed = [p8.replace("0 01", f"0 {label}") for label in ("+1", "-1", "-0")]
+    parent_layouts = [
+        "2 1 2\n0 3\n1 6\n",  # a parent above the root value 2
+        _label_file(2, 1, [[1], [3]]),  # the same, beside a label that fills k
+        "2 3 2\n0 05\n1 6a\n",  # k above the degeneracy, a repeated parent
+        _label_file(3, 2, [[0, 2], [2, 3], [3, 3]]),  # 0 is its own parent
+        _label_file(3, 2, [[2, 1], [2, 3], [3, 3]]),  # parents out of order
+        _label_file(3, 2, [[1, 1], [2, 3], [3, 3]]),  # a repeated parent
+        _label_file(3, 2, [[1, 2], [3, 2], [3, 3]]),  # a parent after a root
+        _label_file(3, 3, [[1, 2, 3], [2, 3, 3], [3, 3, 3]])]  # none fills k
     for bad in ["1 0 1\nz 00\n", "1 0 1\nz 0\n", "1 0 1\n0 z\n",
                 "2 -2 -1\n0 0\n1 8\n",  # negative k and w pass the digit count
                 "2 1 2\n0 6\n1 4\n",  # line 0 carries id 1
-                "1 0 3\n0 1\n"] + signed:  # a nonzero pad bit, signed labels
+                "1 0 3\n0 1\n"] + signed + parent_layouts:  # a nonzero pad bit, signed labels
         with pytest.raises(GraphError):
             from_label_file(bad)
 
