@@ -4,8 +4,10 @@ factorwise connected partitions).
 
 All four come from one depth-first branch-and-bound scan (`_scan`), run
 over cube-subproducts for vcd, over subproducts for vcdens and over
-partitions for the minor maxima wanted.  It cuts an option when, by the
-vertex count P of the prefix's smallest cell and per-factor density
+partitions for the minor maxima wanted.  A prefix's cells are bitmasks
+over the vertices of g, in signature order, and an option splits each
+cell with one AND per label.  It cuts an option when, by the vertex count
+P of the prefix's smallest cell (its fewest bits) and per-factor density
 ceilings, nothing below it can strictly beat the best so far for a wanted
 maximum; a cut option is still charged, and a cut can only skip ties, so
 witnesses are those of the full scan.  Each value is exact when its scan
@@ -15,7 +17,6 @@ that its witness reaches.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -278,25 +279,29 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
 
     `options(i, f, spend)` yields the options of factor f = factors[i] as
     (key, label of each vertex of f, t), labels in range(t); label t drops
-    the vertex.  A choice is shattered when the vertices
-    of g that no option drops carry every combination of labels; this
-    marginalizes, so the scan drops any prefix with more cells than g has
-    vertices or whose cell signatures miss a prefix cell.
+    the vertex.  A choice is shattered when the vertices of g that no option
+    drops carry every combination of labels.  This marginalizes, so the scan
+    keeps a prefix's cells, each the set of vertices of g (a bitmask) whose
+    labels so far match one combination, in signature order (cell-major,
+    label-minor).  An option's label j covers the vertices whose coordinate
+    it labels j, an OR of per-coordinate masks; the new cells are each old
+    cell ANDed with each label's mask, and the scan drops any prefix with
+    more cells than g has vertices or with an empty cell.
     `density(i, key, spend)` is asked when an option first survives a
     prefix; entry t of `ceilings(i)` bounds the density of any option of
     factor i with t labels.
 
-    Branch and bound: let P be the fewest surviving vertices of g in a cell
-    of a prefix.  Every final cell needs a vertex, so the label counts t_j
-    of the factors still to come multiply to at most P, and each t_j is at
-    most h_j, the number of coordinates g takes in factor j.  So at most
-    min(#{j : h_j >= 2}, log2 P) of them have two or more labels, and
-    their densities add up to at most the best sum of ceilings, a table
+    Branch and bound: let P be the fewest vertices of g in a cell of a
+    prefix, its smallest bit count.  Every final cell needs a vertex, so the
+    label counts t_j of the factors still to come multiply to at most P, and
+    each t_j is at most h_j, the number of coordinates g takes in factor j.
+    So at most min(#{j : h_j >= 2}, log2 P) of them have two or more labels,
+    and their densities add up to at most the best sum of ceilings, a table
     kept per scan and keyed by (factor, P).  An option is cut when no
     wanted maximum can still strictly beat the best so far: checked first
     with P <= |V(g)| // (cells * t) and the option's density if known, else
-    its ceiling, then with the P its signatures give.  A cut leaf could at
-    best tie, so witnesses and exact results are those of the full scan.
+    its ceiling, then with the P its cells give.  A cut leaf could at best
+    tie, so witnesses and exact results are those of the full scan.
     Densities are integers scaled by lcm(1..max h_j), which divides every
     denominator met.
 
@@ -304,10 +309,9 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
     tried on a prefix, cut or not, |V(f)| + |V(g)| per option of f built,
     and what `options` and `density` charge; the bound's own work is not
     charged.  A scan that runs out is inexact.  Inner factors keep their
-    options, compactly, for the next prefix.
+    options, with the labels of f's vertices as bytes, for the next prefix.
     """
     n, m, factors = g.n, g.space.m, g.space.factors
-    verts = sorted(g.vertices)
     left = budget
 
     def spend(units: int) -> None:
@@ -316,13 +320,22 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
         if left < 0:
             raise _BudgetSpent
 
-    h = [len({v[i] for v in verts}) for i in range(m)]
+    # coord_masks[i][c]: the vertices of g with coordinate c in factor i, one
+    # bit each in g.vertices order
+    coord_masks: list[dict[int, int]] = []
+    for i in range(m):
+        masks, bit = {}, 1
+        for v in g.vertices:
+            masks[v[i]] = masks.get(v[i], 0) | bit
+            bit <<= 1
+        coord_masks.append(masks)
+    h = [len(masks) for masks in coord_masks]
     wide = [0] * (m + 1)  # wide[i]: factors i.. with h >= 2
     for i in reversed(range(m)):
         wide[i] = wide[i + 1] + (h[i] >= 2)
-    scale = lcm(*range(1, max(h) + 1))
-    caps = []  # caps[i][t]: the ceiling of factor i at t labels, scaled
+    scale, caps = 1, []  # caps[i][t]: the ceiling of factor i at t labels, scaled
     if density is not None and n:
+        scale = lcm(*range(1, max(h) + 1))
         caps = [[c.numerator * scale // c.denominator for c in ceilings(i)] for i in range(m)]
     table: dict[tuple[int, int], int] = {}
 
@@ -350,20 +363,19 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
     d, d_combo, s, s_combo = 0, None, 0, None
 
     def entries(i: int) -> Iterator[list]:
-        """Those kept, then new ones: [key, label of each vertex of g, t,
+        """Those kept, then new ones: [key, label of each vertex of f, t,
         scaled density]."""
         yield from kept[i]
         for key, label_of, t in streams[i]:
             spend(factors[i].n + n)
-            labels = [label_of[v[i]] for v in verts]
-            entry = [key, bytes(labels) if t < 256 else tuple(labels), t,
+            entry = [key, bytes(label_of) if t < 256 else tuple(label_of), t,
                      None if density else 0]
             if i:
                 kept[i].append(entry)
             yield entry
 
-    def rec(i: int, sigs: list[int], cells: int, nontrivial: int, total: int) -> None:
-        """Scan the options of factors i.. below a prefix."""
+    def rec(i: int, cells: list[int], nontrivial: int, total: int) -> None:
+        """Scan the options of factors i.. below a prefix with these cells."""
         nonlocal d, d_combo, s, s_combo
         if i == m:
             if dims and nontrivial > d:
@@ -374,20 +386,22 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
         for entry in entries(i):
             spend(n)
             key, labels, t, value = entry
-            if cells * t > n:
+            size = len(cells) * t
+            if size > n:
                 continue
             more = nontrivial + (t >= 2)
             most = total + (caps[i][t] if value is None else value)
-            if hopeless(i + 1, n // (cells * t), more, most):
+            if hopeless(i + 1, n // size, more, most):
                 continue
-            # a dropped vertex keeps the signature -1
-            new_sigs = [sig * t + j if j < t and sig >= 0 else -1
-                        for sig, j in zip(sigs, labels)]
-            counts = Counter(new_sigs)
-            counts.pop(-1, None)
-            if len(counts) != cells * t:
+            masks = [0] * t  # label t, dropped, gets none
+            for c, mask in coord_masks[i].items():
+                j = labels[c]
+                if j < t:
+                    masks[j] |= mask
+            new_cells = [cell & mask for cell in cells for mask in masks]
+            if not all(new_cells):
                 continue
-            p = min(counts.values())
+            p = min(map(int.bit_count, new_cells))
             if value is None and not hopeless(i + 1, p, more, most):
                 found = density(i, key, spend)
                 value = entry[3] = found.numerator * scale // found.denominator
@@ -395,10 +409,10 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
             if value is None or hopeless(i + 1, p, more, most):  # None: cut on its ceiling
                 continue
             combo[i] = key
-            rec(i + 1, new_sigs, cells * t, more, most)
+            rec(i + 1, new_cells, more, most)
 
     try:
-        rec(0, [0] * n, 1, 0, 0)
+        rec(0, [(1 << n) - 1], 0, 0)
         exact = True
     except _BudgetSpent:
         exact = False

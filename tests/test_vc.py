@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -7,7 +8,7 @@ import pytest
 from prodvc.density import densest_subgraph_bruteforce
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           induced_subgraph, is_connected, path_graph, star_graph)
-from prodvc.harness import random_factor
+from prodvc.harness import GeneratorSpec, generate, random_factor
 from prodvc.products import ProductSpace, ProductSubgraph, Subproduct, hypercube
 from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _induced_ceilings, _minor_ceilings,
                        _partitions, compute_vc_report, connected_partitions, minor_search,
@@ -225,6 +226,24 @@ def test_full_product_has_full_dimension():
     assert vcdens_induced(g)[0] == Fraction(1, 2) + Fraction(2, 3)
 
 
+def wide_subgraphs():
+    """Seeded subgraphs of 70 to 130 vertices, with vertices dropped, so each
+    cell's bitmask spans more than one 64-bit word; the unpruned minor and
+    vcdens oracles stay quick on the first three."""
+    rng = random.Random(6464)
+    graphs = []
+    for factors, size in (([complete_graph(3)] * 4, 70),
+                          ([complete_graph(4), complete_graph(4), complete_graph(3),
+                            complete_graph(2)], 90),
+                          ([star_graph(3), complete_graph(4), path_graph(3),
+                            complete_graph(2)], 80),
+                          ([complete_graph(4)] * 4, 130),
+                          ([complete_graph(5)] * 3, 110)):
+        sp = ProductSpace(factors)
+        graphs.append(ProductSubgraph(sp, rng.sample(list(sp.vertices()), size), induced=True))
+    return graphs
+
+
 def naive_vcd_values(g):
     """(vcd, witness) over every choice, per factor, of an edge between its
     coordinate values (in `f.edges` order) or "skip" (last), without
@@ -259,6 +278,8 @@ def test_vcd_induced_matches_naive_oracle():
                     [complete_graph(2)] * 4):
         g = ProductSpace(factors).materialize()
         assert vcd_induced(g) == naive_vcd_values(g) + (True,)
+    for g in wide_subgraphs():
+        assert g.n > 64 and vcd_induced(g) == naive_vcd_values(g) + (True,)
 
 
 def test_vcd_induced_budget_walk():
@@ -415,3 +436,35 @@ def test_branch_and_bound_matches_naive_oracles():
         sp = ProductSpace(factors)
         verts = [v for v in sp.vertices() if rng.random() < 0.8][:40]
         assert_matches_oracles(ProductSubgraph(sp, verts, induced=True))
+    for g in wide_subgraphs()[:3]:
+        assert_matches_oracles(g)
+
+
+def report_digest(reports) -> str:
+    """sha256 over every value, witness and exact flag of the reports."""
+    digest = hashlib.sha256()
+    for rep in reports:
+        minor = [w and [sorted(map(sorted, parts)) for parts in w.parts]
+                 for w in (rep.vcd_star_witness, rep.vcdens_star_witness)]
+        digest.update(repr((
+            rep.vcd, str(rep.vcdens), rep.vcd_star, str(rep.vcdens_star),
+            rep.vcd_exact, rep.vcdens_exact, rep.vcd_star_exact, rep.vcdens_star_exact,
+            rep.vcd_witness and sorted(rep.vcd_witness.items()),
+            rep.vcdens_witness and sorted(rep.vcdens_witness.items()), minor)).encode())
+    return digest.hexdigest()
+
+
+def test_vc_reports_match_golden_digests():
+    # digests taken with the per-vertex signature scan that bitmask cells
+    # replaced: 200 generated instances of one to four factors, and three
+    # full products at budget 0 and at a budget they run out of
+    mixed = (generate(GeneratorSpec(m=1 + seed % 4, seed=seed))[1] for seed in range(200))
+    assert report_digest(map(compute_vc_report, mixed)) == (
+        "877e9fc021fef741ac778c9c48de6370ea9651b4bc74e6499d791f7a44733d2c")
+    bounded = [ProductSpace(factors).materialize()
+               for factors in ([path_graph(22), complete_graph(2)],
+                               [complete_graph(2), star_graph(22)],
+                               [star_graph(18), complete_graph(2)])]
+    assert report_digest(compute_vc_report(g, budget)
+                         for g in bounded for budget in (0, 200_000)) == (
+        "11e3545f80e8df3d2bbf23c0f55f1ff7814592169767e16d30f14fefd49b3d81")
