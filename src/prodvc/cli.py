@@ -75,8 +75,8 @@ def cmd_density(args) -> int:
 
 def cmd_arboricity(args) -> int:
     g = _load_graph(args.file)
+    doc = {"schema": SCHEMA, "arboricity": arboricity(g)}
     fd = forest_decomposition(g)
-    doc = {"schema": SCHEMA, "arboricity": arboricity(g, fd)}
     doc["forests"] = {str(j): [list(e) for e in fd.forest_edges(j)]
                       for j in range(fd.k)}
     _emit(doc)

@@ -26,11 +26,9 @@ class DensityReport:
 
 @dataclass(frozen=True)
 class ForestDecomposition:
-    """`parents[j][v]` is v's parent in forest j, or n at a root; `order` is
-    the degeneracy order the forests come from."""
+    """`parents[j][v]` is v's parent in forest j, or n at a root."""
     k: int
     parents: list[list[int]]
-    order: list[int]
 
     def forest_edges(self, j: int) -> list[tuple[int, int]]:
         n = len(self.parents[j])
@@ -172,11 +170,10 @@ def _violates_forest_bound(g: FactorGraph, k: int) -> bool:
     return False
 
 
-def arboricity(g: FactorGraph, forests: Optional[ForestDecomposition] = None) -> int:
+def arboricity(g: FactorGraph) -> int:
     """max over subgraphs of ceil(|E'|/(|V'|-1)), exactly (0 for edgeless).
 
-    One degeneracy peel bounds it from both sides, that of `forests` when a
-    `forest_decomposition(g)` is given.  The degeneracy U is an
+    One degeneracy peel bounds it from both sides.  The degeneracy U is an
     upper bound, since `forest_decomposition` builds U forests.  Each suffix
     S of the peeling order with |S| >= 2 needs ceil(|E(S)|/(|S|-1)) forests;
     the largest of these is a lower bound L.
@@ -199,7 +196,9 @@ def arboricity(g: FactorGraph, forests: Optional[ForestDecomposition] = None) ->
     `forest_decomposition` builds degeneracy(g) forests, which may exceed
     this value (Q3: 3 for arboricity 2).
     """
-    order, upper = (forests.order, forests.k) if forests else degeneracy_ordering(g)
+    if g.m == 0:
+        return 0
+    order, upper = degeneracy_ordering(g)
     gone = [False] * g.n
     edges, lower = g.m, 0
     for i, v in enumerate(order[:-1]):  # the suffix order[i:], of g.n - i >= 2 vertices
@@ -263,7 +262,7 @@ def forest_decomposition(g: FactorGraph) -> ForestDecomposition:
         later = sorted(w for w in g.adj[v] if pos[w] > pos[v])
         for j, w in enumerate(later):
             parents[j][v] = w
-    return ForestDecomposition(k=k, parents=parents, order=order)
+    return ForestDecomposition(k=k, parents=parents)
 
 
 # ---------------------------------------------------------------------------
