@@ -17,7 +17,8 @@ from .classes import (chordal_certificate, clique_number, min_dismantling_order,
 from .density import (arboricity, bounded_outdegree_orientation, densest_subgraph,
                       forest_decomposition)
 from .graph import FactorGraph, GraphError, degeneracy_ordering, from_edgelist
-from .harness import SUITES, fuzz_records, report_to_json, resolve_mu, run_suite
+from .harness import (SUITES, _json_text, fuzz_records, report_to_json, resolve_mu,
+                      run_suite)
 from .labeling import decode, encode, from_label_file, to_label_file
 from .products import (ProductSpace, instance_from_json, instance_to_json)
 from .reductions import reduce_edge, reduce_opposite_pair
@@ -51,7 +52,7 @@ def _write(text: str, out: str | None = None) -> None:
 
 
 def _emit(doc: dict) -> None:
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(_json_text(doc) + "\n")
 
 
 def _load_graph(path: str) -> FactorGraph:

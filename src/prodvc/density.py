@@ -4,7 +4,11 @@ arboricity, forest decompositions, and bounded-outdegree orientations.
 Every ratio is an exact `Fraction`.  The densest-subgraph search and the
 arboricity round run min-cuts on Goldberg's vertex network (source ->
 vertices -> sink, one two-way arc per edge) with the test ratio p/q scaled
-to integer capacities, so no tolerance is involved anywhere.
+to integer capacities, so no tolerance is involved anywhere.  Forests and
+bounded-outdegree orientations need no flow: both start from the
+degeneracy orientation, and an orientation with outdegree d comes from it
+by reversing directed paths, one per unit of excess, with the set reached
+from a vertex that has no path as the witness that d is below the density.
 """
 
 from __future__ import annotations
@@ -56,23 +60,6 @@ def _vertex_network(g: FactorGraph, p: int, q: int) -> tuple[MaxFlow, int]:
     for u, v in g.edges:
         net.add_edge(2 + u, 2 + v, q, q)
     return net, supply
-
-
-def _edge_network(g: FactorGraph, d: int) -> tuple[MaxFlow, list[tuple[int, int]]]:
-    """The orientation network source -> edge node -> both endpoints (unit
-    capacities) -> sink (d per vertex), and each edge's two endpoint arcs:
-    the endpoint that takes an edge's unit of flow is its tail.
-
-    Nodes: 0 = source, 1 = sink, 2 + v = vertex v, then one per edge.
-    """
-    net = MaxFlow(2 + g.n + g.m)
-    for v in range(g.n):
-        net.add_edge(2 + v, 1, d)
-    arcs = []
-    for enode, (u, v) in enumerate(g.edges, 2 + g.n):
-        net.add_edge(0, enode, 1)
-        arcs.append((net.add_edge(enode, 2 + u, 1), net.add_edge(enode, 2 + v, 1)))
-    return net, arcs
 
 
 def _denser_subgraph(g: FactorGraph, threshold: Fraction) -> Optional[set[int]]:
@@ -243,50 +230,90 @@ def arboricity_bruteforce(g: FactorGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# forest decomposition from the degeneracy orientation
+# the degeneracy orientation: forests and bounded outdegree
+
+def _degeneracy_orientation(g: FactorGraph) -> tuple[list[set[int]], int]:
+    """Each vertex's out-neighbours when every edge points from its endpoint
+    earlier in `degeneracy_ordering` to the later one, and the degeneracy,
+    which bounds every outdegree."""
+    order, k = degeneracy_ordering(g)
+    out = [None] * g.n  # every vertex is in the order, so every slot is filled
+    peeled = set()
+    for v in order:
+        peeled.add(v)
+        out[v] = set(g.adj[v] - peeled)
+    return out, k
+
 
 def forest_decomposition(g: FactorGraph) -> ForestDecomposition:
     """Partition E(g) into k = degeneracy(g) forests.
 
-    Every edge points from its endpoint earlier in a degeneracy order to the
-    later one, so each vertex has at most k out-neighbours; in forest j a
-    vertex's parent is its j-th out-neighbour by id (n if it has fewer).
-    Parents lie strictly later in the order, so no forest has a cycle.
+    In forest j a vertex's parent is its j-th out-neighbour by id in the
+    degeneracy orientation (n if it has fewer).  Parents lie strictly later
+    in the order, so no forest has a cycle.
     """
-    order, k = degeneracy_ordering(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
+    out, k = _degeneracy_orientation(g)
     parents = [[g.n] * g.n for _ in range(k)]
     for v in range(g.n):
-        later = sorted(w for w in g.adj[v] if pos[w] > pos[v])
-        for j, w in enumerate(later):
+        for j, w in enumerate(sorted(out[v])):
             parents[j][v] = w
     return ForestDecomposition(k=k, parents=parents)
 
 
-# ---------------------------------------------------------------------------
-# bounded-outdegree orientation
+def _reverse_path_to_room(out: list[set[int]], s: int, d: int) -> Optional[set[int]]:
+    """Breadth-first along out-arcs from s to the nearest vertex w with
+    outdegree below d, then reverse that path: s loses one out-arc, w gains
+    one, and the vertices between keep their outdegrees.  Returns None, or,
+    when no such w is reachable, the set of vertices reached from s."""
+    parent = {s: s}
+    queue = [s]
+    for x in queue:  # the queue grows while it is walked
+        for y in out[x]:
+            if y in parent:
+                continue
+            parent[y] = x
+            if len(out[y]) < d:
+                while y != s:
+                    x = parent[y]
+                    out[x].remove(y)
+                    out[y].add(x)
+                    y = x
+                return None
+            queue.append(y)
+    return set(queue)
+
 
 def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int], int]:
-    """Orient every edge so that each vertex has outdegree at most d.
+    """Orient every edge so that each vertex has outdegree at most d; maps
+    each edge (u, v) to its head.
 
-    Feasible exactly when dens(g) <= d (Hakimi), which the max-flow value
-    decides; maps each edge (u, v) to its head.
+    Feasible exactly when dens(g) <= d (Hakimi 1965).  The construction
+    (Frank and Gyárfás 1976) starts from the degeneracy orientation and
+    moves each unit by which a vertex s exceeds d along a reversed path to a
+    vertex with room.  When none is reachable, every out-arc of the set R
+    reached from s stays inside R, and every vertex of R has outdegree at
+    least d, s more, so |E(R)| > d|R|: R witnesses dens(g) > d.  That count
+    and the final outdegrees are checked explicitly.
     """
     if d < 0:
         raise GraphError(f"infeasible, density exceeds {d}")
-    net, arcs = _edge_network(g, d)
-    if net.max_flow(0, 1) != g.m:
-        raise GraphError(f"infeasible, density exceeds {d}")
-    orientation = {}
-    for (u, v), (au, _) in zip(g.edges, arcs):
-        # the endpoint that absorbed the unit of flow is the tail
-        orientation[(u, v)] = v if net.cap[au] == 0 else u
+    out, _ = _degeneracy_orientation(g)
+    for s in range(g.n):
+        for _ in range(len(out[s]) - d):
+            reached = _reverse_path_to_room(out, s, d)
+            if reached is None:
+                continue
+            inside = _edge_count_within(g, reached)
+            if inside > d * len(reached):
+                raise GraphError(f"infeasible, density exceeds {d}")
+            raise RuntimeError(f"bounded_outdegree_orientation: vertex {s} reaches no "
+                               f"vertex with room, but its {len(reached)} reached "
+                               f"vertices hold only {inside} edges")
+    orientation = {(u, v): v if v in out[u] else u for u, v in g.edges}
     outdeg = [0] * g.n
     for (u, v), head in orientation.items():
         outdeg[u if head == v else v] += 1
     if max(outdeg, default=0) > d:
-        raise RuntimeError(f"bounded_outdegree_orientation: the flow oriented "
-                           f"{max(outdeg)} edges out of one vertex, above {d}")
+        raise RuntimeError(f"bounded_outdegree_orientation: {max(outdeg)} edges "
+                           f"point out of one vertex, above {d}")
     return orientation

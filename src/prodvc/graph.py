@@ -7,6 +7,7 @@ ratio-valued quantities are exact `Fraction`s; floats only appear in reports.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from typing import Iterable, Optional
@@ -187,34 +188,32 @@ def star_of_edge(g: FactorGraph, u: int, v: int) -> tuple[FactorGraph, int, dict
 # orderings
 
 def degeneracy_ordering(g: FactorGraph) -> tuple[list[int], int]:
-    """Repeated minimum-degree peeling.
+    """Repeated minimum-degree peeling, ties to the smallest id.
 
     In the returned order every vertex has at most `degeneracy` neighbors
-    later in the order, and no smaller value works.
+    later in the order, and no smaller value works.  A heap holds each
+    vertex's current (degree, id) as the int degree * n + id; older entries
+    of a vertex carry a higher degree and are skipped when popped, so the
+    peel takes O(m log n).  A peeled vertex's degree is set to -1.
     """
-    if g.n == 0:
-        return [], 0
+    n = g.n
     deg = degree_sequence(g)
-    buckets: dict[int, set[int]] = {}
-    for v, d in enumerate(deg):
-        buckets.setdefault(d, set()).add(v)
-    removed = [False] * g.n
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     order = []
     degeneracy = 0
-    for _ in range(g.n):
-        d = 0
-        while not buckets.get(d):
-            d += 1
-        v = min(buckets[d])
-        buckets[d].discard(v)
+    while heap:
+        d, v = divmod(pop(heap), n)
+        if d != deg[v]:
+            continue
         degeneracy = max(degeneracy, d)
-        removed[v] = True
+        deg[v] = -1
         order.append(v)
         for w in g.adj[v]:
-            if not removed[w]:
-                buckets[deg[w]].discard(w)
+            if deg[w] > 0:  # not yet peeled, so v still counts in deg[w]
                 deg[w] -= 1
-                buckets.setdefault(deg[w], set()).add(w)
+                push(heap, deg[w] * n + w)
     return order, degeneracy
 
 

@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .classes import (chordal_certificate, clique_number, product_elimination_report,
@@ -159,7 +160,85 @@ def report_to_json(records: list[VerificationRecord],
            "records": [r.to_dict() for r in ordered]}
     if violations is not None:
         doc["violations"] = violations
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _json_text(doc)
+
+
+_quote = json.encoder.encode_basestring_ascii  # json's own string encoder
+_INT, _LIST, _STR = {int}, {list}, {str}
+
+
+class _NotPlain(Exception):
+    """A value that `_json_text` leaves to `json.dumps`."""
+
+
+def _json_text(doc) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte.
+
+    With `indent` set, json runs its pure-Python encoder.  This writer lays
+    out the same text, and hands the lists that reports are made of to
+    json's C encoder: lists of exact ints, and lists of non-empty lists of
+    exact ints (arcs, forests, witnesses).  A document holding anything but
+    dicts with str keys, lists, tuples, str, exact ints, finite floats,
+    bools and None, or one that fails (too deep, an int too long for str),
+    goes to `json.dumps` itself, so its bytes and its errors stay json's.
+    """
+    parts: list[str] = []
+    try:
+        _json_parts(doc, "\n", parts)
+    except (_NotPlain, RecursionError, ValueError):
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(parts)
+
+
+def _json_parts(x, pad: str, parts: list[str]) -> None:
+    """Append the text of x to `parts`; `pad` is a newline and x's indent."""
+    kind = type(x)
+    if kind is str:
+        parts.append(_quote(x))
+    elif kind is int:
+        parts.append(int.__repr__(x))
+    elif kind is list or kind is tuple:
+        if not x:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        kinds = {*map(type, x)}
+        if kinds == _INT:  # json's C encoder writes "[1, 2]"; re-indent it
+            body = json.dumps(x)[1:-1].replace(", ", "," + inner)
+            parts.append("[" + inner + body + pad + "]")
+        elif kinds == _LIST and all(x) and {*map(type, chain.from_iterable(x))} == _INT:
+            deeper = inner + "  "  # json writes "[[1, 2], [3]]": split the rows, re-indent
+            rows = (inner + "]," + inner + "[" + deeper).join(json.dumps(x)[2:-2].split("], ["))
+            parts.append("[" + inner + "[" + deeper + rows.replace(", ", "," + deeper)
+                         + inner + "]" + pad + "]")
+        else:
+            sep = "[" + inner
+            for v in x:
+                parts.append(sep)
+                _json_parts(v, inner, parts)
+                sep = "," + inner
+            parts.append(pad + "]")
+    elif kind is dict:
+        if not x:
+            parts.append("{}")
+            return
+        if {*map(type, x)} != _STR:
+            raise _NotPlain
+        inner = pad + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            parts.append(sep + _quote(k) + ": ")
+            _json_parts(x[k], inner, parts)
+            sep = "," + inner
+        parts.append(pad + "}")
+    elif kind is float and math.isfinite(x):
+        parts.append(float.__repr__(x))
+    elif x is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if x else "false")
+    else:
+        raise _NotPlain
 
 
 def _timed(claim: str, digest: str, lhs, rhs, verdict: str, start: float,
@@ -527,7 +606,7 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
                                   statement="decode reproduces adjacency"))
             start = time.monotonic()
             d = math.ceil(dens(f))
-            bounded_outdegree_orientation(f, d)  # asserts outdegrees internally
+            bounded_outdegree_orientation(f, d)  # checks its outdegrees itself
             records.append(_timed("Cor6", f"factor-{t}", str(d), str(d),
                                   "holds", start,
                                   statement="orientation with outdegree <= ceil(dens)"))

@@ -292,11 +292,41 @@ def test_empty_cut_witness_fails(monkeypatch):
 
 
 def test_orientation_above_the_bound_fails(monkeypatch):
-    # a max-flow that claims every edge without routing any leaves each edge
-    # with its larger endpoint as tail, so vertex 3 of K4 gets outdegree 3
-    monkeypatch.setattr(MaxFlow, "max_flow", lambda net, s, t: 6)
-    with pytest.raises(RuntimeError):
+    # a path reversal that reports success but reverses nothing leaves the
+    # degeneracy orientation as it was, with outdegree 3 at K4's first
+    # vertex; the final explicit outdegree check raises (under python -O too)
+    monkeypatch.setattr(density, "_reverse_path_to_room", lambda out, s, d: None)
+    with pytest.raises(RuntimeError, match="above 2"):
         bounded_outdegree_orientation(complete_graph(4), 2)
+
+
+def test_orientation_with_a_wrong_reached_set_fails(monkeypatch):
+    # a set reached with no room holds more than d edges per vertex; if the
+    # count says otherwise the search is wrong, and it raises instead of
+    # calling the input infeasible
+    monkeypatch.setattr(density, "_edge_count_within", lambda g, vertices: 0)
+    with pytest.raises(RuntimeError, match="reaches no vertex with room"):
+        bounded_outdegree_orientation(complete_graph(4), 1)
+
+
+def test_orientation_exists_exactly_up_to_the_density():
+    # Hakimi: an orientation with outdegree <= d exists iff dens(g) <= d
+    rng = random.Random(1965)
+    for _ in range(150):
+        g = random_graph(rng, n_max=10)
+        rho = densest_subgraph_bruteforce(g).density
+        for d in range(max((len(a) for a in g.adj), default=0) + 1):
+            if rho <= d:
+                heads = bounded_outdegree_orientation(g, d)
+                assert sorted(heads) == list(g.edges)
+                out = [0] * g.n
+                for (u, v), head in heads.items():
+                    assert head in (u, v)
+                    out[u if head == v else v] += 1
+                assert max(out, default=0) <= d
+            else:
+                with pytest.raises(GraphError, match="infeasible"):
+                    bounded_outdegree_orientation(g, d)
 
 
 def test_orientation_bounds_outdegree():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +82,56 @@ def test_star_of_edge():
     assert center == 0
     assert star.n == 3 and star.m == 2
     assert leaf_of == {2: 1, 3: 2}
+
+
+def bucket_peel(g):
+    """Oracle: the bucket peel, taking the smallest id of the lowest
+    nonempty degree bucket at each step."""
+    deg = [len(g.adj[v]) for v in range(g.n)]
+    buckets = {}
+    for v, d in enumerate(deg):
+        buckets.setdefault(d, set()).add(v)
+    removed = [False] * g.n
+    order, degeneracy = [], 0
+    for _ in range(g.n):
+        d = 0
+        while not buckets.get(d):
+            d += 1
+        v = min(buckets[d])
+        buckets[d].discard(v)
+        degeneracy = max(degeneracy, d)
+        removed[v] = True
+        order.append(v)
+        for w in g.adj[v]:
+            if not removed[w]:
+                buckets[deg[w]].discard(w)
+                deg[w] -= 1
+                buckets.setdefault(deg[w], set()).add(w)
+    return order, degeneracy
+
+
+def test_degeneracy_ordering_matches_the_bucket_peel():
+    rng = random.Random(1983)
+    cases = [FactorGraph(0, []), FactorGraph(1, []), FactorGraph(5, []),
+             FactorGraph(7, [(0, 1), (1, 2), (4, 5)]),  # isolated vertices 3 and 6
+             FactorGraph(8, list(complete_graph(4).edges) + [(4, 5), (5, 6), (6, 4)])]
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        p = rng.choice((0.05, 0.15, 0.4, 0.8))
+        cases.append(FactorGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p]))
+    for parts in range(2, 6):  # several components, relabelled apart
+        edges, base = [], 0
+        for _ in range(parts):
+            k = rng.randint(1, 9)
+            edges += [(base + u, base + v) for u in range(k) for v in range(u + 1, k)
+                      if rng.random() < 0.5]
+            base += k
+        perm = list(range(base))
+        rng.shuffle(perm)
+        cases.append(FactorGraph(base, [(perm[u], perm[v]) for u, v in edges]))
+    for g in cases:
+        assert degeneracy_ordering(g) == bucket_peel(g), g
 
 
 @given(graphs)

@@ -1,21 +1,23 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodvc.cli import build_parser, main
 from prodvc.graph import FactorGraph, complete_graph, path_graph, to_edgelist
-from prodvc.harness import (FAMILIES, GeneratorSpec, check_density_sum,
+from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_sum,
                             check_log_bound, check_splitting_step, fuzz_records,
                             generate, instance_digest, random_factor,
                             report_to_json, resolve_mu, run_suite)
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, hypercube,
-                             instance_to_json)
+                             instance_to_json, octahedron)
 from prodvc.vc import MinorPartition, shatters_minor, shatters_subproduct
 
 
@@ -393,3 +395,96 @@ def test_cli_shuffled_long_cycle(capsys, tmp_path):
     assert sorted(t for t, _ in doc["arcs_tail_head"]) == list(range(n))
     code, doc = run_cli(capsys, "classify", str(p))
     assert code == 0 and doc["omega"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(doc, indent=2, sort_keys=True), byte for byte
+
+def assert_json_text_is_json_dumps(doc):
+    try:
+        want = json.dumps(doc, indent=2, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _json_text(doc)
+    else:
+        assert _json_text(doc) == want
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.5, -2.25e-7]),
+    st.text(), st.text(st.characters(max_codepoint=0x20)),
+    st.text(st.characters(min_codepoint=0x7f, max_codepoint=0x2fff)),
+    st.lists(st.integers()),  # the writer's two fast paths
+    st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1)))
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=5),
+                           st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(st.text(max_size=6), kids, max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs)
+def test_json_text_matches_json_dumps(doc):
+    assert_json_text_is_json_dumps(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_json_docs, st.one_of(st.fractions(), st.integers(), st.floats(),
+                             st.sampled_from([float("nan"), float("inf"), -float("inf")])))
+def test_json_text_leaves_other_values_to_json(doc, odd):
+    # a non-str key, a Fraction, a non-finite float, a bool in an int list:
+    # the bytes, or the error, are json's
+    for wrapped in ({"doc": doc, "odd": odd}, {odd: doc} if odd == odd else {}, [1, odd],
+                    [[1, 2], [odd]], {"a": [[3], [1, True]]}, [1, 2, False],
+                    {1: "one", "1": "one"}, {2: "b", 1: "a"}, {"x": Fraction(1, 2)}):
+        assert_json_text_is_json_dumps(wrapped)
+
+
+def test_every_subcommand_writes_the_bytes_of_json_dumps(capsys, tmp_path, k4_file,
+                                                         instance_file):
+    octa = tmp_path / "octa.json"
+    octa.write_text(instance_to_json(ProductSpace([octahedron(2), path_graph(2)]).materialize()))
+    labels = str(tmp_path / "k4.labels")
+    assert main(["label", "encode", k4_file, "--out", labels]) == 0
+    runs = [["density", k4_file], ["arboricity", k4_file],
+            ["orient", "--max-outdegree", "2", k4_file], ["classify", k4_file],
+            ["vcd", instance_file], ["vcd", instance_file, "--minor"],
+            ["reduce", instance_file, "--factor", "0", "--edge", "0,1"],
+            ["reduce", str(octa), "--factor", "0", "--octahedron", "0"],
+            ["label", "decode", labels, "0", "1"],
+            ["verify", "--suite", "thm4", "--trials", "3"],
+            ["fuzz-conj3", "--trials", "30", "--spaces", "p3p3"]]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+def test_verify_reports_are_the_bytes_of_json_dumps():
+    for suite in ("thm4", "thm5", "lemmas", "classes", "labels"):
+        text = report_to_json(run_suite(suite, trials=3, seed=2))
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), suite
+
+
+def test_orient_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # the orientation walks sets; its output must be fixed by the input
+    q6, _ = hypercube(6).materialize().to_factor_graph()
+    perm = list(range(q6.n))
+    random.Random(6).shuffle(perm)
+    p = tmp_path / "q6.txt"
+    p.write_text(to_edgelist(FactorGraph(q6.n, [(perm[u], perm[v]) for u, v in q6.edges])))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            [src] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+        proc = subprocess.run([sys.executable, "-m", "prodvc", "orient", "--max-outdegree",
+                               "3", str(p)], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["arcs_tail_head"]) == q6.m
