@@ -6,6 +6,7 @@ of octahedra (complete multipartite with parts of size at most two).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -189,14 +190,9 @@ def product_elimination_report(g: ProductSubgraph) -> ProductEliminationReport:
         certs.append(cert)
         positions.append({v: j for j, v in enumerate(cert.order)})
 
-    def key(v):
-        return tuple(positions[i][c] for i, c in enumerate(v))
-
-    dd_sub = 0
-    for v in g.vertices:
-        kv = key(v)
-        later = sum(1 for w in g.neighbors(v) if key(w) > kv)
-        dd_sub = max(dd_sub, later)
+    key = {v: tuple(positions[i][c] for i, c in enumerate(v)) for v in g.vertices}
+    later = Counter(x if key[x] < key[y] else y for x, y in g.edges)
+    dd_sub = max(later.values(), default=0)
     dd_prod = sum(c.dd for c in certs)
     assert dd_sub <= dd_prod
     return ProductEliminationReport(tuple(certs), dd_prod, dd_sub,

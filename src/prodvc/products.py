@@ -9,6 +9,7 @@ filtering over the subgraph's own vertex list.
 from __future__ import annotations
 
 import json
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional
 
 from .graph import FactorGraph, GraphError, complete_graph, induced_subgraph, is_connected
@@ -73,11 +74,6 @@ class ProductSpace:
         from itertools import product as iproduct
         return iproduct(*(range(f.n) for f in self.factors))
 
-    def neighbors(self, v: Coord) -> Iterator[Coord]:
-        for i, f in enumerate(self.factors):
-            for w in f.adj[v[i]]:
-                yield v[:i] + (w,) + v[i + 1:]
-
     def materialize(self, cap: int = MATERIALIZE_CAP) -> "ProductSubgraph":
         verts = frozenset(self.vertices(cap))
         return ProductSubgraph(self, verts, induced=True)
@@ -87,38 +83,44 @@ def _norm_edge(x: Coord, y: Coord) -> Edge:
     return (x, y) if x <= y else (y, x)
 
 
-def product_edges_of(space: ProductSpace, vertexset: Iterable[Coord]) -> frozenset[Edge]:
-    """All product edges between members of `vertexset`."""
-    verts = set()
-    for v in vertexset:
-        v = tuple(v)
-        space.check_vertex(v)
-        verts.add(v)
-    edges = set()
-    for v in verts:
-        for w in space.neighbors(v):
-            if w in verts:
-                edges.add(_norm_edge(v, w))
-    return frozenset(edges)
-
-
 class ProductSubgraph:
     """A subgraph of a product: explicit vertex tuples, explicit edges, and
     an `induced` flag.  Edges are validated to be product edges."""
 
-    __slots__ = ("space", "vertices", "edges", "induced", "_adj")
+    __slots__ = ("space", "vertices", "edges", "induced")
 
     def __init__(self, space: ProductSpace, vertices: Iterable[Coord],
                  edges: Optional[Iterable[Edge]] = None, induced: bool = True):
         self.space = space
-        verts = frozenset(tuple(v) for v in vertices)
-        for v in verts:
-            space.check_vertex(v)
+        verts = frozenset(map(tuple, vertices))
+        factors = space.factors
+        m = len(factors)
+        # Range-check each factor's distinct coordinate values once; only a
+        # bad one costs the per-vertex check, which names the offending vertex.
+        valid = set(map(len, verts)) <= {m}
+        if valid:
+            hit = [set(cs) for cs in zip(*verts)]
+            valid = all(0 <= min(cs) and max(cs) < f.n for f, cs in zip(factors, hit))
+        if not valid:
+            for v in verts:
+                space.check_vertex(v)
         self.vertices = verts
         if induced:
             if edges is not None:
                 raise GraphError("induced subgraphs derive their own edge set")
-            self.edges = product_edges_of(space, verts)
+            # A vertex's lexicographic rank is sum(v[i] * stride_i); an edge of
+            # factor i from c up to w > c raises it by (w - c) * stride_i, so
+            # each induced edge is found once, from its smaller end.
+            strides = [1] * m
+            for i in range(m - 1, 0, -1):
+                strides[i - 1] = strides[i] * factors[i].n
+            rank = {sum(map(mul, v, strides)): v for v in verts}
+            found = []
+            for i, (f, cs, s) in enumerate(zip(factors, hit, strides)):
+                up = {c: [(w - c) * s for w in f.adj[c] if w > c] for c in cs}
+                found.extend((v, u) for r, v in rank.items() for d in up[v[i]]
+                             if (u := rank.get(r + d)) is not None)
+            self.edges = frozenset(found)
         else:
             if edges is None:
                 raise GraphError("non-induced subgraphs need an explicit edge set")
@@ -132,11 +134,6 @@ class ProductSubgraph:
                 norm.add(_norm_edge(x, y))
             self.edges = frozenset(norm)
         self.induced = induced
-        adj: dict[Coord, set[Coord]] = {v: set() for v in verts}
-        for x, y in self.edges:
-            adj[x].add(y)
-            adj[y].add(x)
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
 
     @property
     def n(self) -> int:
@@ -145,9 +142,6 @@ class ProductSubgraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, v: Coord) -> frozenset[Coord]:
-        return self._adj[v]
 
     def to_factor_graph(self) -> tuple[FactorGraph, dict[Coord, int]]:
         """Flatten to an integer-vertex graph plus the tuple->index map."""
@@ -331,12 +325,26 @@ def instance_from_json(text: str) -> ProductSubgraph:
     try:
         factors = [FactorGraph(f["n"], [tuple(e) for e in f["edges"]]) for f in doc["factors"]]
         space = ProductSpace(factors)
-        verts = [tuple(v) for v in doc["vertices"]]
+        verts = []
+        for v in doc["vertices"]:
+            v = tuple(v)
+            if not all(type(c) is int for c in v):
+                raise GraphError(f"vertex {list(v)} has a coordinate that is not an int")
+            verts.append(v)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed instance: {exc}")
     if doc.get("induced"):
         return ProductSubgraph(space, verts, induced=True)
     if "edges" not in doc:
         raise GraphError("instance needs either induced:true or an edge list")
-    edges = [(verts[i], verts[j]) for i, j in doc["edges"]]
+    pairs = doc["edges"]
+    if not isinstance(pairs, list):
+        raise GraphError("instance edges must be a list of vertex index pairs")
+    edges = []
+    for e in pairs:
+        if not (isinstance(e, list) and len(e) == 2
+                and all(type(k) is int and 0 <= k < len(verts) for k in e)):
+            raise GraphError(f"edge {e!r} is not a pair of vertex indices "
+                             f"in 0..{len(verts) - 1}")
+        edges.append((verts[e[0]], verts[e[1]]))
     return ProductSubgraph(space, verts, edges=edges, induced=False)

@@ -8,6 +8,7 @@ from prodvc.classes import (chordal_certificate, clique_number,
                             suboctahedron_structure)
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, contract_edge,
                           cycle_graph, path_graph, star_graph)
+from prodvc.harness import random_factor, random_subgraph
 from prodvc.products import ProductSpace, octahedron
 
 
@@ -116,6 +117,26 @@ def test_product_elimination_sum_identity():
         assert rep.exact
         assert rep.dd_subgraph == rep.dd_product
         assert rep.dd_product == sum(c.dd for c in rep.factor_certificates)
+
+
+def test_product_elimination_counts_later_neighbours_of_the_subgraph():
+    # brute force over all vertex pairs, independent of g.edges
+    rng = random.Random(21)
+    for _ in range(60):
+        factors = [random_factor(rng, rng.choice(("path", "tree", "chordal", "clique")), 4)
+                   for _ in range(rng.randint(1, 3))]
+        sp = ProductSpace(factors)
+        g = random_subgraph(rng, sp)
+        rep = product_elimination_report(g)
+        pos = [{v: j for j, v in enumerate(c.order)} for c in rep.factor_certificates]
+
+        def key(v):
+            return tuple(p[c] for p, c in zip(pos, v))
+
+        later = [sum(1 for w in g.vertices if sp.is_edge(v, w) and key(w) > key(v))
+                 for v in g.vertices]
+        assert rep.dd_subgraph == max(later, default=0)
+        assert rep.dd_subgraph <= rep.dd_product
 
 
 def test_product_elimination_rejects_non_dismantlable_factor():

@@ -17,7 +17,7 @@ from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_s
                             generate, instance_digest, random_factor,
                             report_to_json, resolve_mu, run_suite)
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, hypercube,
-                             instance_to_json, octahedron)
+                             instance_from_json, instance_to_json, octahedron)
 from prodvc.vc import MinorPartition, shatters_minor, shatters_subproduct
 
 
@@ -329,6 +329,43 @@ def test_cli_rejects_out_of_range_numbers(capsys, instance_file):
     assert code == 0
     assert doc["vcd_exact"] is doc["vcdens_exact"] is False
     assert doc["vcd_star_exact"] is doc["vcdens_star_exact"] is False
+
+
+def _instance_doc(vertices, **extra):
+    doc = {"factors": [{"n": 3, "edges": [[0, 1], [1, 2]]},
+                       {"n": 2, "edges": [[0, 1]]}], "vertices": vertices}
+    doc.update(extra)
+    return doc
+
+
+def _assert_input_error(capsys, tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    for argv in (["vcd", str(p)], ["vcd", str(p), "--minor"],
+                 ["reduce", str(p), "--factor", "0", "--edge", "0,1"]):
+        assert main(argv) == 2, (argv, doc)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # rejected while reading, before any command asks for an induced graph
+        assert "induced" not in captured.err
+
+
+def test_cli_rejects_coordinates_that_are_not_ints(capsys, tmp_path):
+    # {1, 1.0, True} is one value to a set, so each coordinate is checked
+    for bad in (0.0, 1.0, "a", True, False, None, [0]):
+        for induced in ({"induced": True}, {"edges": [[0, 1]]}):
+            _assert_input_error(capsys, tmp_path,
+                                _instance_doc([[0, 0], [1, 0], [bad, 1]], **induced))
+
+
+def test_cli_rejects_bad_edge_indices(capsys, tmp_path):
+    for edges in ([[0, 5]], [[-1, 0]], [[0, 2]], [[0]], [[0, 1, 1]], [[0, 1.0]],
+                  [[True, 1]], [["0", 1]], [0, 1], {"0": 1}, [[0, 1], None]):
+        _assert_input_error(capsys, tmp_path,
+                            _instance_doc([[0, 0], [1, 0]], edges=edges))
+    g = instance_from_json(json.dumps(_instance_doc([[0, 0], [1, 0]], edges=[[1, 0]])))
+    assert g.edges == {((0, 0), (1, 0))} and not g.induced
 
 
 def test_cli_help_and_errors_match_the_full_parser(capsys):

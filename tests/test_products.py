@@ -1,12 +1,33 @@
 import json
+import random
+import re
 
 import pytest
 
 from prodvc.graph import FactorGraph, GraphError, complete_graph, path_graph
+from prodvc.harness import FAMILIES, GeneratorSpec, generate
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, fiber,
                              hamming, hypercube, instance_from_json,
-                             instance_to_json, octahedron, product_edges_of,
-                             project_factor, projection, trace)
+                             instance_to_json, octahedron, project_factor,
+                             projection, trace)
+
+
+def product_edges_of(space, vertexset):
+    """Oracle for induced edges: every product edge between members of
+    `vertexset`, found by building each vertex's neighbour tuples."""
+    verts = set()
+    for v in vertexset:
+        v = tuple(v)
+        space.check_vertex(v)
+        verts.add(v)
+    edges = set()
+    for v in verts:
+        for i, f in enumerate(space.factors):
+            for w in f.adj[v[i]]:
+                u = v[:i] + (w,) + v[i + 1:]
+                if u in verts:
+                    edges.add((v, u) if v <= u else (u, v))
+    return frozenset(edges)
 
 
 def test_space_basics():
@@ -58,6 +79,43 @@ def test_induced_subgraph_edges_are_derived():
     assert g.num_edges == 2
     with pytest.raises(GraphError):
         ProductSubgraph(sp, verts, edges=[((0, 0), (0, 1))], induced=True)
+
+
+def test_induced_edges_match_the_neighbour_oracle():
+    def check(space, verts):
+        g = ProductSubgraph(space, verts, induced=True)
+        assert g.edges == product_edges_of(space, verts)
+        assert all(x < y for x, y in g.edges)
+
+    for family in FAMILIES:
+        for m in range(1, 6):
+            for seed in range(4):
+                space, g = generate(GeneratorSpec(family, m, factor_size=5, seed=seed))
+                check(space, g.vertices)
+
+    rng = random.Random(13)
+    trivial = ProductSpace([FactorGraph(1, []), path_graph(3), FactorGraph(1, [])])
+    check(trivial, list(trivial.vertices()))
+    check(trivial, [(0, 0, 0), (0, 2, 0)])
+    for wide in (ProductSpace([path_graph(1000), path_graph(2)]),
+                 ProductSpace([path_graph(2), path_graph(1000)])):
+        check(wide, rng.sample(list(wide.vertices()), 600))
+    check(wide, [(0, 500), (0, 501), (1, 501), (1, 999), (1, 998), (0, 0)])
+    for space in (hypercube(10), hamming([4, 4, 4])):
+        check(space, space.materialize().vertices)
+    sp = ProductSpace([path_graph(3), path_graph(3)])
+    check(sp, [[0, 0], [0, 0], (0, 1), [0, 1], [1, 1]])
+    g = ProductSubgraph(sp, [], induced=True)
+    assert (g.n, g.edges) == (0, frozenset())
+
+
+def test_vertex_check_names_the_bad_vertex():
+    sp = ProductSpace([path_graph(3), path_graph(2)])
+    for bad in ((3, 0), (0, -1), (0,), (0, 0, 0)):
+        with pytest.raises(GraphError, match=rf"^{re.escape(str(bad))} is not a vertex"):
+            ProductSubgraph(sp, [(0, 0), bad, (1, 1)], induced=True)
+        with pytest.raises(GraphError, match="is not a vertex"):
+            ProductSubgraph(sp, [bad], edges=[], induced=False)
 
 
 def test_non_induced_subgraph_validation():
