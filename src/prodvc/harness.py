@@ -289,11 +289,19 @@ def projection_degree_bound(g: ProductSubgraph) -> int:
     return math.ceil(worst)
 
 
-def check_log_bound(g: ProductSubgraph) -> VerificationRecord:
-    """|E|/|V| <= b0 * log2(|V|) with b0 the projection degree bound, and
-    b0 <= b (the same bound over the whole factors).  The logarithmic
-    comparison is done exactly as 2^|E| <= |V|^(b0*|V|)."""
+def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
+    """Theorem 4 on g, as two records.
+
+    Thm4: |E|/|V| <= b0 * log2(|V|) with b0 the projection degree bound,
+    and b0 <= b (the same bound over the whole factors).  The logarithmic
+    comparison is done exactly as 2^|E| <= |V|^(b0*|V|).
+
+    Thm4-split: one step of the halving argument.  Fixing a low-degree
+    coordinate value of some projection cuts off at most b0 edges per cut
+    vertex, and one of the two candidate parts has at most half the
+    vertices."""
     start = time.monotonic()
+    digest = instance_digest(g)
     n = g.n
     b0 = projection_degree_bound(g)
     b = math.ceil(max((mad(f) for f in g.space.factors), default=Fraction(0)))
@@ -303,19 +311,10 @@ def check_log_bound(g: ProductSubgraph) -> VerificationRecord:
         ok = 2 ** g.num_edges <= n ** (b0 * n)
     verdict = "holds" if ok and b0 <= b else "violated"
     # mad = 2 * dens, so the bound normalized through densities is b0 itself
-    return _timed("Thm4", instance_digest(g),
-                  Fraction(g.num_edges, n), f"{b0}*log2({n})", verdict, start,
-                  b0=b0, b=b, b0_from_densities=b0,
-                  statement="|E|/|V| <= b0*log2(n) and b0 <= b")
-
-
-def check_splitting_step(g: ProductSubgraph) -> VerificationRecord:
-    """One step of the halving argument: fixing a low-degree coordinate value
-    of some projection cuts off at most b0 edges per cut vertex, and one of
-    the two candidate parts has at most half the vertices."""
+    log_bound = _timed("Thm4", digest, Fraction(g.num_edges, n), f"{b0}*log2({n})",
+                       verdict, start, b0=b0, b=b, b0_from_densities=b0,
+                       statement="|E|/|V| <= b0*log2(n) and b0 <= b")
     start = time.monotonic()
-    digest = instance_digest(g)
-    b0 = projection_degree_bound(g)
     pick = None
     for i in range(g.space.m):
         proj, remap = project_factor(g, i)
@@ -323,24 +322,23 @@ def check_splitting_step(g: ProductSubgraph) -> VerificationRecord:
             pick = (i, proj, remap)
             break
     if pick is None:
-        return _timed("Thm4-split", digest, "0", "0", "holds", start,
-                      note="all projections trivial")
+        return [log_bound, _timed("Thm4-split", digest, "0", "0", "holds", start,
+                                  note="all projections trivial")]
     i, proj, remap = pick
     back = {j: c for c, j in remap.items()}
     from .graph import two_min_degree_vertices
-    a, b = two_min_degree_vertices(proj)
     parts = []
-    for w in (a, b):
+    for w in two_min_degree_vertices(proj):
         coord = back[w]
         part = {v for v in g.vertices if v[i] == coord}
         cut = sum(1 for x, y in g.edges if (x in part) != (y in part))
         parts.append((len(part), cut, proj.degree(w)))
     size, cut, deg = min(parts)
     ok = (deg <= b0 and cut <= b0 * size and 2 * size <= g.n)
-    return _timed("Thm4-split", digest, str(cut), f"{b0}*{size}",
-                  "holds" if ok else "violated", start,
-                  factor=i, part_size=size, degree=deg, b0=b0,
-                  statement="cut <= b0*|A| and |A| <= n/2 after swap")
+    return [log_bound, _timed("Thm4-split", digest, str(cut), f"{b0}*{size}",
+                              "holds" if ok else "violated", start,
+                              factor=i, part_size=size, degree=deg, b0=b0,
+                              statement="cut <= b0*|A| and |A| <= n/2 after swap")]
 
 
 MU_PRESETS = {"tree": 2, "planar": 6, "k4-minor-free": 4}
@@ -502,11 +500,12 @@ def _monotonicity_records(step, digest: str) -> list[VerificationRecord]:
     return out
 
 
-def _split_record(claim: str, step, start: float, statement: str) -> VerificationRecord:
-    """A reduction step splits the vertices of g exactly into the contracted
-    part and the centers."""
+def _split_record(claim: str, digest: str, step, start: float,
+                  statement: str) -> VerificationRecord:
+    """A reduction step splits the vertices of g (whose digest is given)
+    exactly into the contracted part and the centers."""
     whole, split = step.g.n, step.g_contracted.n + step.g_link_centers.n
-    return _timed(claim, instance_digest(step.g), str(whole), str(split),
+    return _timed(claim, digest, str(whole), str(split),
                   "holds" if whole == split else "violated", start, statement=statement)
 
 
@@ -526,8 +525,7 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
                                  factor_size=rng.randint(2, 6),
                                  seed=rng.randrange(2 ** 32))
             _, g = generate(spec)
-            records.append(check_log_bound(g))
-            records.append(check_splitting_step(g))
+            records.extend(check_thm4(g))
         return records
 
     if suite == "thm5":
@@ -564,15 +562,17 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
             u, v = rng.choice(f.edges)
             start = time.monotonic()
             step = reduce_edge(g, i, u, v)
-            records.append(_split_record("Lem10", step, start,
+            digest = instance_digest(g)
+            records.append(_split_record("Lem10", digest, step, start,
                                          "vertex and edge counting split"))
-            records.extend(_monotonicity_records(step, instance_digest(g)))
+            records.extend(_monotonicity_records(step, digest))
             oct_space = ProductSpace([octahedron(2)] +
                                      [random_factor(rng, "path", 3)])
             og = random_subgraph(rng, oct_space)
             start = time.monotonic()
             ostep = reduce_opposite_pair(og, 0, rng.randrange(4))
-            records.append(_split_record("Lem16", ostep, start, "octahedral counting split"))
+            records.append(_split_record("Lem16", instance_digest(og), ostep, start,
+                                         "octahedral counting split"))
         return records
 
     if suite == "classes":

@@ -17,6 +17,7 @@ that its witness reaches.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -132,6 +133,16 @@ def connected_partitions(g: FactorGraph) -> tuple[Partition, ...]:
     return tuple(_partitions(g, frozenset(range(g.n))))
 
 
+@lru_cache(maxsize=1 << 10)
+def _stream_record(g: FactorGraph, hits: frozenset) -> list:
+    """The record of the stream `_partitions(g, hits)` as a minor scan
+    reads it, empty until some scan reads the stream to its end: the option
+    keys (each `part_of` as g.n bytes) concatenated, the part count of each
+    option as bytes, and the units the stream charged before each option
+    and after the last one."""
+    return []
+
+
 def quotient_graph(g: FactorGraph, parts: Partition) -> FactorGraph:
     """Contract each part to a single vertex; parts are indexed by their
     position in `parts`."""
@@ -224,17 +235,7 @@ def shatters_subproduct(g: ProductSubgraph, sub: Subproduct, cap: int = 10 ** 6)
     _require_induced(g)
     if sub.num_vertices() > cap:
         raise GraphError(f"subproduct too large to materialize (> {cap})")
-    tr = trace(g, sub)
-    full = set(sub.vertices())
-    if tr != full:
-        return False
-    # cross-check: with a full trace the projection's edges are exactly the
-    # subproduct's own edges
-    from .products import projection
-    _, proj_edges = projection(g, sub)
-    sp = sub.materialized()
-    assert len(proj_edges) == sp.num_edges
-    return True
+    return len(trace(g, sub)) == sub.num_vertices()
 
 
 def shatters_minor(g: ProductSubgraph, mp: MinorPartition) -> bool:
@@ -277,10 +278,11 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
     order.  Only the wanted maxima are sought, the dimension when `dims`
     and the density when `density` is given; the others come back None.
 
-    `options(i, f, spend)` yields the options of factor f = factors[i] as
-    (key, label of each vertex of f, t), labels in range(t); label t drops
-    the vertex.  A choice is shattered when the vertices of g that no option
-    drops carry every combination of labels.  This marginalizes, so the scan
+    `options(i, f, spend, left)` yields the options of factor f =
+    factors[i] as (key, label of each vertex of f, t), labels in range(t);
+    label t drops the vertex, and `left()` reads the budget left.  A choice
+    is shattered when the vertices of g that no option drops carry every
+    combination of labels.  This marginalizes, so the scan
     keeps a prefix's cells, each the set of vertices of g (a bitmask) whose
     labels so far match one combination, in signature order (cell-major,
     label-minor).  An option's label j covers the vertices whose coordinate
@@ -357,7 +359,7 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
         return ((not dims or nontrivial + min(wide[i], p.bit_length() - 1) <= d)
                 and (density is None or total + most_density(i, p) <= s))
 
-    streams = [options(i, f, spend) for i, f in enumerate(factors)]
+    streams = [options(i, f, spend, lambda: left) for i, f in enumerate(factors)]
     kept: list[list] = [[] for _ in range(m)]
     combo: list = [None] * m
     d, d_combo, s, s_combo = 0, None, 0, None
@@ -432,7 +434,7 @@ def vcd_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
     _require_induced(g)
     vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
-    def options(i: int, f: FactorGraph, spend) -> Iterator[tuple[tuple, list[int], int]]:
+    def options(i: int, f: FactorGraph, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
         for a, b in f.edges:
             if a in vals[i] and b in vals[i]:
                 yield (a, b), [0 if v == a else 1 if v == b else 2 for v in range(f.n)], 2
@@ -455,7 +457,7 @@ def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
     factors = g.space.factors
     vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
-    def options(i: int, f: FactorGraph, spend) -> Iterator[tuple[tuple, list[int], int]]:
+    def options(i: int, f: FactorGraph, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
         yield (), [0] * f.n, 1  # skip the factor
         for seed in sorted(vals[i]):
             above = frozenset(v for v in vals[i] if v >= seed)
@@ -489,21 +491,56 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
     wanted quantities are sought, vcd* when `dims` and vcdens* when `dens`
     (a density-free scan solves no flows); the others come back as None.
     The budget also counts one unit per vertex or edge read by the
-    connectivity tests that build parts.  When it runs out, the induced
-    witnesses (`induced()` gives the pair, None for one not wanted; by
-    default the wanted ones are computed), grown into partitions, replace
-    the scan's witnesses they beat.  Each value is the one its witness
-    reaches.
+    connectivity tests that build parts.
+
+    A factor f with fewer than 256 vertices has its stream of partitions
+    enumerated once per set of coordinates of g in f: a scan that reads it
+    to its end stores it in `_stream_record`, at about |V(f)| + 9 bytes per
+    option, and later scans replay it, charging each option's units just
+    before it and the rest after the last.  Charges are never negative and
+    the scan changes nothing while a stream advances, so a budget runs out
+    at the option where a fresh enumeration would, and results are those
+    of a fresh enumeration at every budget.
+
+    When the budget runs out, the induced witnesses (`induced()` gives the
+    pair, None for one not wanted; by default the wanted ones are
+    computed), grown into partitions, replace the scan's witnesses they
+    beat.  Each value is the one its witness reaches.
     """
     _require_induced(g)
     factors = g.space.factors
     hits = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
-    def options(i: int, f: FactorGraph, spend) -> Iterator[tuple[bytes, list[int], int]]:
+    def options(i: int, f: FactorGraph, spend, left) -> Iterator[tuple[bytes, bytes, int]]:
+        n = f.n
+        record = _stream_record(f, hits[i]) if n < 256 else None
+        if record:  # replay: each option's units, then the option
+            keys, counts, charges = record
+            at = 0
+            for t, units in zip(counts, charges):
+                spend(units)
+                key = keys[at:at + n]
+                at += n
+                yield key, key, t
+            spend(charges[-1])
+            return
+        keys, counts, charges = bytearray(), bytearray(), array("q")
+        mark = left()
         for parts in _partitions(f, hits[i], spend):
-            index = {v: j for j, p in enumerate(parts) for v in p}
-            part_of = [index[v] for v in range(f.n)]
-            yield (bytes if len(parts) < 256 else tuple)(part_of), part_of, len(parts)
+            part_of = [0] * n
+            for j, part in enumerate(parts):
+                for v in part:
+                    part_of[v] = j
+            key = (bytes if len(parts) < 256 else tuple)(part_of)
+            if record is not None:
+                charges.append(mark - left())
+                keys += key
+                counts.append(len(parts))
+            yield key, key, len(parts)
+            mark = left()
+        if record is not None:
+            charges.append(mark - left())
+            record[:] = bytes(keys), bytes(counts), charges
 
     def density(i: int, part_of, spend) -> Fraction:
         return _partition_density(factors[i], part_of)

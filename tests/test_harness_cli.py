@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from prodvc.cli import build_parser, main
 from prodvc.graph import FactorGraph, complete_graph, path_graph, to_edgelist
 from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_sum,
-                            check_log_bound, check_splitting_step, fuzz_records,
+                            check_thm4, fuzz_records,
                             generate, instance_digest, random_factor,
                             report_to_json, resolve_mu, run_suite)
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, hypercube,
@@ -125,10 +125,11 @@ def test_single_checks():
     assert rec.verdict == "holds" and rec.claim == "Lem2"
     sp = ProductSpace([path_graph(3), path_graph(3)])
     g = sp.materialize()
-    assert check_log_bound(g).verdict == "holds"
-    assert check_splitting_step(g).verdict == "holds"
+    assert [(r.claim, r.verdict) for r in check_thm4(g)] == [("Thm4", "holds"),
+                                                             ("Thm4-split", "holds")]
     one = ProductSubgraph(sp, [(0, 0)], induced=True)
-    assert check_log_bound(one).verdict == "holds"  # vacuous single vertex
+    assert [(r.claim, r.verdict) for r in check_thm4(one)] == [  # vacuous single vertex
+        ("Thm4", "holds"), ("Thm4-split", "holds")]
 
 
 def test_fuzz_archives_reproducers():

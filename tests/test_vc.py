@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from math import prod
 
 import pytest
 
@@ -10,10 +11,11 @@ from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           induced_subgraph, is_connected, path_graph, star_graph)
 from prodvc.harness import GeneratorSpec, generate, random_factor
 from prodvc.products import ProductSpace, ProductSubgraph, Subproduct, hypercube
+from prodvc import vc
 from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _induced_ceilings, _minor_ceilings,
-                       _partitions, compute_vc_report, connected_partitions, minor_search,
-                       quotient_graph, shatters_minor, shatters_subproduct, vcd_induced,
-                       vcd_minor, vcd_set_system, vcdens_induced, vcdens_minor)
+                       _partitions, _stream_record, compute_vc_report, connected_partitions,
+                       minor_search, quotient_graph, shatters_minor, shatters_subproduct,
+                       vcd_induced, vcd_minor, vcd_set_system, vcdens_induced, vcdens_minor)
 
 PATH_IN_Q4 = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
 PATH_IN_Q3 = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0)]
@@ -84,6 +86,24 @@ def test_shattering_subproduct():
     g = ProductSubgraph(sp, [(0, 0), (0, 1), (1, 0), (1, 1)], induced=True)
     assert shatters_subproduct(g, Subproduct(sp, {0: (0, 1), 1: (0, 1)}))
     assert not shatters_subproduct(g, Subproduct(sp, {0: (1, 2), 1: (0, 1)}))
+
+
+def test_shattering_subproduct_matches_trace_count():
+    # a subproduct is shattered iff the coordinates of g, restricted to its
+    # factors' chosen vertices, take every combination of them
+    rng = random.Random(44)
+    for sp in (hypercube(4), ProductSpace([complete_graph(3), path_graph(3)])):
+        every = list(sp.vertices())
+        selections = [[s for k in range(2, f.n + 1) for s in combinations(range(f.n), k)
+                       if is_connected(induced_subgraph(f, s)[0])] for f in sp.factors]
+        for _ in range(60):
+            g = ProductSubgraph(sp, rng.sample(every, rng.randint(1, len(every))), induced=True)
+            picked = rng.sample(range(sp.m), rng.randint(1, sp.m))
+            chosen = {i: rng.choice(selections[i]) for i in sorted(picked)}
+            traces = {tuple(v[i] for i in chosen) for v in g.vertices
+                      if all(v[i] in vals for i, vals in chosen.items())}
+            assert shatters_subproduct(g, Subproduct(sp, chosen)) == (
+                len(traces) == prod(map(len, chosen.values())))
 
 
 def test_vc_requires_induced():
@@ -186,6 +206,72 @@ def test_heuristic_mode_is_lower_bound():
         assert shatters_minor(g, s_mp) and s_mp.minor_density() == s
         budget += 1
     assert budget > 1 and (d, s) == (exact_d, exact_s)
+
+
+def clear_vc_caches():
+    """Start as cold as a fresh process: no stream records, no densities."""
+    for obj in vars(vc).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def minor_result(g, budget, **kw):
+    d, d_mp, s, s_mp, exact = minor_search(g, budget, **kw)
+    return d, d_mp and d_mp.parts, s, s_mp and s_mp.parts, exact
+
+
+def test_replayed_streams_give_the_results_of_fresh_ones():
+    budgets = (0, 7, 50, 300, 1000, 5000, DEFAULT_BUDGET)
+    bounded = 0
+    for seed in range(110):
+        _, g = generate(GeneratorSpec(m=1 + seed % 3, seed=seed))
+        cold = []
+        for budget in budgets:
+            clear_vc_caches()
+            cold.append(minor_result(g, budget))
+        assert cold[-1][-1]  # the full scan is exact, so it records every stream it read
+        assert [minor_result(g, budget) for budget in budgets] == cold
+        bounded += sum(not result[-1] for result in cold)
+    assert bounded > 100
+
+
+def test_a_scan_that_runs_out_records_no_stream():
+    g = ProductSpace([path_graph(22), complete_graph(2)]).materialize()
+    hits = frozenset(range(22))
+    no_fallback = {"induced": lambda: (None, None)}
+    clear_vc_caches()
+    cold = minor_result(g, DEFAULT_BUDGET, **no_fallback)
+    assert not cold[-1] and not _stream_record(path_graph(22), hits)
+    clear_vc_caches()
+    assert not minor_result(g, 1000, **no_fallback)[-1]
+    assert not _stream_record(path_graph(22), hits)
+    assert _stream_record(complete_graph(2), frozenset({0, 1}))  # read to its end
+    assert minor_result(g, DEFAULT_BUDGET, **no_fallback) == cold
+
+
+def exact_from(g, cold: bool) -> int:
+    """The least budget at which the minor scan of g is exact, that is, the
+    units a full scan charges."""
+    low, high = 0, DEFAULT_BUDGET
+    while low < high:
+        mid = (low + high) // 2
+        if cold:
+            clear_vc_caches()
+        if minor_search(g, mid, induced=lambda: (None, None))[-1]:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
+def test_replayed_streams_charge_what_fresh_ones_do():
+    graphs = [ProductSubgraph(grid_space(), GRID_FIVE, induced=True)]
+    graphs += [generate(GeneratorSpec(m=2 + seed % 2, seed=seed))[1] for seed in range(8)]
+    for g in graphs:
+        clear_vc_caches()
+        fresh = exact_from(g, cold=True)
+        minor_search(g)
+        assert fresh > 0 and exact_from(g, cold=False) == fresh
 
 
 def naive_minor_values(g):
