@@ -363,6 +363,4 @@ def suboctahedron_structure(g: FactorGraph) -> Optional[SuboctahedronInfo]:
                 pairs.append((v, missing[0]))
         else:
             universal.append(v)
-    info = SuboctahedronInfo(tuple(pairs), tuple(universal))
-    assert info.omega == clique_number(g)
-    return info
+    return SuboctahedronInfo(tuple(pairs), tuple(universal))

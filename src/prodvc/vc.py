@@ -26,8 +26,7 @@ from math import lcm, prod
 from typing import Iterable, Iterator, Optional
 
 from .density import densest_subgraph
-from .graph import (FactorGraph, GraphError, connected_components, induced_subgraph,
-                    is_connected)
+from .graph import FactorGraph, GraphError, connected_components, induced_subgraph
 from .products import ProductSpace, ProductSubgraph, Subproduct, trace
 
 DEFAULT_BUDGET = 10_000_000  # work units of each VC scan; see `_scan`
@@ -179,6 +178,24 @@ def _quotient_density(quotient: FactorGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 # minor partitions
 
+def _is_connected_part(f: FactorGraph, part: frozenset) -> bool:
+    """True iff the nonempty `part` induces a connected subgraph of f, by one
+    walk of f's adjacency inside it; a member outside range(f.n) has no
+    neighbours, so only a singleton part may hold one."""
+    if len(part) == 1:
+        return True
+    start = min(part)
+    if not 0 <= start < f.n:
+        return False
+    seen, stack = {start}, [start]
+    while stack:
+        for w in f.adj[stack.pop()]:
+            if w in part and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(part)
+
+
 class MinorPartition:
     """Per-factor partitions into connected parts, defining a minor of each
     factor and hence a minor-subproduct."""
@@ -196,8 +213,7 @@ class MinorPartition:
                 if not p or (seen & p):
                     raise GraphError(f"factor {i}: parts must be nonempty and disjoint")
                 seen |= p
-                sub, _ = induced_subgraph(f, p)
-                if not is_connected(sub):
+                if not _is_connected_part(f, p):
                     raise GraphError(f"factor {i}: part {sorted(p)} is not connected")
             if seen != set(range(f.n)):
                 raise GraphError(f"factor {i}: parts must cover all vertices")
@@ -251,16 +267,18 @@ def shatters_minor(g: ProductSubgraph, mp: MinorPartition) -> bool:
 # ---------------------------------------------------------------------------
 # the scan behind vcdens, vcd* and vcdens*
 
-def _minor_ceilings(f: FactorGraph, h: int) -> list[Fraction]:
+@lru_cache(maxsize=1 << 10)
+def _minor_ceilings(f: FactorGraph, h: int) -> tuple[Fraction, ...]:
     """Entry t, for t <= h, bounds the density of any graph on t vertices
     that is a minor of the connected graph f, such as a subgraph of f: a
     densest subgraph of it on u <= t vertices has at most u(u-1)/2 edges,
     at most |E(f)|, and at most u - 1 + c edges, since c = |E(f)| - |V(f)|
-    + 1, the cyclomatic number of f, bounds its own."""
+    + 1, the cyclomatic number of f, bounds its own.  The row depends on
+    (f, h) alone, so every scan of f with h coordinates shares one."""
     row = [Fraction(0), Fraction(0)]
     for u in range(2, h + 1):
         row.append(max(row[-1], Fraction(min(u * (u - 1) // 2, f.m, u + f.m - f.n), u)))
-    return row
+    return tuple(row)
 
 
 def _induced_ceilings(f: FactorGraph, vals: frozenset) -> list[Fraction]:

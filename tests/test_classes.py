@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -195,6 +196,44 @@ def test_clique_number():
         h = nx.Graph(g.edges)
         h.add_nodes_from(range(g.n))
         assert clique_number(g) == max(len(c) for c in nx.find_cliques(h))
+
+
+def matchings(vertices):
+    """Every matching of the complete graph on `vertices`, each once."""
+    if len(vertices) < 2:
+        yield ()
+        return
+    v, rest = vertices[0], vertices[1:]
+    yield from matchings(rest)  # v unmatched
+    for j, w in enumerate(rest):
+        for m in matchings(rest[:j] + rest[j + 1:]):
+            yield ((v, w),) + m
+
+
+def test_suboctahedron_omega_is_the_clique_number():
+    # the structure proves omega = pairs + universal vertices, so nothing
+    # checks it at run time; every K_n minus a matching for n <= 9, and
+    # seeded random ones up to n = 12, against clique_number and networkx
+    try:
+        import networkx as nx
+    except ImportError:
+        nx = None
+    rng = random.Random(1616)
+    graphs = [(n, m) for n in range(1, 10) for m in matchings(tuple(range(n)))]
+    for _ in range(200):
+        n = rng.randint(10, 12)
+        order = rng.sample(range(n), n)
+        graphs.append((n, tuple(zip(order[0::2], order[1::2]))[:rng.randint(0, n // 2)]))
+    assert len(graphs) > 3700
+    for n, missing in graphs:
+        g = FactorGraph(n, [e for e in combinations(range(n), 2)
+                            if e not in missing and e[::-1] not in missing])
+        info = suboctahedron_structure(g)
+        assert info.omega == clique_number(g) == n - len(missing)
+        if nx is not None:
+            h = nx.Graph(g.edges)
+            h.add_nodes_from(range(n))
+            assert info.omega == max(len(c) for c in nx.find_cliques(h))
 
 
 def test_suboctahedron_structure():

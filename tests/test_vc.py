@@ -81,6 +81,80 @@ def test_minor_partition_validation():
         MinorPartition(sp, [[{0, 1, 2}]])  # wrong arity
 
 
+def induced_check_message(space, parts):
+    """The oracle for `MinorPartition`'s checks, as made before the walk:
+    each part's induced subgraph built and tested with `is_connected`.
+    Returns the `GraphError` message, or None for a valid family."""
+    parts = tuple(tuple(frozenset(p) for p in factor_parts) for factor_parts in parts)
+    if len(parts) != space.m:
+        return "one partition per factor required"
+    for i, factor_parts in enumerate(parts):
+        f = space.factors[i]
+        seen = set()
+        for p in factor_parts:
+            if not p or (seen & p):
+                return f"factor {i}: parts must be nonempty and disjoint"
+            seen |= p
+            if not is_connected(induced_subgraph(f, p)[0]):
+                return f"factor {i}: part {sorted(p)} is not connected"
+        if seen != set(range(f.n)):
+            return f"factor {i}: parts must cover all vertices"
+    return None
+
+
+def random_part_family(rng, f):
+    """Parts for f: a connected partition, a random grouping, or either one
+    damaged by an empty, overlapping, dropped, negative or out-of-range part."""
+    n = f.n
+    if rng.random() < 0.5:
+        parts = [set(p) for p in rng.choice(connected_partitions(f))]
+    else:
+        groups = rng.randint(1, n)
+        parts = [set() for _ in range(groups)]
+        for v in range(n):
+            parts[rng.randrange(groups)].add(v)
+        parts = [p for p in parts if p]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        damage = rng.randrange(6)
+        if damage == 0:
+            parts.insert(rng.randint(0, len(parts)), set())
+        elif damage == 1 and parts:
+            rng.choice(parts).add(rng.randrange(n))  # may overlap another part
+        elif damage == 2 and any(parts):
+            part = rng.choice([p for p in parts if p])
+            part.discard(rng.choice(sorted(part)))  # may empty it or uncover a vertex
+        elif damage == 3:
+            parts.append({rng.choice((-1, -2, n, n + 1))})  # singleton outside range(n)
+        elif parts:
+            rng.choice(parts).add(rng.choice((-1, n, n + 3)))
+    return parts
+
+
+def test_minor_partition_matches_the_induced_subgraph_oracle():
+    rng = random.Random(715)
+    outcomes = {}
+    for _ in range(12_000):
+        factors = [random_factor(rng, rng.choice(("path", "cycle", "tree", "clique")), 6)
+                   for _ in range(rng.randint(1, 3))]
+        space = ProductSpace(factors)
+        parts = [random_part_family(rng, f) for f in factors]
+        if rng.random() < 0.02:
+            parts = parts[:-1] if rng.random() < 0.5 else parts + [[{0}]]
+        want = induced_check_message(space, parts)
+        try:
+            mp = MinorPartition(space, parts)
+            got = None
+        except GraphError as exc:
+            got = str(exc)
+        assert got == want, (factors, parts)
+        if got is None:
+            assert mp.parts == tuple(tuple(map(frozenset, fp)) for fp in parts)
+        kind = got and got.split(": ")[-1].split(" ")[-1]
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # every outcome is met often: valid, arity, overlap, disconnected, uncovered
+    assert len(outcomes) == 5 and min(outcomes.values()) > 100, outcomes
+
+
 def test_shattering_subproduct():
     sp = grid_space()
     g = ProductSubgraph(sp, [(0, 0), (0, 1), (1, 0), (1, 1)], induced=True)
@@ -493,6 +567,26 @@ def test_density_ceilings_bound_every_option():
         for parts in _partitions(f, vals):
             quotient = quotient_graph(f, parts)
             assert densest_subgraph_bruteforce(quotient).density <= minor[len(parts)]
+
+
+def test_minor_ceilings_are_one_shared_tuple_per_factor_and_count():
+    row = _minor_ceilings(star_graph(3), 3)
+    assert type(row) is tuple and row == (0, 0, Fraction(1, 2), Fraction(2, 3))
+    assert _minor_ceilings(star_graph(3), 3) is row
+
+
+def test_vc_reports_with_cold_and_warm_ceilings_agree():
+    graphs = [generate(GeneratorSpec(m=1 + seed % 3, seed=seed))[1] for seed in range(110)]
+    cold = []
+    for g in graphs:
+        _minor_ceilings.cache_clear()
+        cold.append(report_digest([compute_vc_report(g)]))
+    for g in graphs:  # every row any of them asks for is cached
+        compute_vc_report(g)
+    misses = _minor_ceilings.cache_info().misses
+    warm = [report_digest([compute_vc_report(g)]) for g in graphs]
+    assert _minor_ceilings.cache_info().misses == misses > 10
+    assert warm == cold
 
 
 def assert_matches_oracles(g):
