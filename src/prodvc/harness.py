@@ -90,7 +90,7 @@ def random_subgraph(rng: random.Random, space: ProductSpace,
         while len(picked) < size:
             picked.add(tuple(rng.randrange(f.n) for f in space.factors))
         chosen = sorted(picked)
-    return ProductSubgraph(space, chosen, induced=True)
+    return ProductSubgraph(space, chosen)
 
 
 def instance_digest(g: ProductSubgraph) -> str:
@@ -104,7 +104,6 @@ class GeneratorSpec:
     family: str = "mixed"
     m: int = 2
     factor_size: int = 5
-    induced: bool = True
     seed: int = 0
 
 
@@ -119,11 +118,7 @@ def generate(spec: GeneratorSpec) -> tuple[ProductSpace, ProductSubgraph]:
         fam = rng.choice(FAMILIES) if spec.family == "mixed" else spec.family
         factors.append(random_factor(rng, fam, spec.factor_size))
     space = ProductSpace(factors)
-    g = random_subgraph(rng, space)
-    if not spec.induced:
-        kept = [e for e in sorted(g.edges) if rng.random() < 0.7]
-        g = ProductSubgraph(space, g.vertices, edges=kept, induced=False)
-    return space, g
+    return space, random_subgraph(rng, space)
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +273,14 @@ def check_hypercube_bound(g: ProductSubgraph) -> VerificationRecord:
                   statement="|E|/|V| <= vcd for induced hypercube subgraphs")
 
 
-def projection_degree_bound(g: ProductSubgraph) -> int:
-    """ceil of the largest maximum average degree among the factor
-    projections of g."""
-    worst = Fraction(0)
-    for i in range(g.space.m):
-        proj, _ = project_factor(g, i)
-        if proj.n:
-            worst = max(worst, mad(proj))
-    return math.ceil(worst)
-
-
 def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
     """Theorem 4 on g, as two records.
 
-    Thm4: |E|/|V| <= b0 * log2(|V|) with b0 the projection degree bound,
-    and b0 <= b (the same bound over the whole factors).  The logarithmic
-    comparison is done exactly as 2^|E| <= |V|^(b0*|V|).
+    Thm4: |E|/|V| <= b0 * log2(|V|) with b0 the projection degree bound
+    (the ceiling of the largest maximum average degree among the factor
+    projections of g), and b0 <= b (the same bound over the whole
+    factors).  The logarithmic comparison is done exactly as
+    2^|E| <= |V|^(b0*|V|).
 
     Thm4-split: one step of the halving argument.  Fixing a low-degree
     coordinate value of some projection cuts off at most b0 edges per cut
@@ -303,7 +289,8 @@ def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
     start = time.monotonic()
     digest = instance_digest(g)
     n = g.n
-    b0 = projection_degree_bound(g)
+    projections = [project_factor(g, i) for i in range(g.space.m)]
+    b0 = math.ceil(max((mad(p) for p, _ in projections if p.n), default=Fraction(0)))
     b = math.ceil(max((mad(f) for f in g.space.factors), default=Fraction(0)))
     if n == 1:
         ok = g.num_edges == 0
@@ -315,12 +302,8 @@ def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
                        verdict, start, b0=b0, b=b, b0_from_densities=b0,
                        statement="|E|/|V| <= b0*log2(n) and b0 <= b")
     start = time.monotonic()
-    pick = None
-    for i in range(g.space.m):
-        proj, remap = project_factor(g, i)
-        if proj.n >= 2:
-            pick = (i, proj, remap)
-            break
+    pick = next(((i, proj, remap) for i, (proj, remap) in enumerate(projections)
+                 if proj.n >= 2), None)
     if pick is None:
         return [log_bound, _timed("Thm4-split", digest, "0", "0", "holds", start,
                                   note="all projections trivial")]
@@ -345,13 +328,16 @@ MU_PRESETS = {"tree": 2, "planar": 6, "k4-minor-free": 4}
 
 
 def resolve_mu(mu) -> int:
-    if isinstance(mu, str):
-        key = mu.strip().lower()
-        if key not in MU_PRESETS:
-            raise GraphError(f"unknown density class {mu!r}; "
-                             f"presets: {sorted(MU_PRESETS)}")
+    """mu as a positive int, from an int, a string of decimal digits or the
+    name of a preset in MU_PRESETS."""
+    key = mu.strip().lower() if isinstance(mu, str) else mu
+    if key in MU_PRESETS:
         return MU_PRESETS[key]
-    mu = int(mu)
+    try:
+        mu = int(key)
+    except ValueError:
+        raise GraphError(f"unknown density class {mu!r}; "
+                         f"presets: {sorted(MU_PRESETS)}") from None
     if mu < 1:
         raise GraphError("mu must be a positive integer")
     return mu
@@ -529,13 +515,14 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
         return records
 
     if suite == "thm5":
+        mu = resolve_mu(mu) if mu is not None else None
         for t in range(trials):
             family = ("tree", "chordal")[t % 2]
             spec = GeneratorSpec(family=family, m=rng.randint(1, 3),
                                  factor_size=rng.randint(2, 5), seed=rng.randrange(2 ** 32))
             space, g = generate(spec)
             if mu is not None:
-                trial_mu = resolve_mu(mu)
+                trial_mu = mu
             elif family == "tree":
                 trial_mu = 2
             else:

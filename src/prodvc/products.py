@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .graph import FactorGraph, GraphError, complete_graph, induced_subgraph, is_connected
 
 MATERIALIZE_CAP = 10 ** 6
 
 Coord = tuple[int, ...]
-Edge = tuple[Coord, Coord]
 
 
 class ProductSpace:
@@ -54,13 +53,6 @@ class ProductSpace:
         if not self.is_vertex(tuple(v)):
             raise GraphError(f"{v} is not a vertex of this product")
 
-    def is_edge(self, x: Coord, y: Coord) -> bool:
-        diff = [i for i in range(self.m) if x[i] != y[i]]
-        if len(diff) != 1:
-            return False
-        i = diff[0]
-        return self.factors[i].has_edge(x[i], y[i])
-
     def edge_factor(self, x: Coord, y: Coord) -> int:
         """Index of the single coordinate in which the edge xy changes."""
         diff = [i for i in range(self.m) if x[i] != y[i]]
@@ -76,21 +68,16 @@ class ProductSpace:
 
     def materialize(self, cap: int = MATERIALIZE_CAP) -> "ProductSubgraph":
         verts = frozenset(self.vertices(cap))
-        return ProductSubgraph(self, verts, induced=True)
-
-
-def _norm_edge(x: Coord, y: Coord) -> Edge:
-    return (x, y) if x <= y else (y, x)
+        return ProductSubgraph(self, verts)
 
 
 class ProductSubgraph:
-    """A subgraph of a product: explicit vertex tuples, explicit edges, and
-    an `induced` flag.  Edges are validated to be product edges."""
+    """The subgraph of a product induced by a set of vertex tuples: its
+    edges are every product edge between two of them."""
 
-    __slots__ = ("space", "vertices", "edges", "induced")
+    __slots__ = ("space", "vertices", "edges")
 
-    def __init__(self, space: ProductSpace, vertices: Iterable[Coord],
-                 edges: Optional[Iterable[Edge]] = None, induced: bool = True):
+    def __init__(self, space: ProductSpace, vertices: Iterable[Coord]):
         self.space = space
         verts = frozenset(map(tuple, vertices))
         factors = space.factors
@@ -105,35 +92,19 @@ class ProductSubgraph:
             for v in verts:
                 space.check_vertex(v)
         self.vertices = verts
-        if induced:
-            if edges is not None:
-                raise GraphError("induced subgraphs derive their own edge set")
-            # A vertex's lexicographic rank is sum(v[i] * stride_i); an edge of
-            # factor i from c up to w > c raises it by (w - c) * stride_i, so
-            # each induced edge is found once, from its smaller end.
-            strides = [1] * m
-            for i in range(m - 1, 0, -1):
-                strides[i - 1] = strides[i] * factors[i].n
-            rank = {sum(map(mul, v, strides)): v for v in verts}
-            found = []
-            for i, (f, cs, s) in enumerate(zip(factors, hit, strides)):
-                up = {c: [(w - c) * s for w in f.adj[c] if w > c] for c in cs}
-                found.extend((v, u) for r, v in rank.items() for d in up[v[i]]
-                             if (u := rank.get(r + d)) is not None)
-            self.edges = frozenset(found)
-        else:
-            if edges is None:
-                raise GraphError("non-induced subgraphs need an explicit edge set")
-            norm = set()
-            for x, y in edges:
-                x, y = tuple(x), tuple(y)
-                if x not in verts or y not in verts:
-                    raise GraphError(f"edge {x}-{y} leaves the vertex set")
-                if not space.is_edge(x, y):
-                    raise GraphError(f"{x}-{y} is not a product edge")
-                norm.add(_norm_edge(x, y))
-            self.edges = frozenset(norm)
-        self.induced = induced
+        # A vertex's lexicographic rank is sum(v[i] * stride_i); an edge of
+        # factor i from c up to w > c raises it by (w - c) * stride_i, so
+        # each induced edge is found once, from its smaller end.
+        strides = [1] * m
+        for i in range(m - 1, 0, -1):
+            strides[i - 1] = strides[i] * factors[i].n
+        rank = {sum(map(mul, v, strides)): v for v in verts}
+        found = []
+        for i, (f, cs, s) in enumerate(zip(factors, hit, strides)):
+            up = {c: [(w - c) * s for w in f.adj[c] if w > c] for c in cs}
+            found.extend((v, u) for r, v in rank.items() for d in up[v[i]]
+                         if (u := rank.get(r + d)) is not None)
+        self.edges = frozenset(found)
 
     @property
     def n(self) -> int:
@@ -150,7 +121,7 @@ class ProductSubgraph:
         return FactorGraph(len(idx), edges), idx
 
     def __repr__(self):
-        return f"<ProductSubgraph n={self.n} m={self.num_edges} induced={self.induced}>"
+        return f"<ProductSubgraph n={self.n} m={self.num_edges}>"
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +181,7 @@ class Subproduct:
             remaps.append(remap)
         small = ProductSpace(factors)
         verts = [tuple(remaps[j][c] for j, c in enumerate(v)) for v in self.vertices()]
-        return ProductSubgraph(small, verts, induced=True)
+        return ProductSubgraph(small, verts)
 
 
 def fiber(space: ProductSpace, sub: Subproduct, anchor: Coord) -> Callable[[Coord], bool]:
@@ -307,20 +278,18 @@ def octahedron(d: int) -> FactorGraph:
 # JSON instance interchange format
 
 def instance_to_json(g: ProductSubgraph) -> str:
-    order = sorted(g.vertices)
-    pos = {v: i for i, v in enumerate(order)}
     doc = {
         "factors": [{"n": f.n, "edges": [list(e) for e in f.edges]} for f in g.space.factors],
-        "vertices": [list(v) for v in order],
+        "vertices": [list(v) for v in sorted(g.vertices)],
+        "induced": True,
     }
-    if g.induced:
-        doc["induced"] = True
-    else:
-        doc["edges"] = sorted([pos[x], pos[y]] for x, y in g.edges)
     return json.dumps(doc, sort_keys=True)
 
 
 def instance_from_json(text: str) -> ProductSubgraph:
+    """The instance `instance_to_json` writes: factors, vertex tuples and
+    `"induced": true`, since an instance is the subgraph induced by its
+    vertices."""
     doc = json.loads(text)
     try:
         factors = [FactorGraph(f["n"], [tuple(e) for e in f["edges"]]) for f in doc["factors"]]
@@ -333,18 +302,7 @@ def instance_from_json(text: str) -> ProductSubgraph:
             verts.append(v)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed instance: {exc}")
-    if doc.get("induced"):
-        return ProductSubgraph(space, verts, induced=True)
-    if "edges" not in doc:
-        raise GraphError("instance needs either induced:true or an edge list")
-    pairs = doc["edges"]
-    if not isinstance(pairs, list):
-        raise GraphError("instance edges must be a list of vertex index pairs")
-    edges = []
-    for e in pairs:
-        if not (isinstance(e, list) and len(e) == 2
-                and all(type(k) is int and 0 <= k < len(verts) for k in e)):
-            raise GraphError(f"edge {e!r} is not a pair of vertex indices "
-                             f"in 0..{len(verts) - 1}")
-        edges.append((verts[e[0]], verts[e[1]]))
-    return ProductSubgraph(space, verts, edges=edges, induced=False)
+    if not doc.get("induced"):
+        raise GraphError('an instance must set "induced": true; it is the subgraph '
+                         'induced by its vertices')
+    return ProductSubgraph(space, verts)

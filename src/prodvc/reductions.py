@@ -14,11 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .graph import (FactorGraph, GraphError, contract_edge, induced_subgraph, star_graph,
                     star_of_edge)
-from .products import Coord, ProductSpace, ProductSubgraph, _norm_edge
+from .products import Coord, ProductSpace, ProductSubgraph
 
 
 def _with_coord(v: Coord, i: int, c: int) -> Coord:
@@ -68,7 +67,7 @@ def _classify_edges(g: ProductSubgraph, i: int, cmap: dict[Coord, Coord],
         if hx == hy:
             collapsed += 1
             continue
-        key = _norm_edge(hx, hy)
+        key = (hx, hy) if hx <= hy else (hy, hx)
         if images[key]:
             if x[i] != y[i]:
                 triangle += 1
@@ -91,7 +90,7 @@ def _reduce(g: ProductSubgraph, i: int, u: int, v: int, f_hat: FactorGraph,
     vertices at a leaf beside a center."""
     hat_space = ProductSpace(g.space.factors[:i] + (f_hat,) + g.space.factors[i + 1:])
     cmap = {w: _with_coord(w, i, phi[w[i]]) for w in g.vertices}
-    g_contracted = ProductSubgraph(hat_space, set(cmap.values()), induced=True)
+    g_contracted = ProductSubgraph(hat_space, set(cmap.values()))
 
     tilde_space = ProductSpace(g.space.factors[:i] + (star_graph(len(leaf_of)),)
                                + g.space.factors[i + 1:])
@@ -104,8 +103,8 @@ def _reduce(g: ProductSubgraph, i: int, u: int, v: int, f_hat: FactorGraph,
         x = w[i]
         if x in leaf_of and _with_coord(w, i, 0) in centers:
             tips.add(_with_coord(w, i, leaf_of[x]))
-    g_link = ProductSubgraph(tilde_space, centers | tips, induced=True)
-    g_link_centers = ProductSubgraph(tilde_space, centers, induced=True)
+    g_link = ProductSubgraph(tilde_space, centers | tips)
+    g_link_centers = ProductSubgraph(tilde_space, centers)
     tip_edges = g_link.edges - g_link_centers.edges
 
     groups = _classify_edges(g, i, cmap, g_contracted)
@@ -126,13 +125,16 @@ def _reduce(g: ProductSubgraph, i: int, u: int, v: int, f_hat: FactorGraph,
     return step
 
 
-def reduce_edge(g: ProductSubgraph, i: int, u: int, v: int) -> ReductionStep:
-    """Reduce an induced subgraph along the edge uv of factor i."""
-    if not g.induced:
-        raise GraphError("reduction operators act on induced subgraphs")
+def _factor(g: ProductSubgraph, i: int) -> FactorGraph:
+    """Factor i of the product of g, which both operators reduce along."""
     if not (0 <= i < g.space.m):
         raise GraphError(f"no factor {i}")
-    f = g.space.factors[i]
+    return g.space.factors[i]
+
+
+def reduce_edge(g: ProductSubgraph, i: int, u: int, v: int) -> ReductionStep:
+    """Reduce an induced subgraph along the edge uv of factor i."""
+    f = _factor(g, i)
     if not f.has_edge(u, v):
         raise GraphError(f"({u},{v}) is not an edge of factor {i}")
     f_hat, phi = contract_edge(f, u, v)
@@ -150,10 +152,10 @@ def reduce_opposite_pair(g: ProductSubgraph, i: int, e: int) -> ReductionStep:
     non-edge (e, e-bar); its other vertices are adjacent to both, so removing
     e-bar and rerouting to e plays the role of the contraction.
     """
-    if not g.induced:
-        raise GraphError("reduction operators act on induced subgraphs")
     from .classes import suboctahedron_structure
-    f = g.space.factors[i]
+    f = _factor(g, i)
+    if not (0 <= e < f.n):
+        raise GraphError(f"vertex {e} is not in factor {i}")
     info = suboctahedron_structure(f)
     if info is None:
         raise GraphError(f"factor {i} is not a spanning subgraph of an octahedron")
@@ -240,8 +242,6 @@ def hypercube_recursion_bound(g: ProductSubgraph) -> int:
     For induced hypercube subgraphs this never exceeds the induced
     VC-dimension, giving |E| <= b * |V|.
     """
-    if not g.induced:
-        raise GraphError("recursion bound applies to induced subgraphs")
     if g.num_edges == 0:
         return 0
     x, y = min(g.edges)

@@ -34,11 +34,6 @@ DEFAULT_BUDGET = 10_000_000  # work units of each VC scan; see `_scan`
 Partition = tuple[frozenset, ...]
 
 
-def _require_induced(g: ProductSubgraph) -> None:
-    if not g.induced:
-        raise GraphError("VC operations require an induced subgraph")
-
-
 # ---------------------------------------------------------------------------
 # connected subsets and connected partitions of a factor
 
@@ -248,7 +243,6 @@ class MinorPartition:
 def shatters_subproduct(g: ProductSubgraph, sub: Subproduct, cap: int = 10 ** 6) -> bool:
     """True iff every vertex of the subproduct has a fiber meeting V(g)
     (equivalently, the projection is the whole subproduct)."""
-    _require_induced(g)
     if sub.num_vertices() > cap:
         raise GraphError(f"subproduct too large to materialize (> {cap})")
     return len(trace(g, sub)) == sub.num_vertices()
@@ -256,7 +250,6 @@ def shatters_subproduct(g: ProductSubgraph, sub: Subproduct, cap: int = 10 ** 6)
 
 def shatters_minor(g: ProductSubgraph, mp: MinorPartition) -> bool:
     """True iff every cell of the product partition contains a vertex of g."""
-    _require_induced(g)
     needed = mp.num_cells()
     if needed > g.n:
         return False
@@ -449,7 +442,6 @@ def vcd_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
     shattered cube-subproduct, from one `_scan` whose options for a factor
     are its edges between coordinate values of g, in `f.edges` order, ends
     labelled 0 and 1 and every other vertex dropped, then "skip"."""
-    _require_induced(g)
     vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
     def options(i: int, f: FactorGraph, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
@@ -471,7 +463,6 @@ def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
     (seed ascending, then bitmask order); a vertex whose coordinate lies
     outside the chosen subset drops out.  Each density solve is charged
     2 + |V| + |E| units of the subgraph."""
-    _require_induced(g)
     factors = g.space.factors
     vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
@@ -499,7 +490,7 @@ def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
 # ---------------------------------------------------------------------------
 # minor VC-dimension and VC-density
 
-def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
+def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, fallback=None,
                  dims: bool = True, dens: bool = True,
                  ) -> tuple[Optional[int], Optional[MinorPartition], Optional[Fraction],
                             Optional[MinorPartition], bool]:
@@ -520,12 +511,11 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
     at the option where a fresh enumeration would, and results are those
     of a fresh enumeration at every budget.
 
-    When the budget runs out, the induced witnesses (`induced()` gives the
+    When the budget runs out, the induced witnesses (`fallback()` gives the
     pair, None for one not wanted; by default the wanted ones are
     computed), grown into partitions, replace the scan's witnesses they
     beat.  Each value is the one its witness reaches.
     """
-    _require_induced(g)
     factors = g.space.factors
     hits = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
@@ -569,7 +559,7 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
     d_mp, s_mp = (c and MinorPartition(g.space, [_parts_of(po) for po in c])
                   for c in (d_combo, s_combo))
     if not exact:
-        w_vcd, w_dens = induced() if induced else (
+        w_vcd, w_dens = fallback() if fallback else (
             vcd_induced(g)[1] if dims else None, vcdens_induced(g)[1] if dens else None)
         if dims:
             grown = _seed_partition_from_edges(g, w_vcd)  # one part per factor if None
@@ -658,7 +648,6 @@ def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> VcRep
 def vcd_set_system(g: ProductSubgraph) -> int:
     """Classical VC-dimension of the set family encoded by a hypercube
     subgraph: enumerate coordinate subsets and check all traces occur."""
-    _require_induced(g)
     if any(f.n != 2 or f.m != 1 for f in g.space.factors):
         raise GraphError("set-system oracle applies to hypercube subgraphs only")
     m = g.space.m

@@ -53,15 +53,13 @@ def test_criterion_01_figure_fixtures():
     t0 = time.monotonic()
     p5_in_q4 = ProductSubgraph(
         hypercube(4),
-        [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)],
-        induced=True)
+        [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)])
     p5_in_q3 = ProductSubgraph(
         hypercube(3),
-        [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0)],
-        induced=True)
+        [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0)])
     grid5 = ProductSubgraph(
         ProductSpace([path_graph(3), path_graph(3)]),
-        [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2)], induced=True)
+        [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2)])
     results = []
     for g, want, want_star in ((p5_in_q4, 1, 1), (p5_in_q3, 2, 2), (grid5, 1, 2)):
         start = time.monotonic()
@@ -110,7 +108,7 @@ def test_criterion_03_hypercube_density_bound():
         verts = set()
         while len(verts) < count:
             verts.add(tuple(rng.randint(0, 1) for _ in range(m)))
-        g = ProductSubgraph(hypercube(m), verts, induced=True)
+        g = ProductSubgraph(hypercube(m), verts)
         if check_hypercube_bound(g).verdict != "holds":
             violations += 1
     elapsed = time.monotonic() - t0

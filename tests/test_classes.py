@@ -134,7 +134,12 @@ def test_product_elimination_counts_later_neighbours_of_the_subgraph():
         def key(v):
             return tuple(p[c] for p, c in zip(pos, v))
 
-        later = [sum(1 for w in g.vertices if sp.is_edge(v, w) and key(w) > key(v))
+        def adjacent(v, w):
+            # the definition: v and w differ in one coordinate, along a factor edge
+            diff = [i for i in range(sp.m) if v[i] != w[i]]
+            return len(diff) == 1 and factors[diff[0]].has_edge(v[diff[0]], w[diff[0]])
+
+        later = [sum(1 for w in g.vertices if adjacent(v, w) and key(w) > key(v))
                  for v in g.vertices]
         assert rep.dd_subgraph == max(later, default=0)
         assert rep.dd_subgraph <= rep.dd_product

@@ -94,8 +94,7 @@ def test_bounded_vcd_makes_failed_comparisons_inconclusive(monkeypatch):
     vcd; a bounded vcd is only a lower bound, so a failed comparison is
     "violated" only when vcd is exact."""
     from prodvc import harness
-    cube = ProductSubgraph(hypercube(3), [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)],
-                           induced=True)
+    cube = ProductSubgraph(hypercube(3), [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)])
     grid = ProductSpace([path_graph(3), path_graph(3)]).materialize()
     checks = (lambda: harness.check_hypercube_bound(cube),
               lambda: harness.check_elimination_bound(grid),
@@ -114,6 +113,7 @@ def test_resolve_mu():
     assert resolve_mu("planar") == 6
     assert resolve_mu("K4-minor-free") == 4
     assert resolve_mu(3) == 3
+    assert resolve_mu("3") == resolve_mu(" 3 ") == 3
     with pytest.raises(Exception):
         resolve_mu("bogus")
     with pytest.raises(Exception):
@@ -127,7 +127,7 @@ def test_single_checks():
     g = sp.materialize()
     assert [(r.claim, r.verdict) for r in check_thm4(g)] == [("Thm4", "holds"),
                                                              ("Thm4-split", "holds")]
-    one = ProductSubgraph(sp, [(0, 0)], induced=True)
+    one = ProductSubgraph(sp, [(0, 0)])
     assert [(r.claim, r.verdict) for r in check_thm4(one)] == [  # vacuous single vertex
         ("Thm4", "holds"), ("Thm4-split", "holds")]
 
@@ -157,7 +157,7 @@ def k4_file(tmp_path):
 @pytest.fixture
 def instance_file(tmp_path):
     sp = ProductSpace([path_graph(3), path_graph(3)])
-    g = ProductSubgraph(sp, [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2)], induced=True)
+    g = ProductSubgraph(sp, [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2)])
     p = tmp_path / "inst.json"
     p.write_text(instance_to_json(g))
     return str(p)
@@ -217,7 +217,7 @@ def test_cli_vcd_small_subgraph_of_long_factor(capsys, tmp_path):
     sp = ProductSpace([path_graph(1200), complete_graph(2)])
     for verts, known in (([(0, 0), (400, 1), (800, 0), (1199, 1)], None),
                          ([(600, 0), (600, 1), (601, 0), (601, 1)], (2, "1/1"))):
-        g = ProductSubgraph(sp, verts, induced=True)
+        g = ProductSubgraph(sp, verts)
         p = tmp_path / "long.json"
         p.write_text(instance_to_json(g))
         code, doc = run_cli(capsys, "vcd", str(p), "--minor")
@@ -238,7 +238,7 @@ def test_cli_vcd_on_a_large_hamming_subgraph(capsys, tmp_path):
     # default budget; a small budget gives a bounded vcd that its witness
     # reaches, if it has one
     sp = ProductSpace([complete_graph(8)] * 5)
-    g = ProductSubgraph(sp, random.Random(8).sample(list(sp.vertices()), 300), induced=True)
+    g = ProductSubgraph(sp, random.Random(8).sample(list(sp.vertices()), 300))
     p = tmp_path / "k8_5.json"
     p.write_text(instance_to_json(g))
     code, doc = run_cli(capsys, "vcd", str(p))
@@ -360,13 +360,48 @@ def test_cli_rejects_coordinates_that_are_not_ints(capsys, tmp_path):
                                 _instance_doc([[0, 0], [1, 0], [bad, 1]], **induced))
 
 
-def test_cli_rejects_bad_edge_indices(capsys, tmp_path):
-    for edges in ([[0, 5]], [[-1, 0]], [[0, 2]], [[0]], [[0, 1, 1]], [[0, 1.0]],
-                  [[True, 1]], [["0", 1]], [0, 1], {"0": 1}, [[0, 1], None]):
-        _assert_input_error(capsys, tmp_path,
-                            _instance_doc([[0, 0], [1, 0]], edges=edges))
-    g = instance_from_json(json.dumps(_instance_doc([[0, 0], [1, 0]], edges=[[1, 0]])))
-    assert g.edges == {((0, 0), (1, 0))} and not g.induced
+def test_cli_rejects_instances_that_are_not_induced(capsys, tmp_path):
+    # an instance is the subgraph induced by its vertices; one without a
+    # truthy "induced", with or without an edge list, is bad input
+    p = tmp_path / "not_induced.json"
+    for extra in ({}, {"induced": False}, {"induced": 0}, {"edges": [[0, 1]]},
+                  {"edges": [[0, 5]]}, {"edges": {"0": 1}}, {"induced": None, "edges": []}):
+        p.write_text(json.dumps(_instance_doc([[0, 0], [1, 0]], **extra)))
+        for argv in (["vcd", str(p)], ["vcd", str(p), "--minor"],
+                     ["reduce", str(p), "--factor", "0", "--edge", "0,1"],
+                     ["reduce", str(p), "--factor", "0", "--octahedron", "0"]):
+            assert main(argv) == 2, (argv, extra)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == 'error: an instance must set "induced": true; ' \
+                                   'it is the subgraph induced by its vertices\n'
+
+
+def test_cli_reduce_octahedron_checks_its_indices(capsys, tmp_path):
+    octa = tmp_path / "octa.json"
+    octa.write_text(instance_to_json(ProductSpace([octahedron(2), path_graph(2)]).materialize()))
+    for factor, vertex, message in (("5", "0", "no factor 5"), ("-2", "0", "no factor -2"),
+                                    ("0", "7", "vertex 7 is not in factor 0"),
+                                    ("0", "-1", "vertex -1 is not in factor 0")):
+        argv = ["reduce", str(octa), "--factor", factor, "--octahedron", vertex]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    code, doc = run_cli(capsys, "reduce", str(octa), "--factor", "0", "--octahedron", "3")
+    assert code == 0 and doc["factor"] == 0 and doc["edge"] == [2, 3]
+
+
+def test_cli_verify_takes_an_integer_mu(capsys):
+    for mu, value in (("3", 3), ("planar", 6)):
+        code, doc = run_cli(capsys, "verify", "--suite", "thm5", "--mu", mu, "--trials", "2")
+        assert code == 0
+        thm5 = [r for r in doc["records"] if r["claim"] == "Thm5"]
+        assert len(thm5) == 2 and all(r["detail"]["mu"] == value for r in thm5)
+    for bad in ("0", "-3", "2.5", "bogus"):
+        assert main(["verify", "--suite", "thm5", "--mu", bad, "--trials", "2"]) == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_help_and_errors_match_the_full_parser(capsys):

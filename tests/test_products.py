@@ -5,7 +5,7 @@ import re
 import pytest
 
 from prodvc.graph import FactorGraph, GraphError, complete_graph, path_graph
-from prodvc.harness import FAMILIES, GeneratorSpec, generate
+from prodvc.harness import FAMILIES, GeneratorSpec, generate, instance_digest
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, fiber,
                              hamming, hypercube, instance_from_json,
                              instance_to_json, octahedron, project_factor,
@@ -36,8 +36,6 @@ def test_space_basics():
     assert sp.num_vertices() == 6
     assert sp.is_vertex((2, 1))
     assert not sp.is_vertex((3, 0))
-    assert sp.is_edge((0, 0), (1, 0))
-    assert not sp.is_edge((0, 0), (1, 1))
     assert sp.edge_factor((0, 0), (0, 1)) == 1
     with pytest.raises(GraphError):
         sp.edge_factor((0, 0), (1, 1))
@@ -74,16 +72,14 @@ def test_standard_spaces():
 def test_induced_subgraph_edges_are_derived():
     sp = ProductSpace([path_graph(3), path_graph(3)])
     verts = [(0, 0), (0, 1), (1, 1)]
-    g = ProductSubgraph(sp, verts, induced=True)
+    g = ProductSubgraph(sp, verts)
     assert g.edges == product_edges_of(sp, verts)
     assert g.num_edges == 2
-    with pytest.raises(GraphError):
-        ProductSubgraph(sp, verts, edges=[((0, 0), (0, 1))], induced=True)
 
 
 def test_induced_edges_match_the_neighbour_oracle():
     def check(space, verts):
-        g = ProductSubgraph(space, verts, induced=True)
+        g = ProductSubgraph(space, verts)
         assert g.edges == product_edges_of(space, verts)
         assert all(x < y for x, y in g.edges)
 
@@ -105,7 +101,7 @@ def test_induced_edges_match_the_neighbour_oracle():
         check(space, space.materialize().vertices)
     sp = ProductSpace([path_graph(3), path_graph(3)])
     check(sp, [[0, 0], [0, 0], (0, 1), [0, 1], [1, 1]])
-    g = ProductSubgraph(sp, [], induced=True)
+    g = ProductSubgraph(sp, [])
     assert (g.n, g.edges) == (0, frozenset())
 
 
@@ -113,22 +109,7 @@ def test_vertex_check_names_the_bad_vertex():
     sp = ProductSpace([path_graph(3), path_graph(2)])
     for bad in ((3, 0), (0, -1), (0,), (0, 0, 0)):
         with pytest.raises(GraphError, match=rf"^{re.escape(str(bad))} is not a vertex"):
-            ProductSubgraph(sp, [(0, 0), bad, (1, 1)], induced=True)
-        with pytest.raises(GraphError, match="is not a vertex"):
-            ProductSubgraph(sp, [bad], edges=[], induced=False)
-
-
-def test_non_induced_subgraph_validation():
-    sp = ProductSpace([path_graph(3), path_graph(3)])
-    verts = [(0, 0), (0, 1), (1, 1)]
-    g = ProductSubgraph(sp, verts, edges=[((0, 0), (0, 1))], induced=False)
-    assert g.num_edges == 1
-    with pytest.raises(GraphError):
-        ProductSubgraph(sp, verts, edges=[((0, 0), (1, 1))], induced=False)
-    with pytest.raises(GraphError):
-        ProductSubgraph(sp, verts, edges=[((0, 0), (2, 0))], induced=False)
-    with pytest.raises(GraphError):
-        ProductSubgraph(sp, verts, induced=False)
+            ProductSubgraph(sp, [(0, 0), bad, (1, 1)])
 
 
 def test_subproduct_and_fiber():
@@ -148,7 +129,7 @@ def test_subproduct_and_fiber():
 
 def test_trace_and_projection():
     sp = ProductSpace([path_graph(3), path_graph(3)])
-    g = ProductSubgraph(sp, [(0, 0), (1, 0), (1, 1), (2, 2)], induced=True)
+    g = ProductSubgraph(sp, [(0, 0), (1, 0), (1, 1), (2, 2)])
     sub = Subproduct(sp, {0: (0, 1)})
     assert trace(g, sub) == {(0,), (1,)}
     verts, edges = projection(g, sub)
@@ -162,7 +143,7 @@ def test_trace_and_projection():
 def test_project_factor_uses_image_edges():
     sp = ProductSpace([path_graph(3), path_graph(3)])
     # (0,0)-(1,0) realizes factor-0 edge 0-1; 1-2 is never realized
-    g = ProductSubgraph(sp, [(0, 0), (1, 0), (2, 2)], induced=True)
+    g = ProductSubgraph(sp, [(0, 0), (1, 0), (2, 2)])
     proj, remap = project_factor(g, 0)
     assert proj.n == 3
     assert proj.edges == ((0, 1),)
@@ -177,16 +158,56 @@ def test_materialize_cap():
 
 def test_instance_json_roundtrip():
     sp = ProductSpace([path_graph(3), path_graph(2)])
-    g = ProductSubgraph(sp, [(0, 0), (1, 0), (1, 1)], induced=True)
+    g = ProductSubgraph(sp, [(0, 0), (1, 0), (1, 1)])
     text = instance_to_json(g)
     h = instance_from_json(text)
-    assert h.vertices == g.vertices and h.edges == g.edges and h.induced
+    assert h.vertices == g.vertices and h.edges == g.edges
     doc = json.loads(text)
     assert doc["induced"] is True
-
-    g2 = ProductSubgraph(sp, [(0, 0), (1, 0), (1, 1)],
-                         edges=[((0, 0), (1, 0))], induced=False)
-    h2 = instance_from_json(instance_to_json(g2))
-    assert h2.edges == g2.edges and not h2.induced
     with pytest.raises(GraphError):
         instance_from_json('{"factors": []}')
+
+
+# instance_to_json text and its sha256 prefix: every verify record names its
+# instance by this digest, so neither may change
+PINNED_INSTANCES = [
+    (lambda: ProductSubgraph(ProductSpace([path_graph(3), path_graph(2)]),
+                             [(1, 1), (0, 0), (1, 0)]),
+     '{"factors": [{"edges": [[0, 1], [1, 2]], "n": 3}, {"edges": [[0, 1]], "n": 2}], '
+     '"induced": true, "vertices": [[0, 0], [1, 0], [1, 1]]}', "5ae4698253a9"),
+    (lambda: ProductSubgraph(ProductSpace([FactorGraph(1, []), path_graph(3)]),
+                             [(0, 2), (0, 0)]),
+     '{"factors": [{"edges": [], "n": 1}, {"edges": [[0, 1], [1, 2]], "n": 3}], '
+     '"induced": true, "vertices": [[0, 0], [0, 2]]}', "4ab9e8c3ce35"),
+    (lambda: ProductSpace([path_graph(2), complete_graph(3)]).materialize(),
+     '{"factors": [{"edges": [[0, 1]], "n": 2}, {"edges": [[0, 1], [0, 2], [1, 2]], '
+     '"n": 3}], "induced": true, "vertices": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], '
+     '[1, 2]]}', "f7083882ec6a"),
+    (lambda: ProductSubgraph(hypercube(2), []),
+     '{"factors": [{"edges": [[0, 1]], "n": 2}, {"edges": [[0, 1]], "n": 2}], '
+     '"induced": true, "vertices": []}', "c5006467856f"),
+]
+
+
+def test_instance_bytes_and_digests_are_pinned():
+    for build, text, digest in PINNED_INSTANCES:
+        g = build()
+        assert instance_to_json(g) == text
+        assert instance_digest(g) == digest
+        h = instance_from_json(text)
+        assert (h.vertices, h.edges) == (g.vertices, g.edges)
+        assert instance_to_json(h) == text
+
+
+def test_instances_that_are_not_induced_are_rejected():
+    doc = json.loads(PINNED_INSTANCES[0][1])
+    for induced in ({}, {"induced": False}, {"induced": 0}, {"induced": None},
+                    {"induced": False, "edges": [[0, 1]]}, {"edges": [[0, 1]]}):
+        doc.pop("induced", None)
+        doc.update(induced)
+        with pytest.raises(GraphError, match='must set "induced": true'):
+            instance_from_json(json.dumps(doc))
+    # the test is truthiness, as it always was
+    for induced in (True, 1, "yes"):
+        doc["induced"] = induced
+        assert instance_from_json(json.dumps(doc)).n == 3

@@ -30,16 +30,19 @@ def test_triangle_reduction_produces_tips():
     assert step.g.n == step.g_contracted.n + step.g_link_centers.n
 
 
-def test_reduction_requires_induced_and_valid_edge():
-    sp = ProductSpace([path_graph(3)])
-    g = ProductSubgraph(sp, [(0,), (1,)], edges=[], induced=False)
-    with pytest.raises(GraphError):
-        reduce_edge(g, 0, 0, 1)
-    h = sp.materialize()
-    with pytest.raises(GraphError):
+def test_reduction_requires_a_valid_factor_and_edge():
+    h = ProductSpace([path_graph(3)]).materialize()
+    with pytest.raises(GraphError, match="not an edge"):
         reduce_edge(h, 0, 0, 2)
-    with pytest.raises(GraphError):
-        reduce_edge(h, 3, 0, 1)
+    octa = ProductSpace([octahedron(2), path_graph(2)]).materialize()
+    for i in (3, 2, -1, -2):
+        with pytest.raises(GraphError, match=f"^no factor {i}$"):
+            reduce_edge(h, i, 0, 1)
+        with pytest.raises(GraphError, match=f"^no factor {i}$"):
+            reduce_opposite_pair(octa, i, 0)
+    for e in (4, 7, -1):
+        with pytest.raises(GraphError, match=f"^vertex {e} is not in factor 0$"):
+            reduce_opposite_pair(octa, 0, e)
 
 
 def test_counting_relations_random_corpus():
@@ -122,7 +125,7 @@ def test_hypercube_recursion_bound_below_vcd():
         sp = hypercube(m)
         verts = {tuple(rng.randint(0, 1) for _ in range(m))
                  for _ in range(rng.randint(1, 2 ** m))}
-        g = ProductSubgraph(sp, verts, induced=True)
+        g = ProductSubgraph(sp, verts)
         b = hypercube_recursion_bound(g)
         assert g.num_edges <= b * g.n
         assert b <= vcd_induced(g)[0]

@@ -157,7 +157,7 @@ def test_minor_partition_matches_the_induced_subgraph_oracle():
 
 def test_shattering_subproduct():
     sp = grid_space()
-    g = ProductSubgraph(sp, [(0, 0), (0, 1), (1, 0), (1, 1)], induced=True)
+    g = ProductSubgraph(sp, [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert shatters_subproduct(g, Subproduct(sp, {0: (0, 1), 1: (0, 1)}))
     assert not shatters_subproduct(g, Subproduct(sp, {0: (1, 2), 1: (0, 1)}))
 
@@ -171,7 +171,7 @@ def test_shattering_subproduct_matches_trace_count():
         selections = [[s for k in range(2, f.n + 1) for s in combinations(range(f.n), k)
                        if is_connected(induced_subgraph(f, s)[0])] for f in sp.factors]
         for _ in range(60):
-            g = ProductSubgraph(sp, rng.sample(every, rng.randint(1, len(every))), induced=True)
+            g = ProductSubgraph(sp, rng.sample(every, rng.randint(1, len(every))))
             picked = rng.sample(range(sp.m), rng.randint(1, sp.m))
             chosen = {i: rng.choice(selections[i]) for i in sorted(picked)}
             traces = {tuple(v[i] for i in chosen) for v in g.vertices
@@ -180,17 +180,8 @@ def test_shattering_subproduct_matches_trace_count():
                 len(traces) == prod(map(len, chosen.values())))
 
 
-def test_vc_requires_induced():
-    sp = grid_space()
-    g = ProductSubgraph(sp, [(0, 0), (0, 1)], edges=[], induced=False)
-    with pytest.raises(GraphError):
-        vcd_induced(g)
-    with pytest.raises(GraphError):
-        vcd_minor(g)
-
-
 def test_path_embedding_in_q4():
-    g = ProductSubgraph(hypercube(4), PATH_IN_Q4, induced=True)
+    g = ProductSubgraph(hypercube(4), PATH_IN_Q4)
     assert g.num_edges == 4
     assert vcd_induced(g)[0] == 1
     d, exact, _ = vcd_minor(g)
@@ -199,7 +190,7 @@ def test_path_embedding_in_q4():
 
 
 def test_path_embedding_in_q3():
-    g = ProductSubgraph(hypercube(3), PATH_IN_Q3, induced=True)
+    g = ProductSubgraph(hypercube(3), PATH_IN_Q3)
     assert g.num_edges == 4
     k, witness, exact = vcd_induced(g)
     assert (k, exact) == (2, True)
@@ -211,7 +202,7 @@ def test_path_embedding_in_q3():
 
 
 def test_grid_five_vertex_fixture():
-    g = ProductSubgraph(grid_space(), GRID_FIVE, induced=True)
+    g = ProductSubgraph(grid_space(), GRID_FIVE)
     assert vcd_induced(g)[0] == 1
     d, exact, mp = vcd_minor(g)
     assert (d, exact) == (2, True)
@@ -229,13 +220,13 @@ def test_induced_oracle_agreement_on_hypercubes():
         verts = set()
         for _ in range(rng.randint(1, min(2 ** m, 20))):
             verts.add(tuple(rng.randint(0, 1) for _ in range(m)))
-        g = ProductSubgraph(sp, verts, induced=True)
+        g = ProductSubgraph(sp, verts)
         assert vcd_induced(g)[0] == vcd_set_system(g)
 
 
 def test_set_system_oracle_guards():
     sp = grid_space()
-    g = ProductSubgraph(sp, [(0, 0)], induced=True)
+    g = ProductSubgraph(sp, [(0, 0)])
     with pytest.raises(GraphError):
         vcd_set_system(g)
 
@@ -246,7 +237,7 @@ def test_minor_dominates_induced():
         factors = [path_graph(rng.randint(2, 4)) for _ in range(rng.randint(1, 3))]
         sp = ProductSpace(factors)
         verts = rng.sample(list(sp.vertices()), rng.randint(1, sp.num_vertices()))
-        g = ProductSubgraph(sp, verts, induced=True)
+        g = ProductSubgraph(sp, verts)
         rep = compute_vc_report(g)
         assert rep.vcd <= rep.vcd_star
         assert rep.vcdens <= rep.vcdens_star
@@ -255,7 +246,7 @@ def test_minor_dominates_induced():
 
 
 def test_minor_witnesses_shatter():
-    g = ProductSubgraph(grid_space(), GRID_FIVE, induced=True)
+    g = ProductSubgraph(grid_space(), GRID_FIVE)
     rep = compute_vc_report(g)
     assert shatters_minor(g, rep.vcd_star_witness)
     assert shatters_minor(g, rep.vcdens_star_witness)
@@ -264,7 +255,7 @@ def test_minor_witnesses_shatter():
 
 
 def test_heuristic_mode_is_lower_bound():
-    g = ProductSubgraph(grid_space(), GRID_FIVE, induced=True)
+    g = ProductSubgraph(grid_space(), GRID_FIVE)
     exact_d, _, _ = vcd_minor(g)
     exact_s, _, _ = vcdens_minor(g)
     budget = 0
@@ -312,7 +303,7 @@ def test_replayed_streams_give_the_results_of_fresh_ones():
 def test_a_scan_that_runs_out_records_no_stream():
     g = ProductSpace([path_graph(22), complete_graph(2)]).materialize()
     hits = frozenset(range(22))
-    no_fallback = {"induced": lambda: (None, None)}
+    no_fallback = {"fallback": lambda: (None, None)}
     clear_vc_caches()
     cold = minor_result(g, DEFAULT_BUDGET, **no_fallback)
     assert not cold[-1] and not _stream_record(path_graph(22), hits)
@@ -331,7 +322,7 @@ def exact_from(g, cold: bool) -> int:
         mid = (low + high) // 2
         if cold:
             clear_vc_caches()
-        if minor_search(g, mid, induced=lambda: (None, None))[-1]:
+        if minor_search(g, mid, fallback=lambda: (None, None))[-1]:
             high = mid
         else:
             low = mid + 1
@@ -339,7 +330,7 @@ def exact_from(g, cold: bool) -> int:
 
 
 def test_replayed_streams_charge_what_fresh_ones_do():
-    graphs = [ProductSubgraph(grid_space(), GRID_FIVE, induced=True)]
+    graphs = [ProductSubgraph(grid_space(), GRID_FIVE)]
     graphs += [generate(GeneratorSpec(m=2 + seed % 2, seed=seed))[1] for seed in range(8)]
     for g in graphs:
         clear_vc_caches()
@@ -373,7 +364,7 @@ def test_minor_search_matches_naive_oracle():
         sp = ProductSpace(factors)
         size = sp.num_vertices()
         verts = rng.sample(list(sp.vertices()), rng.randint(min(size, 4), min(size, 24)))
-        g = ProductSubgraph(sp, verts, induced=True)
+        g = ProductSubgraph(sp, verts)
         d, d_mp, s, s_mp, exact = minor_search(g)
         assert exact
         assert (d, d_mp and d_mp.parts, s, s_mp and s_mp.parts) == naive_minor_values(g)
@@ -400,7 +391,7 @@ def wide_subgraphs():
                           ([complete_graph(4)] * 4, 130),
                           ([complete_graph(5)] * 3, 110)):
         sp = ProductSpace(factors)
-        graphs.append(ProductSubgraph(sp, rng.sample(list(sp.vertices()), size), induced=True))
+        graphs.append(ProductSubgraph(sp, rng.sample(list(sp.vertices()), size)))
     return graphs
 
 
@@ -429,7 +420,7 @@ def test_vcd_induced_matches_naive_oracle():
         sp = ProductSpace(factors)
         size = sp.num_vertices()
         verts = rng.sample(list(sp.vertices()), rng.randint(1, min(size, 40)))
-        g = ProductSubgraph(sp, verts, induced=True)
+        g = ProductSubgraph(sp, verts)
         d, witness, exact = vcd_induced(g)
         assert exact
         assert (d, witness) == naive_vcd_values(g)
@@ -447,7 +438,7 @@ def test_vcd_induced_budget_walk():
     # shattering witness reaches, never above the exact value
     rng = random.Random(9)
     sp = ProductSpace([complete_graph(3)] * 4)
-    g = ProductSubgraph(sp, rng.sample(list(sp.vertices()), 30), induced=True)
+    g = ProductSubgraph(sp, rng.sample(list(sp.vertices()), 30))
     full, _, full_exact = vcd_induced(g)
     assert full_exact and full >= 2
     budget, last = 0, 0
@@ -507,7 +498,7 @@ def test_vcdens_induced_matches_naive_oracle():
         sp = ProductSpace(factors)
         size = sp.num_vertices()
         verts = rng.sample(list(sp.vertices()), rng.randint(1, min(size, 24)))
-        g = ProductSubgraph(sp, verts, induced=True)
+        g = ProductSubgraph(sp, verts)
         s, witness, exact = vcdens_induced(g)
         assert exact
         assert (s, witness) == naive_induced_values(g)
@@ -615,7 +606,7 @@ def test_branch_and_bound_matches_naive_oracles():
                    for _ in range(rng.randint(2, 3))]
         sp = ProductSpace(factors)
         verts = [v for v in sp.vertices() if rng.random() < 0.8][:40]
-        assert_matches_oracles(ProductSubgraph(sp, verts, induced=True))
+        assert_matches_oracles(ProductSubgraph(sp, verts))
     for g in wide_subgraphs()[:3]:
         assert_matches_oracles(g)
 
