@@ -5,9 +5,8 @@ from .graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
 from .density import (DensityReport, ForestDecomposition, arboricity,
                       bounded_outdegree_orientation, dens, densest_subgraph,
                       forest_decomposition, mad)
-from .products import (ProductSpace, ProductSubgraph, Subproduct, fiber,
-                       hamming, hypercube, instance_from_json, instance_to_json,
-                       octahedron, project_factor, projection, trace)
+from .products import (ProductSpace, ProductSubgraph, Subproduct, instance_from_json,
+                       instance_to_json, octahedron, project_factor, trace)
 from .vc import (MinorPartition, VcReport, compute_vc_report, shatters_minor,
                  shatters_subproduct, vcd_induced, vcd_minor, vcdens_induced,
                  vcdens_minor)

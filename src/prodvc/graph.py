@@ -168,19 +168,6 @@ def contract_edge(g: FactorGraph, u: int, v: int) -> tuple[FactorGraph, list[int
     return FactorGraph(g.n - 1, edges), phi
 
 
-def star_of_edge(g: FactorGraph, u: int, v: int) -> tuple[FactorGraph, int, dict[int, int]]:
-    """Star on the common neighbors of the edge uv: center 0 stands for the
-    edge itself, leaves 1..|N| stand for the vertices of N(u) & N(v).
-
-    Returns (star, center index, map common-neighbor -> leaf index).
-    """
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u},{v}) is not an edge")
-    common = sorted(g.adj[u] & g.adj[v])
-    leaf_of = {x: i + 1 for i, x in enumerate(common)}
-    return star_graph(len(common)), 0, leaf_of
-
-
 # ---------------------------------------------------------------------------
 # orderings
 
@@ -241,7 +228,7 @@ def _int_pair(row: list[str], what: str) -> tuple[int, int]:
     return a, b
 
 
-def from_edgelist(text: str, name: Optional[str] = None) -> FactorGraph:
+def from_edgelist(text: str) -> FactorGraph:
     rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -258,4 +245,4 @@ def from_edgelist(text: str, name: Optional[str] = None) -> FactorGraph:
         if not (0 <= u < v < n):
             raise GraphError(f"edge line '{u} {v}' violates 0 <= u < v < n")
         edges.append((u, v))
-    return FactorGraph(n, edges, name=name)
+    return FactorGraph(n, edges)

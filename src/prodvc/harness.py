@@ -75,17 +75,16 @@ def random_factor(rng: random.Random, family: str, max_n: int) -> FactorGraph:
     raise GraphError(f"unknown factor family {family!r}")
 
 
-def random_subgraph(rng: random.Random, space: ProductSpace,
-                    cap: int = 512) -> ProductSubgraph:
-    """A random nonempty induced subgraph; spaces above the cap are sampled
-    coordinate-wise instead of being materialized."""
-    total = space.num_vertices()
-    if total <= cap:
+def random_subgraph(rng: random.Random, space: ProductSpace) -> ProductSubgraph:
+    """A random nonempty induced subgraph; spaces above 512 vertices are
+    sampled coordinate-wise, up to 128 vertices, instead of being
+    materialized."""
+    if space.num_vertices() <= 512:
         verts = list(space.vertices())
         size = rng.randint(1, len(verts))
         chosen = rng.sample(verts, size)
     else:
-        size = rng.randint(1, cap // 4)
+        size = rng.randint(1, 128)
         picked: set = set()
         while len(picked) < size:
             picked.add(tuple(rng.randrange(f.n) for f in space.factors))
@@ -248,11 +247,11 @@ def _timed(claim: str, digest: str, lhs, rhs, verdict: str, start: float,
 # ---------------------------------------------------------------------------
 # checks
 
-def check_density_sum(factors: list[FactorGraph], cap: int = 4096) -> VerificationRecord:
+def check_density_sum(factors: list[FactorGraph]) -> VerificationRecord:
     """dens of a product equals the sum of the factor densities."""
     start = time.monotonic()
     space = ProductSpace(factors)
-    g = space.materialize(cap)
+    g = space.materialize(4096)
     flat, _ = g.to_factor_graph()
     lhs = densest_subgraph(flat).density
     rhs = sum((dens(f) for f in factors), Fraction(0))
@@ -413,12 +412,12 @@ def check_clique_bound(g: ProductSubgraph, kind: str) -> VerificationRecord:
                   statement="|E|/|V| <= omega * vcd")
 
 
-def check_dd_sum(space: ProductSpace, cap: int = 216) -> VerificationRecord:
+def check_dd_sum(space: ProductSpace) -> VerificationRecord:
     """The lexicographic elimination order of a materialized product has
     maximum later-degree exactly the sum of the factor elimination
     degrees."""
     start = time.monotonic()
-    g = space.materialize(cap)
+    g = space.materialize(216)
     rep = product_elimination_report(g)
     if rep.dd_subgraph == rep.dd_product:
         verdict = "holds" if rep.exact else "inconclusive"

@@ -1,18 +1,18 @@
-"""Cartesian products, subproducts, fibers, projections, and the
-subgraph-of-a-product data model.
+"""Cartesian products, subproducts and their traces, factor projections,
+and the subgraph-of-a-product data model.
 
 The full product is never materialized unless its vertex count fits under a
-cap (default 10**6): fibers and projections are computed by coordinate
-filtering over the subgraph's own vertex list.
+cap (default 10**6): traces and factor projections are computed by
+coordinate filtering over the subgraph's own vertex list.
 """
 
 from __future__ import annotations
 
 import json
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .graph import FactorGraph, GraphError, complete_graph, induced_subgraph, is_connected
+from .graph import FactorGraph, GraphError, induced_subgraph, is_connected
 
 MATERIALIZE_CAP = 10 ** 6
 
@@ -46,19 +46,9 @@ class ProductSpace:
             total *= f.n
         return total
 
-    def is_vertex(self, v: Coord) -> bool:
-        return len(v) == self.m and all(0 <= c < f.n for c, f in zip(v, self.factors))
-
     def check_vertex(self, v: Coord) -> None:
-        if not self.is_vertex(tuple(v)):
+        if len(v) != self.m or not all(0 <= c < f.n for c, f in zip(v, self.factors)):
             raise GraphError(f"{v} is not a vertex of this product")
-
-    def edge_factor(self, x: Coord, y: Coord) -> int:
-        """Index of the single coordinate in which the edge xy changes."""
-        diff = [i for i in range(self.m) if x[i] != y[i]]
-        if len(diff) != 1 or not self.factors[diff[0]].has_edge(x[diff[0]], y[diff[0]]):
-            raise GraphError(f"{x}-{y} is not a product edge")
-        return diff[0]
 
     def vertices(self, cap: int = MATERIALIZE_CAP) -> Iterator[Coord]:
         if self.num_vertices() > cap:
@@ -165,42 +155,6 @@ class Subproduct:
             total *= len(vs)
         return total
 
-    def vertices(self, cap: int = MATERIALIZE_CAP) -> Iterator[Coord]:
-        if self.num_vertices() > cap:
-            raise GraphError(f"subproduct too large to materialize (> {cap})")
-        from itertools import product as iproduct
-        return iproduct(*(self.chosen[i] for i in self.indices))
-
-    def materialized(self) -> ProductSubgraph:
-        """The subproduct as an induced subgraph of its own small product."""
-        factors = []
-        remaps = []
-        for i in self.indices:
-            sub, remap = induced_subgraph(self.space.factors[i], self.chosen[i])
-            factors.append(sub)
-            remaps.append(remap)
-        small = ProductSpace(factors)
-        verts = [tuple(remaps[j][c] for j, c in enumerate(v)) for v in self.vertices()]
-        return ProductSubgraph(small, verts)
-
-
-def fiber(space: ProductSpace, sub: Subproduct, anchor: Coord) -> Callable[[Coord], bool]:
-    """Predicate true exactly on the extensions of `anchor` (a vertex of the
-    subproduct, given in the order of the selected factor indices)."""
-    indices = sub.indices
-    anchor = tuple(anchor)
-    if len(anchor) != len(indices):
-        raise GraphError("anchor arity does not match the subproduct")
-    for j, i in enumerate(indices):
-        if anchor[j] not in sub.chosen[i]:
-            raise GraphError(f"coordinate {anchor[j]} not in factor {i} selection")
-
-    def predicate(v: Coord) -> bool:
-        v = tuple(v)
-        return space.is_vertex(v) and all(v[i] == anchor[j] for j, i in enumerate(indices))
-
-    return predicate
-
 
 def trace(g: ProductSubgraph, sub: Subproduct) -> set[Coord]:
     """Subproduct vertices whose fibers meet V(g)."""
@@ -212,23 +166,6 @@ def trace(g: ProductSubgraph, sub: Subproduct) -> set[Coord]:
         if all(c in dom for c, dom in zip(proj, domains)):
             out.add(proj)
     return out
-
-
-def projection(g: ProductSubgraph, sub: Subproduct) -> tuple[set[Coord], set[tuple[Coord, Coord]]]:
-    """The subgraph of the subproduct induced by the trace of V(g):
-    (vertex tuples over the selected indices, induced edges)."""
-    indices = sub.indices
-    verts = trace(g, sub)
-    edges = set()
-    for x in verts:
-        for j, i in enumerate(indices):
-            for w in g.space.factors[i].adj[x[j]]:
-                if w not in sub.chosen[i]:
-                    continue
-                y = x[:j] + (w,) + x[j + 1:]
-                if y in verts:
-                    edges.add((x, y) if x <= y else (y, x))
-    return verts, edges
 
 
 def project_factor(g: ProductSubgraph, i: int) -> tuple[FactorGraph, dict[int, int]]:
@@ -249,20 +186,7 @@ def project_factor(g: ProductSubgraph, i: int) -> tuple[FactorGraph, dict[int, i
 
 
 # ---------------------------------------------------------------------------
-# standard spaces
-
-def hypercube(m: int) -> ProductSpace:
-    if m < 1:
-        raise GraphError("hypercube dimension must be >= 1")
-    return ProductSpace([FactorGraph(2, [(0, 1)], name="K2") for _ in range(m)])
-
-
-def hamming(sizes: Iterable[int]) -> ProductSpace:
-    sizes = list(sizes)
-    if not sizes or any(s < 2 for s in sizes):
-        raise GraphError("hamming factors need size >= 2")
-    return ProductSpace([complete_graph(s) for s in sizes])
-
+# standard factors
 
 def octahedron(d: int) -> FactorGraph:
     """Complete graph on 2d vertices minus the perfect matching of the
@@ -292,7 +216,14 @@ def instance_from_json(text: str) -> ProductSubgraph:
     vertices."""
     doc = json.loads(text)
     try:
-        factors = [FactorGraph(f["n"], [tuple(e) for e in f["edges"]]) for f in doc["factors"]]
+        factors = []
+        for i, f in enumerate(doc["factors"]):
+            n, edges = f["n"], [tuple(e) for e in f["edges"]]
+            # connecting n vertices takes n - 1 edges: a factor with fewer is
+            # refused before its adjacency, one set per vertex, is allocated
+            if type(n) is int and n > len(edges) + 1:
+                raise GraphError(f"factor {i} is not connected")
+            factors.append(FactorGraph(n, edges))
         space = ProductSpace(factors)
         verts = []
         for v in doc["vertices"]:

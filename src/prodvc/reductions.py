@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import (FactorGraph, GraphError, contract_edge, induced_subgraph, star_graph,
-                    star_of_edge)
+from .graph import FactorGraph, GraphError, contract_edge, induced_subgraph, star_graph
 from .products import Coord, ProductSpace, ProductSubgraph
 
 
@@ -138,7 +137,7 @@ def reduce_edge(g: ProductSubgraph, i: int, u: int, v: int) -> ReductionStep:
     if not f.has_edge(u, v):
         raise GraphError(f"({u},{v}) is not an edge of factor {i}")
     f_hat, phi = contract_edge(f, u, v)
-    _, _, leaf_of = star_of_edge(f, u, v)
+    leaf_of = {x: j + 1 for j, x in enumerate(sorted(f.adj[u] & f.adj[v]))}
     return _reduce(g, i, u, v, f_hat, phi, leaf_of, (u, v))
 
 
@@ -230,27 +229,3 @@ def vc_monotonicity_check(step: ReductionStep) -> list[InequalityRecord]:
     else:
         record("tips <= common_neighbors * centers", skipped=True)
     return records
-
-
-# ---------------------------------------------------------------------------
-# hypercube recursion bound
-
-def hypercube_recursion_bound(g: ProductSubgraph) -> int:
-    """The edges-per-vertex bound obtained by recursing the reduction over
-    hypercube factors: b(g) = max(b(contracted), b(centers) + 1), base 0.
-
-    For induced hypercube subgraphs this never exceeds the induced
-    VC-dimension, giving |E| <= b * |V|.
-    """
-    if g.num_edges == 0:
-        return 0
-    x, y = min(g.edges)
-    i = g.space.edge_factor(x, y)
-    if g.space.factors[i].n != 2:
-        raise GraphError("recursion bound applies to hypercube subgraphs only")
-    step = reduce_edge(g, i, 0, 1)
-    best = hypercube_recursion_bound(step.g_contracted) if step.g_contracted.num_edges else 0
-    if step.g_link_centers.n:
-        best = max(best, hypercube_recursion_bound(step.g_link_centers) + 1)
-    assert g.num_edges <= best * g.n
-    return best

@@ -42,8 +42,7 @@ class _BudgetSpent(Exception):
 
 
 def _connected_subsets_with_seed(g: FactorGraph, allowed: frozenset, seed: int,
-                                 hits: frozenset, spend=lambda units: None,
-                                 ) -> Iterator[frozenset]:
+                                 hits: frozenset, spend) -> Iterator[frozenset]:
     """The subsets of `allowed` containing `seed` that induce a connected
     subgraph and meet `hits`, in increasing order of their vertex bitmask.
     Vertices are decided from the largest down, left out first; a branch
@@ -240,11 +239,9 @@ class MinorPartition:
 # ---------------------------------------------------------------------------
 # shattering
 
-def shatters_subproduct(g: ProductSubgraph, sub: Subproduct, cap: int = 10 ** 6) -> bool:
+def shatters_subproduct(g: ProductSubgraph, sub: Subproduct) -> bool:
     """True iff every vertex of the subproduct has a fiber meeting V(g)
-    (equivalently, the projection is the whole subproduct)."""
-    if sub.num_vertices() > cap:
-        raise GraphError(f"subproduct too large to materialize (> {cap})")
+    (equivalently, the trace of V(g) is the whole subproduct)."""
     return len(trace(g, sub)) == sub.num_vertices()
 
 

@@ -15,8 +15,7 @@ from prodvc.harness import (GeneratorSpec, check_clique_bound, check_dd_sum,
                             check_hypercube_bound, fuzz_records, generate,
                             random_factor, report_to_json, run_suite)
 from prodvc.labeling import decode, encode
-from prodvc.products import (ProductSpace, ProductSubgraph, hypercube,
-                             instance_from_json)
+from prodvc.products import ProductSpace, ProductSubgraph, instance_from_json
 from prodvc.reductions import reduce_edge, vc_monotonicity_check
 from prodvc.vc import vcd_induced, vcd_minor, vcdens_minor
 
@@ -52,10 +51,10 @@ def oracle_corpus():
 def test_criterion_01_figure_fixtures():
     t0 = time.monotonic()
     p5_in_q4 = ProductSubgraph(
-        hypercube(4),
+        ProductSpace([path_graph(2)] * 4),
         [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)])
     p5_in_q3 = ProductSubgraph(
-        hypercube(3),
+        ProductSpace([path_graph(2)] * 3),
         [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0)])
     grid5 = ProductSubgraph(
         ProductSpace([path_graph(3), path_graph(3)]),
@@ -108,7 +107,7 @@ def test_criterion_03_hypercube_density_bound():
         verts = set()
         while len(verts) < count:
             verts.add(tuple(rng.randint(0, 1) for _ in range(m)))
-        g = ProductSubgraph(hypercube(m), verts)
+        g = ProductSubgraph(ProductSpace([path_graph(2)] * m), verts)
         if check_hypercube_bound(g).verdict != "holds":
             violations += 1
     elapsed = time.monotonic() - t0

@@ -12,7 +12,7 @@ from prodvc.density import (arboricity, arboricity_bruteforce,
 from prodvc.flow import MaxFlow
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           degeneracy_ordering, path_graph, star_graph)
-from prodvc.products import ProductSpace, hypercube
+from prodvc.products import ProductSpace
 
 
 def random_graph(rng, n_max=12):
@@ -26,7 +26,7 @@ def test_known_densities():
     assert densest_subgraph(complete_graph(4)).density == Fraction(3, 2)
     assert densest_subgraph(path_graph(1)).density == 0
     assert densest_subgraph(star_graph(5)).density == Fraction(5, 6)
-    q3, _ = hypercube(3).materialize().to_factor_graph()
+    q3, _ = ProductSpace([path_graph(2)] * 3).materialize().to_factor_graph()
     assert densest_subgraph(q3).density == Fraction(12, 8)
     with pytest.raises(GraphError):
         densest_subgraph(FactorGraph(0, []))
@@ -121,9 +121,9 @@ def test_known_arboricities():
     assert arboricity(path_graph(6)) == 1
     assert arboricity(complete_graph(4)) == 2
     assert arboricity(complete_graph(5)) == 3
-    q3, _ = hypercube(3).materialize().to_factor_graph()
+    q3, _ = ProductSpace([path_graph(2)] * 3).materialize().to_factor_graph()
     assert arboricity(q3) == 2  # ceil(12/7)
-    q4, _ = hypercube(4).materialize().to_factor_graph()
+    q4, _ = ProductSpace([path_graph(2)] * 4).materialize().to_factor_graph()
     assert arboricity(q4) == 3  # ceil(32/15), past the oracle's 12 vertices
     assert arboricity(FactorGraph(1, [])) == 0
 
@@ -156,7 +156,7 @@ def test_arboricity_matches_bruteforce(monkeypatch):
         (2, 8), (2, 9), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (4, 9), (5, 6),
         (5, 10), (6, 7), (6, 8), (6, 9), (6, 10), (6, 11), (7, 8), (7, 9), (7, 10), (8, 9),
         (8, 10), (9, 10), (10, 11)])
-    q3, _ = hypercube(3).materialize().to_factor_graph()
+    q3, _ = ProductSpace([path_graph(2)] * 3).materialize().to_factor_graph()
     graphs = [complete_graph(5), q3, hidden, round_true] + [cycle_graph(n) for n in range(3, 13)]
     rng = random.Random(99)
     graphs += [random_graph(rng, n_max=9) for _ in range(120)]

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, connected_components,
                           contract_edge, cycle_graph, degeneracy_ordering, from_edgelist,
                           induced_subgraph, is_connected, path_graph, star_graph,
-                          star_of_edge, to_edgelist, two_min_degree_vertices)
+                          to_edgelist, two_min_degree_vertices)
 
 
 def random_graph(draw_n, edge_bits):
@@ -74,14 +74,6 @@ def test_contract_edge():
     assert phi[1] == 0 and phi[2] == 1 and phi[3] == 2
     with pytest.raises(GraphError):
         contract_edge(g, 0, 2)
-
-
-def test_star_of_edge():
-    g = complete_graph(4)
-    star, center, leaf_of = star_of_edge(g, 0, 1)
-    assert center == 0
-    assert star.n == 3 and star.m == 2
-    assert leaf_of == {2: 1, 3: 2}
 
 
 def bucket_peel(g):

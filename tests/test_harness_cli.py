@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodvc.cli import build_parser, main
-from prodvc.graph import FactorGraph, complete_graph, path_graph, to_edgelist
+from prodvc.graph import FactorGraph, GraphError, complete_graph, path_graph, to_edgelist
 from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_sum,
                             check_thm4, fuzz_records,
                             generate, instance_digest, random_factor,
                             report_to_json, resolve_mu, run_suite)
-from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, hypercube,
+from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct,
                              instance_from_json, instance_to_json, octahedron)
 from prodvc.vc import MinorPartition, shatters_minor, shatters_subproduct
 
@@ -94,7 +95,8 @@ def test_bounded_vcd_makes_failed_comparisons_inconclusive(monkeypatch):
     vcd; a bounded vcd is only a lower bound, so a failed comparison is
     "violated" only when vcd is exact."""
     from prodvc import harness
-    cube = ProductSubgraph(hypercube(3), [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)])
+    cube = ProductSubgraph(ProductSpace([path_graph(2)] * 3),
+                           [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)])
     grid = ProductSpace([path_graph(3), path_graph(3)]).materialize()
     checks = (lambda: harness.check_hypercube_bound(cube),
               lambda: harness.check_elimination_bound(grid),
@@ -360,6 +362,27 @@ def test_cli_rejects_coordinates_that_are_not_ints(capsys, tmp_path):
                                 _instance_doc([[0, 0], [1, 0], [bad, 1]], **induced))
 
 
+def test_cli_rejects_an_oversized_factor_before_allocating_it(capsys, tmp_path):
+    # 400000 vertices and no edges cannot be connected: refused from n and
+    # the edge count alone, before FactorGraph builds one set per vertex
+    text = json.dumps({"factors": [{"n": 400000, "edges": []}], "vertices": [[0]],
+                       "induced": True})
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="^factor 0 is not connected$"):
+            instance_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    p = tmp_path / "oversized.json"
+    p.write_text(text)
+    assert main(["vcd", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: factor 0 is not connected\n"
+
+
 def test_cli_rejects_instances_that_are_not_induced(capsys, tmp_path):
     # an instance is the subgraph induced by its vertices; one without a
     # truthy "induced", with or without an edge list, is bad input
@@ -545,7 +568,7 @@ def test_verify_reports_are_the_bytes_of_json_dumps():
 
 def test_orient_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     # the orientation walks sets; its output must be fixed by the input
-    q6, _ = hypercube(6).materialize().to_factor_graph()
+    q6, _ = ProductSpace([path_graph(2)] * 6).materialize().to_factor_graph()
     perm = list(range(q6.n))
     random.Random(6).shuffle(perm)
     p = tmp_path / "q6.txt"

@@ -1,18 +1,15 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from prodvc.graph import GraphError, complete_graph, path_graph
 from prodvc.harness import random_factor, random_subgraph
-from prodvc.products import (ProductSpace, ProductSubgraph, hypercube, octahedron)
-from prodvc.reductions import (hypercube_recursion_bound, reduce_edge,
-                               reduce_opposite_pair, vc_monotonicity_check)
-from prodvc.vc import vcd_induced
+from prodvc.products import ProductSpace, octahedron
+from prodvc.reductions import reduce_edge, reduce_opposite_pair, vc_monotonicity_check
 
 
 def test_square_reduction_counts():
-    q2 = hypercube(2).materialize()
+    q2 = ProductSpace([path_graph(2)] * 2).materialize()
     step = reduce_edge(q2, 0, 0, 1)
     assert step.g_contracted.n == 2 and step.g_link_centers.n == 2
     assert step.edge_groups == {"collapsed": 2, "triangle_merged": 0,
@@ -21,13 +18,15 @@ def test_square_reduction_counts():
 
 
 def test_triangle_reduction_produces_tips():
-    sp = ProductSpace([complete_graph(3)])
-    g = sp.materialize()
-    step = reduce_edge(g, 0, 0, 1)
-    assert step.num_common_neighbors == 1
-    assert len(step.tips) == 1
-    assert step.edge_groups["triangle_merged"] == 1
-    assert step.g.n == step.g_contracted.n + step.g_link_centers.n
+    # the edge 0-1 of K3 has common neighbour 2; of K4, 2 and 3, the star
+    # leaves 1 and 2
+    for n, tips in ((3, {(1,)}), (4, {(1,), (2,)})):
+        g = ProductSpace([complete_graph(n)]).materialize()
+        step = reduce_edge(g, 0, 0, 1)
+        assert step.num_common_neighbors == n - 2
+        assert step.tips == tips
+        assert step.edge_groups["triangle_merged"] == len(tips)
+        assert step.g.n == step.g_contracted.n + step.g_link_centers.n
 
 
 def test_reduction_requires_a_valid_factor_and_edge():
@@ -116,17 +115,3 @@ def test_monotonicity_small_corpus():
             assert rec.verdict in ("holds", "skipped"), (rec, sorted(g.vertices))
             checked += 1
     assert checked >= 100
-
-
-def test_hypercube_recursion_bound_below_vcd():
-    rng = random.Random(17)
-    for _ in range(60):
-        m = rng.randint(1, 5)
-        sp = hypercube(m)
-        verts = {tuple(rng.randint(0, 1) for _ in range(m))
-                 for _ in range(rng.randint(1, 2 ** m))}
-        g = ProductSubgraph(sp, verts)
-        b = hypercube_recursion_bound(g)
-        assert g.num_edges <= b * g.n
-        assert b <= vcd_induced(g)[0]
-        assert Fraction(g.num_edges, g.n) <= vcd_induced(g)[0]

@@ -1,5 +1,6 @@
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import prodvc
@@ -22,10 +23,11 @@ def test_runtime_imports_only_stdlib():
                 assert top == "prodvc" or top in sys.stdlib_module_names, (path.name, name)
 
 
-# Public top-level functions and classes that no module of the package uses,
-# so only tests (or the benchmark) call them, each with the reason it stays.
-# A new one fails `test_every_helper_only_tests_call_is_listed` until it is
-# listed here, or used, or removed.
+# Public top-level functions and classes, and public methods and properties
+# of top-level classes (as "Class.member"), that no module of the package
+# uses, so only tests (or the benchmark) call them, each with the reason it
+# stays. A new one fails `test_every_helper_only_tests_call_is_listed` until
+# it is listed here, or used, or removed.
 ONLY_TESTS_CALL = {
     "arboricity_bruteforce": "named oracle",
     "densest_subgraph_bruteforce": "named oracle",
@@ -36,11 +38,6 @@ ONLY_TESTS_CALL = {
     "to_edgelist": "file format: writes what from_edgelist reads",
     "check_hypercube_bound": "acceptance criterion (Thm1); no verify suite runs it",
     "connected_partitions": "read by the benchmark",
-    "fiber": "open debt",
-    "projection": "open debt",
-    "hamming": "open debt",
-    "hypercube": "open debt",
-    "hypercube_recursion_bound": "open debt",
 }
 
 
@@ -57,10 +54,14 @@ def _named(node):
 def test_every_helper_only_tests_call_is_listed():
     src = Path(prodvc.__file__).parent
     defined, used = set(), set()
+    members = []  # (class name, method or property definition)
+    every_name = Counter()
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":  # re-exports are not uses
             continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        every_name.update(_named(tree))
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
                     defined.add(node.name)
@@ -68,6 +69,13 @@ def test_every_helper_only_tests_call_is_listed():
                 used.update(name for name in _named(node) if name != node.name)
             else:
                 used.update(_named(node))
+            if isinstance(node, ast.ClassDef):
+                members += [(node.name, item) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     unused = defined - used
+    # a member is matched by name: used if some module names it outside its
+    # own definition
+    unused.update(f"{cls}.{item.name}" for cls, item in members
+                  if every_name[item.name] == Counter(_named(item))[item.name])
     assert unused - ONLY_TESTS_CALL.keys() == set(), "no module uses these: use, delete or list"
     assert ONLY_TESTS_CALL.keys() - unused == set(), "listed, but used or gone: unlist"

@@ -10,7 +10,7 @@ from prodvc.density import densest_subgraph_bruteforce
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           induced_subgraph, is_connected, path_graph, star_graph)
 from prodvc.harness import GeneratorSpec, generate, random_factor
-from prodvc.products import ProductSpace, ProductSubgraph, Subproduct, hypercube
+from prodvc.products import ProductSpace, ProductSubgraph, Subproduct
 from prodvc import vc
 from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _induced_ceilings, _minor_ceilings,
                        _partitions, _stream_record, compute_vc_report, connected_partitions,
@@ -166,7 +166,8 @@ def test_shattering_subproduct_matches_trace_count():
     # a subproduct is shattered iff the coordinates of g, restricted to its
     # factors' chosen vertices, take every combination of them
     rng = random.Random(44)
-    for sp in (hypercube(4), ProductSpace([complete_graph(3), path_graph(3)])):
+    for sp in (ProductSpace([path_graph(2)] * 4),
+               ProductSpace([complete_graph(3), path_graph(3)])):
         every = list(sp.vertices())
         selections = [[s for k in range(2, f.n + 1) for s in combinations(range(f.n), k)
                        if is_connected(induced_subgraph(f, s)[0])] for f in sp.factors]
@@ -181,7 +182,7 @@ def test_shattering_subproduct_matches_trace_count():
 
 
 def test_path_embedding_in_q4():
-    g = ProductSubgraph(hypercube(4), PATH_IN_Q4)
+    g = ProductSubgraph(ProductSpace([path_graph(2)] * 4), PATH_IN_Q4)
     assert g.num_edges == 4
     assert vcd_induced(g)[0] == 1
     d, exact, _ = vcd_minor(g)
@@ -190,7 +191,7 @@ def test_path_embedding_in_q4():
 
 
 def test_path_embedding_in_q3():
-    g = ProductSubgraph(hypercube(3), PATH_IN_Q3)
+    g = ProductSubgraph(ProductSpace([path_graph(2)] * 3), PATH_IN_Q3)
     assert g.num_edges == 4
     k, witness, exact = vcd_induced(g)
     assert (k, exact) == (2, True)
@@ -216,7 +217,7 @@ def test_induced_oracle_agreement_on_hypercubes():
     rng = random.Random(42)
     for _ in range(80):
         m = rng.randint(1, 6)
-        sp = hypercube(m)
+        sp = ProductSpace([path_graph(2)] * m)
         verts = set()
         for _ in range(rng.randint(1, min(2 ** m, 20))):
             verts.add(tuple(rng.randint(0, 1) for _ in range(m)))
