@@ -73,10 +73,10 @@ def _exact_dismantling(g: FactorGraph) -> Optional[DismantlingCertificate]:
             u = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             cu = closed[u] & mask
-            dominated = any((closed[v] & mask) | cu == closed[v] & mask
-                            for v in range(g.n)
-                            if v != u and mask >> v & 1)
-            if not dominated:
+            dominator = next((v for v in range(g.n)
+                              if v != u and mask >> v & 1
+                              and (closed[v] & mask) | cu == closed[v] & mask), None)
+            if dominator is None:
                 continue
             sub = solve(mask & ~(1 << u))
             if sub is None:
@@ -84,9 +84,6 @@ def _exact_dismantling(g: FactorGraph) -> Optional[DismantlingCertificate]:
             deg = (cu.bit_count() - 1)
             score = max(deg, sub[0])
             if best is None or score < best[0]:
-                dominator = next(v for v in range(g.n)
-                                 if v != u and mask >> v & 1
-                                 and (closed[v] & mask) | cu == closed[v] & mask)
                 best = (score, u, dominator)
         memo[mask] = best
         return best

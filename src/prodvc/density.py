@@ -1,14 +1,15 @@
 """Exact density, maximum average degree, densest subgraph, Nash-Williams
 arboricity, forest decompositions, and bounded-outdegree orientations.
 
-Every ratio is an exact `Fraction`.  The densest-subgraph search and the
-arboricity round run min-cuts on Goldberg's vertex network (source ->
-vertices -> sink, one two-way arc per edge) with the test ratio p/q scaled
-to integer capacities, so no tolerance is involved anywhere.  Forests and
-bounded-outdegree orientations need no flow: both start from the
+Every ratio is an exact `Fraction`.  The densest-subgraph search runs
+min-cuts on Goldberg's vertex network (source -> vertices -> sink, one
+two-way arc per edge) with the test ratio p/q scaled to integer
+capacities, so no tolerance is involved anywhere.  Arboricity, forests and
+bounded-outdegree orientations need no flow: all start from the
 degeneracy orientation, and an orientation with outdegree d comes from it
 by reversing directed paths, one per unit of excess, with the set reached
 from a vertex that has no path as the witness that d is below the density.
+The arboricity test drains one vertex at a time to outdegree 0 the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .flow import INF, MaxFlow
+from .flow import MaxFlow
 from .graph import FactorGraph, GraphError, degeneracy_ordering
 
 
@@ -141,44 +142,14 @@ def mad(g: FactorGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 # arboricity (Nash-Williams denominator |V'| - 1)
 
-def _violates_forest_bound(g: FactorGraph, k: int) -> bool:
-    """True if some subgraph has |E'| > k(|V'| - 1).
-
-    One min-cut per forced vertex v on the vertex network for k/1: over sets
-    S containing v, max 2(|E(S)| - k|S|) equals supply - mincut, and a
-    violation means that maximum reaches 2 - 2k (all quantities are
-    integers).
-    """
-    for forced in range(g.n):
-        net, supply = _vertex_network(g, k, 1)
-        net.add_edge(0, 2 + forced, INF)
-        if supply - net.max_flow(0, 1) >= 2 - 2 * k:
-            return True
-    return False
-
-
 def arboricity(g: FactorGraph) -> int:
     """max over subgraphs of ceil(|E'|/(|V'|-1)), exactly (0 for edgeless).
 
     One degeneracy peel bounds it from both sides.  The degeneracy U is an
     upper bound, since `forest_decomposition` builds U forests.  Each suffix
     S of the peeling order with |S| >= 2 needs ceil(|E(S)|/(|S|-1)) forests;
-    the largest of these is a lower bound L.
-
-    With rho = dens(g) = a/b and p = ceil(rho), p <= arboricity <= p + 1:
-    the densest witness S* has more than (p-1)|S*| edges, so its ratio over
-    |S*| - 1 exceeds p - 1; and a set S with |S| >= p + 1 has
-    |E(S)|/(|S|-1) <= p|S|/(|S|-1) <= p + 1, while a smaller one has
-    |E(S)|/(|S|-1) <= |S|/2 <= p.  The arboricity is p + 1 exactly when some
-    S has |E(S)| >= p(|S|-1) + 1.  Four exact steps decide, the last three
-    after one density solve:
-
-    1. L = U: U, with no density solve (every grid closes here);
-    2. S* itself has rho|S*| >= p(|S*|-1) + 1 edges: p + 1 (always when rho
-       is an integer);
-    3. no size s in 2..n admits p(s-1) + 1 <= min(floor(a s/b), s(s-1)/2)
-       edges, the most a set of size s can hold: p;
-    4. otherwise one forced-vertex min-cut round at k = p decides.
+    the largest of these is a lower bound L.  Between them the value is the
+    least k that `_fits_forests` accepts, and U when none below U fits.
 
     `forest_decomposition` builds degeneracy(g) forests, which may exceed
     this value (Q3: 3 for arboricity 2).
@@ -195,17 +166,7 @@ def arboricity(g: FactorGraph) -> int:
     if lower > upper:
         raise RuntimeError(f"arboricity: a peeling suffix needs {lower} forests, "
                            f"above the degeneracy {upper}")
-    if lower == upper:
-        return upper
-    rep = densest_subgraph(g)
-    a, b = rep.density.numerator, rep.density.denominator
-    p = -(-a // b)
-    size = len(rep.witness)
-    if a * size // b >= p * (size - 1) + 1:
-        return p + 1
-    if all(min(a * s // b, s * (s - 1) // 2) < p * (s - 1) + 1 for s in range(2, g.n + 1)):
-        return p
-    return p + 1 if _violates_forest_bound(g, p) else p
+    return next((k for k in range(lower, upper) if _fits_forests(g, k)), upper)
 
 
 def arboricity_bruteforce(g: FactorGraph) -> int:
@@ -317,3 +278,33 @@ def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int
         raise RuntimeError(f"bounded_outdegree_orientation: {max(outdeg)} edges "
                            f"point out of one vertex, above {d}")
     return orientation
+
+
+def _fits_forests(g: FactorGraph, k: int) -> bool:
+    """True iff no subgraph has |E'| > k(|V'| - 1), that is, iff g splits
+    into k forests (Nash-Williams 1964).
+
+    The path reversal of `bounded_outdegree_orientation`: first every
+    outdegree comes down to at most k, then each vertex s in turn drains to
+    0, each unit along a path to another vertex with outdegree below k, and
+    s rejoins the others at bound k.  Once s is drained, every set S holding
+    s has |E(S)| <= k(|S| - 1), since each edge points out of one of S's
+    vertices.  If s reaches no vertex with room, the set R it reaches keeps
+    every out-arc of its vertices, those other than s have outdegree at
+    least k and s more than its cap (k, then 0), so |E(R)| > k(|R| - 1).
+    That count is checked explicitly.
+    """
+    out, _ = _degeneracy_orientation(g)
+    for cap in (k, 0):
+        for s in range(g.n):
+            while len(out[s]) > cap:
+                reached = _reverse_path_to_room(out, s, k)
+                if reached is None:
+                    continue
+                inside = _edge_count_within(g, reached)
+                if inside > k * (len(reached) - 1):
+                    return False
+                raise RuntimeError(f"_fits_forests: vertex {s} reaches no vertex with "
+                                   f"room, but its {len(reached)} reached vertices hold "
+                                   f"only {inside} edges")
+    return True

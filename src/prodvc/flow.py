@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 
-INF = float("inf")
-
 
 class MaxFlow:
     def __init__(self, num_nodes: int):
@@ -19,16 +17,14 @@ class MaxFlow:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity, reverse=0) -> int:
+    def add_edge(self, u: int, v: int, capacity: int, reverse: int = 0) -> None:
         """Add the arc pair u -> v (`capacity`) and v -> u (`reverse`)."""
-        idx = len(self.to)
+        self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(capacity)
-        self.head[u].append(idx)
+        self.head[v].append(len(self.to))
         self.to.append(u)
         self.cap.append(reverse)
-        self.head[v].append(idx + 1)
-        return idx
 
     def _bfs(self, s: int, t: int) -> bool:
         self.level = [-1] * self.n

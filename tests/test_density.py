@@ -11,7 +11,7 @@ from prodvc.density import (arboricity, arboricity_bruteforce,
                             densest_subgraph_bruteforce, forest_decomposition, mad)
 from prodvc.flow import MaxFlow
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
-                          degeneracy_ordering, path_graph, star_graph)
+                          degeneracy_ordering, induced_subgraph, path_graph, star_graph)
 from prodvc.products import ProductSpace
 
 
@@ -96,7 +96,7 @@ def test_forest_bound_round_matches_bruteforce():
         counts = _edge_counts(g)
         for k in range(1, 5):
             violated = any(e > k * (mask.bit_count() - 1) for mask, e in counts.items())
-            assert density._violates_forest_bound(g, k) == violated
+            assert density._fits_forests(g, k) == (not violated)
             outcomes.add((k, violated))
     assert outcomes == {(k, b) for k in range(1, 5) for b in (False, True)}
 
@@ -117,40 +117,85 @@ def test_product_density_is_sum_of_factor_densities():
         assert dens(flat) == sum(dens(f) for f in factors)
 
 
-def test_known_arboricities():
+def _forbid_flow(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("arboricity ran a max-flow")
+
+    monkeypatch.setattr(density, "densest_subgraph", no_flow)
+    monkeypatch.setattr(MaxFlow, "max_flow", no_flow)
+
+
+def _power(factor, m):
+    return ProductSpace([factor] * m).materialize().to_factor_graph()[0]
+
+
+def test_known_arboricities(monkeypatch):
+    _forbid_flow(monkeypatch)
     assert arboricity(path_graph(6)) == 1
-    assert arboricity(complete_graph(4)) == 2
-    assert arboricity(complete_graph(5)) == 3
-    q3, _ = ProductSpace([path_graph(2)] * 3).materialize().to_factor_graph()
-    assert arboricity(q3) == 2  # ceil(12/7)
-    q4, _ = ProductSpace([path_graph(2)] * 4).materialize().to_factor_graph()
-    assert arboricity(q4) == 3  # ceil(32/15), past the oracle's 12 vertices
     assert arboricity(FactorGraph(1, [])) == 0
+    # An n-vertex subgraph of a hypercube has at most (n/2) log2 n edges, the
+    # density bound of the paper's opening in its sharp form (Harper 1964).
+    # Its ratio to n - 1 grows with n, so Q_m itself needs the most forests.
+    for m in range(1, 9):  # from Q4 on, past the oracle's 12 vertices
+        assert arboricity(_power(path_graph(2), m)) == -(-m * 2 ** (m - 1) // (2 ** m - 1)), m
+    for n in range(1, 61):
+        assert arboricity(complete_graph(n)) == (0 if n == 1 else -(-n // 2)), n
+    assert arboricity(_power(complete_graph(3), 3)) == 4
+    assert arboricity(_power(complete_graph(4), 3)) == 5
+
+
+# L = 3 and U = 4 from the peel, and arboricity 4, so `arboricity` rejects
+# k = L.  None of 20,000 random graphs small enough for the brute-force
+# oracle does that; this one was found among random graphs grown from a
+# dense core, each later vertex joined to a few earlier ones, and pruned
+# edge by edge while it still did.
+REJECTED_AT_THE_LOWER_BOUND = FactorGraph(17, [
+    (0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (0, 12), (1, 3), (1, 4),
+    (1, 5), (1, 14), (2, 3), (2, 5), (2, 9), (2, 11), (3, 4), (3, 5), (3, 6), (3, 7),
+    (3, 8), (3, 9), (4, 6), (4, 7), (4, 10), (5, 6), (5, 8), (5, 9), (5, 14), (6, 8),
+    (6, 10), (6, 12), (6, 16), (7, 8), (7, 9), (7, 11), (7, 13), (8, 11), (9, 11),
+    (9, 14), (9, 15), (10, 13), (10, 16), (12, 15), (12, 16), (13, 14), (13, 15), (15, 16)])
+
+
+def _recorded(monkeypatch, name):
+    """Patch density.<name> to record each call's arguments and result."""
+    calls, real = [], getattr(density, name)
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(density, name, record)
+    return calls
+
+
+def test_arboricity_rejected_at_the_lower_bound(monkeypatch):
+    g = REJECTED_AT_THE_LOWER_BOUND
+    _forbid_flow(monkeypatch)
+    tests = _recorded(monkeypatch, "_fits_forests")
+    reversals = _recorded(monkeypatch, "_reverse_path_to_room")
+    assert arboricity(g) == 4
+    assert [(k, fits) for (_, k), fits in tests] == [(3, False)]
+    # the drain's reached set needs 4 forests, and the degeneracy builds 4
+    reached = next(r for _, r in reversals if r is not None)
+    assert sum(1 for u, v in g.edges if u in reached and v in reached) > 3 * (len(reached) - 1)
+    fd = forest_decomposition(g)
+    assert fd.k == 4
+    for j in range(fd.k):
+        _assert_forest(g.n, fd.forest_edges(j))
+    assert sorted(e for j in range(fd.k) for e in fd.forest_edges(j)) == list(g.edges)
 
 
 def test_arboricity_matches_bruteforce(monkeypatch):
-    rounds, solves = [], []
-    real_round, real_solve = density._violates_forest_bound, density.densest_subgraph
-
-    def counted_round(g, k):
-        rounds.append(real_round(g, k))
-        return rounds[-1]
-
-    def counted_solve(g):
-        solves.append(g)
-        return real_solve(g)
-
-    monkeypatch.setattr(density, "_violates_forest_bound", counted_round)
-    monkeypatch.setattr(density, "densest_subgraph", counted_solve)
+    _forbid_flow(monkeypatch)
+    tests = _recorded(monkeypatch, "_fits_forests")
     # K5 minus an edge (9 > 2*4 edges) inside a 10-vertex graph of density
-    # 9/5: the densest witness is the whole graph, which has only 2*9 edges,
-    # so the density steps would need the min-cut round; the peel ends on
-    # the K5 minus an edge and closes it first, at L = U = 3
+    # 9/5 whose densest set, the whole graph, has only 2*9 edges: the peel
+    # ends on the K5 minus an edge, so L = U = 3
     k5_minus_edge = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
     hidden = FactorGraph(10, k5_minus_edge + [(0, 5), (1, 6), (2, 7), (3, 8)]
                          + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
-    # arboricity 4, whose bounds do not meet and whose violation of the
-    # 3-forest bound only the min-cut round finds
+    # arboricity 4, which the peel already gives as L; U = 5
     round_true = FactorGraph(12, [
         (0, 5), (0, 9), (0, 10), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6),
         (2, 8), (2, 9), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (4, 9), (5, 6),
@@ -164,17 +209,13 @@ def test_arboricity_matches_bruteforce(monkeypatch):
     graphs += [random_graph(rng, n_max=11) for _ in range(300)]
     outcomes = set()
     for g in graphs:
-        before, solved = len(rounds), len(solves)
-        a = arboricity(g)
-        assert a == arboricity_bruteforce(g)
-        if len(rounds) > before:
-            outcomes.add(("round", rounds[-1]))
-        elif len(solves) > solved:
-            outcomes.add(("no round", a - math.ceil(dens(g))))
+        before = len(tests)
+        assert arboricity(g) == arboricity_bruteforce(g)
+        if len(tests) > before:
+            outcomes.add("fits at L" if tests[before][1] else "rejected at L")
         elif g.m:
-            outcomes.add(("bounds meet", a - math.ceil(dens(g))))
-    assert outcomes == {("no round", 0), ("no round", 1), ("round", False), ("round", True),
-                        ("bounds meet", 0), ("bounds meet", 1)}
+            outcomes.add("bounds meet")
+    assert {"bounds meet", "fits at L"} <= outcomes
 
 
 def _grid(a, b, rng=None):
@@ -187,38 +228,36 @@ def _grid(a, b, rng=None):
     return FactorGraph(a * b, edges)
 
 
+def _three_core(g):
+    """The vertices left once every vertex of degree below 3 is removed."""
+    alive = set(range(g.n))
+    low = [v for v in alive if len(g.adj[v]) < 3]
+    while low:
+        alive -= set(low)
+        low = [v for v in alive if len(g.adj[v] & alive) < 3]
+    return alive
+
+
 def test_arboricity_of_grids_and_sparse_random_graphs_needs_no_flow(monkeypatch):
-    # the peel's bounds meet on every grid, so no density solve and no
-    # max-flow runs.  A G(n, 1.25n) needs two forests (more than n - 1
-    # edges), so its bounds meet whenever its degeneracy is 2; one with a
-    # 3-core takes the density steps.  The reference value, the least k
-    # whose forest bound no subgraph violates, comes from the forced-vertex
-    # min-cut round before the patch.
+    _forbid_flow(monkeypatch)
+    # A G(n, 1.25n) has more than n - 1 edges, so it needs two forests.  A
+    # set S with |E(S)| > 2(|S| - 1), minimal under inclusion, keeps at most
+    # 2(|S| - 2) edges without any one vertex, so each vertex has degree at
+    # least 3 in S and S lies in the 3-core: two forests suffice when the
+    # 3-core needs at most two.
     rng = random.Random(1964)
-    sparse = []
     for n in (100, 200, 300):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for _ in range(3):
             g = FactorGraph(n, rng.sample(pairs, round(1.25 * n)))
-            a = next(k for k in range(1, 4) if not density._violates_forest_bound(g, k))
-            assert a == 2 and arboricity(g) == a
-            if degeneracy_ordering(g)[1] == 2:
-                sparse.append(g)
-    assert sparse
-
-    def no_flow(*args):
-        raise AssertionError("arboricity ran a max-flow")
-
-    monkeypatch.setattr(density, "densest_subgraph", no_flow)
-    monkeypatch.setattr(MaxFlow, "max_flow", no_flow)
+            assert arboricity_bruteforce(induced_subgraph(g, _three_core(g))[0]) <= 2
+            assert arboricity(g) == 2
     sides = (1, 2, 3, 5, 8, 13, 21, 30)
     for a in sides:
         for b in (b for b in sides if b >= a):
             want = 0 if a == b == 1 else 1 if a == 1 else 2
             assert arboricity(_grid(a, b)) == arboricity(_grid(a, b, rng)) == want, (a, b)
     assert arboricity(_grid(100, 100, rng)) == 2
-    for g in sparse:
-        assert arboricity(g) == 2
 
 
 def test_peel_bounds_that_cross_fail(monkeypatch):
@@ -307,6 +346,9 @@ def test_orientation_with_a_wrong_reached_set_fails(monkeypatch):
     monkeypatch.setattr(density, "_edge_count_within", lambda g, vertices: 0)
     with pytest.raises(RuntimeError, match="reaches no vertex with room"):
         bounded_outdegree_orientation(complete_graph(4), 1)
+    # the same for forests: k = L is rejected on this graph
+    with pytest.raises(RuntimeError, match="reaches no vertex with room"):
+        arboricity(REJECTED_AT_THE_LOWER_BOUND)
 
 
 def test_orientation_exists_exactly_up_to_the_density():
