@@ -13,6 +13,8 @@ from typing import Optional
 from .graph import FactorGraph, GraphError
 from .products import ProductSubgraph
 
+EXACT_DISMANTLING_CAP = 12  # most vertices on which min_dismantling_order is exact
+
 
 # ---------------------------------------------------------------------------
 # dismantlable graphs
@@ -41,17 +43,16 @@ def _closed_masks(g: FactorGraph) -> list[int]:
     return masks
 
 
-def min_dismantling_order(g: FactorGraph, exact_cap: int = 12,
-                          ) -> Optional[DismantlingCertificate]:
+def min_dismantling_order(g: FactorGraph) -> Optional[DismantlingCertificate]:
     """The elimination order minimizing the maximum removal degree, or None
     when the graph is not dismantlable.
 
-    Exact (dynamic program over vertex subsets) up to `exact_cap` vertices;
-    beyond that a greedy order is returned with `exact=False`.
+    Exact (dynamic program over vertex subsets) up to EXACT_DISMANTLING_CAP
+    vertices; beyond that a greedy order is returned with `exact=False`.
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    if g.n <= exact_cap:
+    if g.n <= EXACT_DISMANTLING_CAP:
         return _exact_dismantling(g)
     return _greedy_dismantling(g)
 

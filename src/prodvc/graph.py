@@ -1,5 +1,6 @@
-"""Finite simple graphs on dense integer vertices, with the contraction and
-degree machinery used by every other module.
+"""Finite simple graphs on dense integer vertices, with the walk inside a
+vertex set, the contraction by a vertex map and the degree machinery used by
+every other module.
 
 Vertices are always 0..n-1.  Graphs are immutable after construction and all
 ratio-valued quantities are exact `Fraction`s; floats only appear in reports.
@@ -8,8 +9,7 @@ ratio-valued quantities are exact `Fraction`s; floats only appear in reports.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Iterable, Optional
+from typing import Collection, Container, Iterable, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -105,42 +105,46 @@ def degree_sequence(g: FactorGraph) -> list[int]:
     return [len(g.adj[v]) for v in range(g.n)]
 
 
-def is_connected(g: FactorGraph) -> bool:
-    if g.n == 0:
-        return False
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w not in seen:
+# ---------------------------------------------------------------------------
+# connectivity inside a vertex set
+
+def reached_within(g: FactorGraph, sources: Iterable[int], part: Container[int]) -> set[int]:
+    """The vertices of `part` that a walk of g's adjacency from `sources`,
+    which are vertices of g in `part`, reaches without leaving `part`."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for w in g.adj[stack.pop()]:
+            if w in part and w not in seen:
                 seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+                stack.append(w)
+    return seen
 
 
-def connected_components(g: FactorGraph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+def is_connected_within(g: FactorGraph, part: Collection[int]) -> bool:
+    """True iff the nonempty `part` induces a connected subgraph of g; a
+    member outside range(g.n) has no neighbours, so only a singleton part
+    may hold one."""
+    if len(part) == 1:
+        return True
+    start = min(part)
+    return 0 <= start < g.n and len(reached_within(g, (start,), part)) == len(part)
+
+
+def is_connected(g: FactorGraph) -> bool:
+    return g.n > 0 and is_connected_within(g, range(g.n))
 
 
 # ---------------------------------------------------------------------------
 # contraction operators
+
+def quotient(g: FactorGraph, part_of: Sequence[int]) -> FactorGraph:
+    """Contract each set of vertices that `part_of` sends to one value: the
+    graph on 0..max(part_of) with the edges (part_of[u], part_of[v]) of the
+    edges uv of g, loops dropped."""
+    return FactorGraph(max(part_of) + 1,
+                       [(part_of[u], part_of[v]) for u, v in g.edges if part_of[u] != part_of[v]])
+
 
 def contract_edge(g: FactorGraph, u: int, v: int) -> tuple[FactorGraph, list[int]]:
     """Contract the edge uv: replace u,v by one vertex w, drop loops and
@@ -152,20 +156,8 @@ def contract_edge(g: FactorGraph, u: int, v: int) -> tuple[FactorGraph, list[int
     if not g.has_edge(u, v):
         raise GraphError(f"({u},{v}) is not an edge")
     keep, drop = min(u, v), max(u, v)
-    phi = [0] * g.n
-    for x in range(g.n):
-        if x == drop:
-            phi[x] = keep
-        elif x > drop:
-            phi[x] = x - 1
-        else:
-            phi[x] = x
-    edges = set()
-    for a, b in g.edges:
-        na, nb = phi[a], phi[b]
-        if na != nb:
-            edges.add((min(na, nb), max(na, nb)))
-    return FactorGraph(g.n - 1, edges), phi
+    phi = [keep if x == drop else x - (x > drop) for x in range(g.n)]
+    return quotient(g, phi), phi
 
 
 # ---------------------------------------------------------------------------

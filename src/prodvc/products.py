@@ -12,7 +12,7 @@ import json
 from operator import mul
 from typing import Iterable, Iterator
 
-from .graph import FactorGraph, GraphError, induced_subgraph, is_connected
+from .graph import FactorGraph, GraphError, is_connected, is_connected_within
 
 MATERIALIZE_CAP = 10 ** 6
 
@@ -138,8 +138,7 @@ class Subproduct:
             vs = tuple(sorted(set(vs)))
             if len(vs) < 2:
                 raise GraphError(f"factor {i} selection is trivial")
-            sub, _ = induced_subgraph(space.factors[i], vs)
-            if not is_connected(sub):
+            if not is_connected_within(space.factors[i], frozenset(vs)):
                 raise GraphError(f"selection {vs} is not connected in factor {i}")
             norm[i] = vs
         self.space = space
@@ -219,6 +218,9 @@ def instance_from_json(text: str) -> ProductSubgraph:
         factors = []
         for i, f in enumerate(doc["factors"]):
             n, edges = f["n"], [tuple(e) for e in f["edges"]]
+            for e in edges:
+                if len(e) != 2:
+                    raise GraphError(f"factor {i}: edge {list(e)} is not a pair")
             # connecting n vertices takes n - 1 edges: a factor with fewer is
             # refused before its adjacency, one set per vertex, is allocated
             if type(n) is int and n > len(edges) + 1:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import FactorGraph, GraphError, contract_edge, induced_subgraph, star_graph
+from .graph import FactorGraph, GraphError, contract_edge, quotient, star_graph
 from .products import Coord, ProductSpace, ProductSubgraph
 
 
@@ -35,7 +35,6 @@ class ReductionStep:
     g_link: ProductSubgraph = field(repr=False)           # over the star product
     g_link_centers: ProductSubgraph = field(repr=False)   # induced on center vertices
     tips: frozenset[Coord]
-    tip_edges: frozenset[tuple[Coord, Coord]]
     contraction_map: dict[Coord, Coord] = field(repr=False)
     num_common_neighbors: int
     edge_groups: dict[str, int]
@@ -104,7 +103,6 @@ def _reduce(g: ProductSubgraph, i: int, u: int, v: int, f_hat: FactorGraph,
             tips.add(_with_coord(w, i, leaf_of[x]))
     g_link = ProductSubgraph(tilde_space, centers | tips)
     g_link_centers = ProductSubgraph(tilde_space, centers)
-    tip_edges = g_link.edges - g_link_centers.edges
 
     groups = _classify_edges(g, i, cmap, g_contracted)
     # an edge uv collapses once per center; an opposite pair is never adjacent
@@ -116,7 +114,7 @@ def _reduce(g: ProductSubgraph, i: int, u: int, v: int, f_hat: FactorGraph,
     step = ReductionStep(factor_index=i, edge=edge, g=g,
                          g_contracted=g_contracted, g_link=g_link,
                          g_link_centers=g_link_centers,
-                         tips=frozenset(tips), tip_edges=frozenset(tip_edges),
+                         tips=frozenset(tips),
                          contraction_map=cmap,
                          num_common_neighbors=len(leaf_of),
                          edge_groups=groups)
@@ -164,13 +162,12 @@ def reduce_opposite_pair(g: ProductSubgraph, i: int, e: int) -> ReductionStep:
         raise GraphError("clique factor, use Hamming base case")
     ebar = partner[e]
 
-    keep = sorted(set(range(f.n)) - {ebar})
-    f_hat, remap = induced_subgraph(f, keep)
-    phi = [remap[x] if x != ebar else remap[e] for x in range(f.n)]
+    phi = [x - (x > ebar) for x in range(f.n)]
+    phi[ebar] = phi[e]
     nbrs = sorted(f.adj[ebar])
     assert set(nbrs) == set(range(f.n)) - {e, ebar}
     leaf_of = {x: j + 1 for j, x in enumerate(nbrs)}
-    return _reduce(g, i, e, ebar, f_hat, phi, leaf_of, (min(e, ebar), max(e, ebar)))
+    return _reduce(g, i, e, ebar, quotient(f, phi), phi, leaf_of, (min(e, ebar), max(e, ebar)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from math import lcm, prod
 from typing import Iterable, Iterator, Optional
 
 from .density import densest_subgraph
-from .graph import FactorGraph, GraphError, connected_components, induced_subgraph
+from .graph import (FactorGraph, GraphError, induced_subgraph, is_connected_within, quotient,
+                     reached_within)
 from .products import ProductSpace, ProductSubgraph, Subproduct, trace
 
 DEFAULT_BUDGET = 10_000_000  # work units of each VC scan; see `_scan`
@@ -85,9 +86,7 @@ def _finishable(g: FactorGraph, rest: frozenset, hits: frozenset, spend) -> bool
     if rest <= hits:
         return True
     spend(g.m)
-    sub, remap = induced_subgraph(g, rest)
-    hit = {remap[v] for v in rest & hits}
-    return all(hit.intersection(comp) for comp in connected_components(sub))
+    return len(reached_within(g, rest & hits, rest)) == len(rest)
 
 
 def _partitions(g: FactorGraph, hits: frozenset, spend=lambda units: None,
@@ -136,16 +135,13 @@ def _stream_record(g: FactorGraph, hits: frozenset) -> list:
     return []
 
 
-def quotient_graph(g: FactorGraph, parts: Partition) -> FactorGraph:
-    """Contract each part to a single vertex; parts are indexed by their
-    position in `parts`."""
-    part_of = {v: i for i, part in enumerate(parts) for v in part}
-    edges = set()
-    for u, v in g.edges:
-        a, b = part_of[u], part_of[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return FactorGraph(len(parts), edges)
+def _part_of(parts: Iterable[Iterable[int]], n: int) -> list[int]:
+    """The index of the part holding each vertex of 0..n-1."""
+    part_of = [0] * n
+    for j, part in enumerate(parts):
+        for v in part:
+            part_of[v] = j
+    return part_of
 
 
 def _parts_of(part_of) -> list[list[int]]:
@@ -159,7 +155,7 @@ def _parts_of(part_of) -> list[list[int]]:
 @lru_cache(maxsize=1 << 14)
 def _partition_density(g: FactorGraph, part_of) -> Fraction:
     """Density of the minor of g that the partition `part_of` defines."""
-    return _quotient_density(quotient_graph(g, _parts_of(part_of)))
+    return _quotient_density(quotient(g, part_of))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -172,29 +168,12 @@ def _quotient_density(quotient: FactorGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 # minor partitions
 
-def _is_connected_part(f: FactorGraph, part: frozenset) -> bool:
-    """True iff the nonempty `part` induces a connected subgraph of f, by one
-    walk of f's adjacency inside it; a member outside range(f.n) has no
-    neighbours, so only a singleton part may hold one."""
-    if len(part) == 1:
-        return True
-    start = min(part)
-    if not 0 <= start < f.n:
-        return False
-    seen, stack = {start}, [start]
-    while stack:
-        for w in f.adj[stack.pop()]:
-            if w in part and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(part)
-
-
 class MinorPartition:
     """Per-factor partitions into connected parts, defining a minor of each
-    factor and hence a minor-subproduct."""
+    factor and hence a minor-subproduct.  `part_of[i][c]` is the index of
+    the part of factor i that holds c."""
 
-    __slots__ = ("space", "parts")
+    __slots__ = ("space", "parts", "part_of")
 
     def __init__(self, space: ProductSpace, parts: Iterable[Iterable[Iterable[int]]]):
         parts = tuple(tuple(frozenset(p) for p in factor_parts) for factor_parts in parts)
@@ -207,21 +186,16 @@ class MinorPartition:
                 if not p or (seen & p):
                     raise GraphError(f"factor {i}: parts must be nonempty and disjoint")
                 seen |= p
-                if not _is_connected_part(f, p):
+                if not is_connected_within(f, p):
                     raise GraphError(f"factor {i}: part {sorted(p)} is not connected")
             if seen != set(range(f.n)):
                 raise GraphError(f"factor {i}: parts must cover all vertices")
         self.space = space
         self.parts = parts
+        self.part_of = tuple(_part_of(p, f.n) for f, p in zip(space.factors, parts))
 
     def cell_of(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        cell = []
-        for i, c in enumerate(v):
-            for j, p in enumerate(self.parts[i]):
-                if c in p:
-                    cell.append(j)
-                    break
-        return tuple(cell)
+        return tuple(part_of[c] for part_of, c in zip(self.part_of, v))
 
     def num_cells(self) -> int:
         return prod(len(factor_parts) for factor_parts in self.parts)
@@ -230,7 +204,7 @@ class MinorPartition:
         return sum(1 for factor_parts in self.parts if len(factor_parts) >= 2)
 
     def minors(self) -> list[FactorGraph]:
-        return [quotient_graph(f, p) for f, p in zip(self.space.factors, self.parts)]
+        return [quotient(f, part_of) for f, part_of in zip(self.space.factors, self.part_of)]
 
     def minor_density(self) -> Fraction:
         return sum((_quotient_density(q) for q in self.minors()), Fraction(0))
@@ -532,11 +506,7 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, fallback=None
         keys, counts, charges = bytearray(), bytearray(), array("q")
         mark = left()
         for parts in _partitions(f, hits[i], spend):
-            part_of = [0] * n
-            for j, part in enumerate(parts):
-                for v in part:
-                    part_of[v] = j
-            key = (bytes if len(parts) < 256 else tuple)(part_of)
+            key = (bytes if len(parts) < 256 else tuple)(_part_of(parts, n))
             if record is not None:
                 charges.append(mark - left())
                 keys += key

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from prodvc.classes import (chordal_certificate, clique_number,
+from prodvc.classes import (EXACT_DISMANTLING_CAP, chordal_certificate, clique_number,
                             is_chordal_bruteforce, is_dismantlable_bruteforce,
                             min_dismantling_order, product_elimination_report,
                             suboctahedron_structure)
@@ -61,7 +61,8 @@ def test_dismantling_order_is_valid():
 
 def test_greedy_fallback_is_flagged():
     g = path_graph(15)
-    cert = min_dismantling_order(g, exact_cap=5)
+    assert g.n > EXACT_DISMANTLING_CAP
+    cert = min_dismantling_order(g)
     assert cert is not None and not cert.exact and cert.dd >= 1
 
 

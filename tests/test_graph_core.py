@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from prodvc.graph import (FactorGraph, GraphError, complete_graph, connected_components,
-                          contract_edge, cycle_graph, degeneracy_ordering, from_edgelist,
-                          induced_subgraph, is_connected, path_graph, star_graph,
-                          to_edgelist, two_min_degree_vertices)
+from prodvc.graph import (FactorGraph, GraphError, complete_graph, contract_edge, cycle_graph,
+                          degeneracy_ordering, from_edgelist, induced_subgraph, is_connected,
+                          path_graph, reached_within, star_graph, to_edgelist,
+                          two_min_degree_vertices)
 
 
 def random_graph(draw_n, edge_bits):
@@ -55,7 +55,8 @@ def test_connectivity():
     assert is_connected(path_graph(5))
     g = FactorGraph(4, [(0, 1), (2, 3)])
     assert not is_connected(g)
-    assert connected_components(g) == [[0, 1], [2, 3]]
+    assert reached_within(g, [0], range(4)) == {0, 1}
+    assert reached_within(g, [3], range(4)) == {2, 3}
 
 
 def test_induced_subgraph_compacts():

@@ -362,6 +362,20 @@ def test_cli_rejects_coordinates_that_are_not_ints(capsys, tmp_path):
                                 _instance_doc([[0, 0], [1, 0], [bad, 1]], **induced))
 
 
+def test_cli_rejects_a_factor_edge_that_is_not_a_pair(capsys, tmp_path):
+    p = tmp_path / "bad_edge.json"
+    for edge in ([0], [0, 1, 2], []):
+        doc = _instance_doc([[0, 0], [1, 0]], induced=True)
+        doc["factors"][1]["edges"] = [edge]
+        p.write_text(json.dumps(doc))
+        for argv in (["vcd", str(p)], ["vcd", str(p), "--minor"],
+                     ["reduce", str(p), "--factor", "0", "--edge", "0,1"]):
+            assert main(argv) == 2, (argv, edge)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: factor 1: edge {edge} is not a pair\n"
+
+
 def test_cli_rejects_an_oversized_factor_before_allocating_it(capsys, tmp_path):
     # 400000 vertices and no edges cannot be connected: refused from n and
     # the edge count alone, before FactorGraph builds one set per vertex

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -79,3 +81,43 @@ def test_every_helper_only_tests_call_is_listed():
                   if every_name[item.name] == Counter(_named(item))[item.name])
     assert unused - ONLY_TESTS_CALL.keys() == set(), "no module uses these: use, delete or list"
     assert ONLY_TESTS_CALL.keys() - unused == set(), "listed, but used or gone: unlist"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_constants(*names):
+    """Top-level constants of bench/tracing.py, read without importing it."""
+    tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+    found = {target.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in names}
+    return [found[name] for name in names]
+
+
+def test_every_prodvc_name_the_benchmark_reaches_resolves():
+    # the benchmark imports each layer of LAYERS and reaches into it by name:
+    # the traced FUNCTIONS, two traced methods, the caches it clears and
+    # reads, and each mods.<layer>.<name> of its workloads
+    layers, functions = _bench_constants("LAYERS", "FUNCTIONS")
+    mods = {layer: importlib.import_module(f"prodvc.{layer}") for layer in layers}
+    reached = {name for name, _ in functions}
+    for source in ("workloads.py", "make_reference.py", "child.py"):
+        text = (BENCH / source).read_text(encoding="utf-8")
+        reached.update(".".join(pair) for pattern in (r"\bmods\.(\w+)\.(\w+)",
+                                                       r"\bmods\[\"(\w+)\"\]\.(\w+)")
+                       for pair in re.findall(pattern, text))
+    assert len(reached) > len(functions)
+    # two traced names are methods, which the tracer patches on their class
+    methods = {"flow.max_flow": ("MaxFlow", "max_flow"),
+               "products.ProductSubgraph": ("ProductSubgraph", "__init__")}
+    for name, (cls, attr) in methods.items():
+        assert callable(vars(getattr(mods[name.split(".")[0]], cls))[attr]), name
+    missing = []
+    for name in sorted(reached - methods.keys()):
+        layer, attr = name.split(".")
+        if not callable(getattr(mods.get(layer), attr, None)):
+            missing.append(name)
+    assert missing == [], "the benchmark reaches these names"
+    for cache in (mods["vc"].connected_partitions, mods["vc"]._partition_density):
+        assert callable(cache.cache_info) and callable(cache.cache_clear)

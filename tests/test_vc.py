@@ -8,13 +8,13 @@ import pytest
 
 from prodvc.density import densest_subgraph_bruteforce
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
-                          induced_subgraph, is_connected, path_graph, star_graph)
+                          induced_subgraph, is_connected, path_graph, quotient, star_graph)
 from prodvc.harness import GeneratorSpec, generate, random_factor
 from prodvc.products import ProductSpace, ProductSubgraph, Subproduct
 from prodvc import vc
 from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _induced_ceilings, _minor_ceilings,
-                       _partitions, _stream_record, compute_vc_report, connected_partitions,
-                       minor_search, quotient_graph, shatters_minor, shatters_subproduct,
+                       _part_of, _partitions, _stream_record, compute_vc_report,
+                       connected_partitions, minor_search, shatters_minor, shatters_subproduct,
                        vcd_induced, vcd_minor, vcd_set_system, vcdens_induced, vcdens_minor)
 
 PATH_IN_Q4 = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
@@ -66,7 +66,7 @@ def test_partitions_meeting_hits_keep_order():
 
 
 def test_quotient_graph():
-    q = quotient_graph(path_graph(4), (frozenset({0, 1}), frozenset({2, 3})))
+    q = quotient(path_graph(4), [0, 0, 1, 1])
     assert q.n == 2 and q.m == 1
 
 
@@ -557,8 +557,8 @@ def test_density_ceilings_bound_every_option():
             if len(s) >= 2 and is_connected(sub):
                 assert densest_subgraph_bruteforce(sub).density <= induced[len(s)]
         for parts in _partitions(f, vals):
-            quotient = quotient_graph(f, parts)
-            assert densest_subgraph_bruteforce(quotient).density <= minor[len(parts)]
+            minor_graph = quotient(f, _part_of(parts, f.n))
+            assert densest_subgraph_bruteforce(minor_graph).density <= minor[len(parts)]
 
 
 def test_minor_ceilings_are_one_shared_tuple_per_factor_and_count():
