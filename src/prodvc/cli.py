@@ -342,9 +342,7 @@ def main(argv=None) -> int:
             return _fail(f"--{name} must be at least {low}")
     try:
         return args.func(args)
-    except GraphError as exc:
-        return _fail(str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError) as exc:
         return _fail(str(exc))
 
 

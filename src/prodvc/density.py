@@ -9,7 +9,9 @@ bounded-outdegree orientations need no flow: all start from the
 degeneracy orientation, and an orientation with outdegree d comes from it
 by reversing directed paths, one per unit of excess, with the set reached
 from a vertex that has no path as the witness that d is below the density.
-The arboricity test drains one vertex at a time to outdegree 0 the same way.
+The arboricity test drains one vertex at a time to outdegree 0 through the
+same loop, `_drain`.  One peel serves an `arboricity` call: each k it tests
+drains the orientation that the last one left.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
         improved = _denser_subgraph(g, best)
         if improved is None:
             break
-        found = Fraction(_edge_count_within(g, improved), len(improved)) if improved else best
+        found = Fraction(_edge_count_within(g, improved), len(improved))
         if found <= best:
             raise RuntimeError(f"densest_subgraph: a round reached density {found}, "
                                f"not above {best}")
@@ -147,26 +149,26 @@ def arboricity(g: FactorGraph) -> int:
 
     One degeneracy peel bounds it from both sides.  The degeneracy U is an
     upper bound, since `forest_decomposition` builds U forests.  Each suffix
-    S of the peeling order with |S| >= 2 needs ceil(|E(S)|/(|S|-1)) forests;
+    S of the peeling order with |S| >= 2 needs ceil(|E(S)|/(|S|-1)) forests,
+    and its edges are its vertices' out-arcs in the degeneracy orientation;
     the largest of these is a lower bound L.  Between them the value is the
     least k that `_fits_forests` accepts, and U when none below U fits.
+    Every tested k drains the orientation that the last one left, so the
+    peel is the only one.
 
     `forest_decomposition` builds degeneracy(g) forests, which may exceed
     this value (Q3: 3 for arboricity 2).
     """
-    if g.m == 0:
-        return 0
-    order, upper = degeneracy_ordering(g)
-    gone = [False] * g.n
-    edges, lower = g.m, 0
-    for i, v in enumerate(order[:-1]):  # the suffix order[i:], of g.n - i >= 2 vertices
-        lower = max(lower, -(-edges // (g.n - i - 1)))
-        gone[v] = True
-        edges -= sum(1 for w in g.adj[v] if not gone[w])
+    out, order, upper = _degeneracy_orientation(g)
+    edges = lower = 0
+    for i, v in enumerate(reversed(order)):  # the suffix from v holds i other vertices
+        edges += len(out[v])
+        if i:
+            lower = max(lower, -(-edges // i))
     if lower > upper:
         raise RuntimeError(f"arboricity: a peeling suffix needs {lower} forests, "
                            f"above the degeneracy {upper}")
-    return next((k for k in range(lower, upper) if _fits_forests(g, k)), upper)
+    return next((k for k in range(lower, upper) if _fits_forests(g, out, k)), upper)
 
 
 def arboricity_bruteforce(g: FactorGraph) -> int:
@@ -193,17 +195,17 @@ def arboricity_bruteforce(g: FactorGraph) -> int:
 # ---------------------------------------------------------------------------
 # the degeneracy orientation: forests and bounded outdegree
 
-def _degeneracy_orientation(g: FactorGraph) -> tuple[list[set[int]], int]:
+def _degeneracy_orientation(g: FactorGraph) -> tuple[list[set[int]], list[int], int]:
     """Each vertex's out-neighbours when every edge points from its endpoint
-    earlier in `degeneracy_ordering` to the later one, and the degeneracy,
-    which bounds every outdegree."""
+    earlier in `degeneracy_ordering` to the later one, that order, and the
+    degeneracy, which bounds every outdegree."""
     order, k = degeneracy_ordering(g)
     out = [None] * g.n  # every vertex is in the order, so every slot is filled
     peeled = set()
     for v in order:
         peeled.add(v)
         out[v] = set(g.adj[v] - peeled)
-    return out, k
+    return out, order, k
 
 
 def forest_decomposition(g: FactorGraph) -> ForestDecomposition:
@@ -213,7 +215,7 @@ def forest_decomposition(g: FactorGraph) -> ForestDecomposition:
     degeneracy orientation (n if it has fewer).  Parents lie strictly later
     in the order, so no forest has a cycle.
     """
-    out, k = _degeneracy_orientation(g)
+    out, _, k = _degeneracy_orientation(g)
     parents = [[g.n] * g.n for _ in range(k)]
     for v in range(g.n):
         for j, w in enumerate(sorted(out[v])):
@@ -244,6 +246,26 @@ def _reverse_path_to_room(out: list[set[int]], s: int, d: int) -> Optional[set[i
     return set(queue)
 
 
+def _drain(g: FactorGraph, out: list[set[int]], cap: int, room: int, most) -> bool:
+    """Bring each vertex s in turn down to outdegree `cap`, one reversed
+    path per unit of its excess, each to a vertex with outdegree below
+    `room`.  False when s reaches no such vertex and the set R it reaches
+    holds more than most(|R|) edges; a smaller count means the search is
+    wrong, and raises."""
+    for s in range(g.n):
+        for _ in range(len(out[s]) - cap):
+            reached = _reverse_path_to_room(out, s, room)
+            if reached is None:
+                continue
+            inside = _edge_count_within(g, reached)
+            if inside > most(len(reached)):
+                return False
+            raise RuntimeError(f"_drain: vertex {s} reaches no vertex with room, "
+                               f"but its {len(reached)} reached vertices hold only "
+                               f"{inside} edges")
+    return True
+
+
 def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int], int]:
     """Orient every edge so that each vertex has outdegree at most d; maps
     each edge (u, v) to its head.
@@ -256,20 +278,9 @@ def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int
     least d, s more, so |E(R)| > d|R|: R witnesses dens(g) > d.  That count
     and the final outdegrees are checked explicitly.
     """
-    if d < 0:
+    out = _degeneracy_orientation(g)[0]
+    if d < 0 or not _drain(g, out, d, d, lambda r: d * r):
         raise GraphError(f"infeasible, density exceeds {d}")
-    out, _ = _degeneracy_orientation(g)
-    for s in range(g.n):
-        for _ in range(len(out[s]) - d):
-            reached = _reverse_path_to_room(out, s, d)
-            if reached is None:
-                continue
-            inside = _edge_count_within(g, reached)
-            if inside > d * len(reached):
-                raise GraphError(f"infeasible, density exceeds {d}")
-            raise RuntimeError(f"bounded_outdegree_orientation: vertex {s} reaches no "
-                               f"vertex with room, but its {len(reached)} reached "
-                               f"vertices hold only {inside} edges")
     orientation = {(u, v): v if v in out[u] else u for u, v in g.edges}
     outdeg = [0] * g.n
     for (u, v), head in orientation.items():
@@ -280,11 +291,11 @@ def bounded_outdegree_orientation(g: FactorGraph, d: int) -> dict[tuple[int, int
     return orientation
 
 
-def _fits_forests(g: FactorGraph, k: int) -> bool:
+def _fits_forests(g: FactorGraph, out: list[set[int]], k: int) -> bool:
     """True iff no subgraph has |E'| > k(|V'| - 1), that is, iff g splits
     into k forests (Nash-Williams 1964).
 
-    The path reversal of `bounded_outdegree_orientation`: first every
+    `out` is any orientation of g, and is drained in place: first every
     outdegree comes down to at most k, then each vertex s in turn drains to
     0, each unit along a path to another vertex with outdegree below k, and
     s rejoins the others at bound k.  Once s is drained, every set S holding
@@ -292,19 +303,7 @@ def _fits_forests(g: FactorGraph, k: int) -> bool:
     vertices.  If s reaches no vertex with room, the set R it reaches keeps
     every out-arc of its vertices, those other than s have outdegree at
     least k and s more than its cap (k, then 0), so |E(R)| > k(|R| - 1).
-    That count is checked explicitly.
+    Either way every outdegree is at most k afterwards, unless the first
+    phase failed.
     """
-    out, _ = _degeneracy_orientation(g)
-    for cap in (k, 0):
-        for s in range(g.n):
-            while len(out[s]) > cap:
-                reached = _reverse_path_to_room(out, s, k)
-                if reached is None:
-                    continue
-                inside = _edge_count_within(g, reached)
-                if inside > k * (len(reached) - 1):
-                    return False
-                raise RuntimeError(f"_fits_forests: vertex {s} reaches no vertex with "
-                                   f"room, but its {len(reached)} reached vertices hold "
-                                   f"only {inside} edges")
-    return True
+    return all(_drain(g, out, cap, k, lambda r: k * (r - 1)) for cap in (k, 0))

@@ -212,8 +212,13 @@ def instance_to_json(g: ProductSubgraph) -> str:
 def instance_from_json(text: str) -> ProductSubgraph:
     """The instance `instance_to_json` writes: factors, vertex tuples and
     `"induced": true`, since an instance is the subgraph induced by its
-    vertices."""
-    doc = json.loads(text)
+    vertices.  Text that json cannot read (bad syntax, nesting past the
+    recursion limit, an int past the digit limit) raises GraphError with
+    the parser's message."""
+    try:
+        doc = json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise GraphError(str(exc)) from None
     try:
         factors = []
         for i, f in enumerate(doc["factors"]):

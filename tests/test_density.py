@@ -96,9 +96,28 @@ def test_forest_bound_round_matches_bruteforce():
         counts = _edge_counts(g)
         for k in range(1, 5):
             violated = any(e > k * (mask.bit_count() - 1) for mask, e in counts.items())
-            assert density._fits_forests(g, k) == (not violated)
+            assert density._fits_forests(g, density._degeneracy_orientation(g)[0], k) == (not violated)
             outcomes.add((k, violated))
     assert outcomes == {(k, b) for k in range(1, 5) for b in (False, True)}
+
+
+def test_forest_test_holds_from_any_start_orientation():
+    # the drain certifies k from whatever orientation it is given, which is
+    # what lets `arboricity` hand every k the orientation the last one left
+    rng = random.Random(31)
+    orient_rng = random.Random(1964)
+    for g in [random_graph(rng) for _ in range(60)] + [complete_graph(10)]:
+        counts = _edge_counts(g)
+        peeled = density._degeneracy_orientation(g)[0]
+        for k in range(1, 5):
+            violated = any(e > k * (mask.bit_count() - 1) for mask, e in counts.items())
+            reverse = [{u for u in g.adj[v] if v in peeled[u]} for v in range(g.n)]
+            shuffled = [set() for _ in range(g.n)]
+            for u, v in g.edges:
+                tail, head = (u, v) if orient_rng.random() < 0.5 else (v, u)
+                shuffled[tail].add(head)
+            for out in ([set(a) for a in peeled], reverse, shuffled):
+                assert density._fits_forests(g, out, k) == (not violated), (g.edges, k)
 
 
 def test_product_density_is_sum_of_factor_densities():
@@ -175,7 +194,7 @@ def test_arboricity_rejected_at_the_lower_bound(monkeypatch):
     tests = _recorded(monkeypatch, "_fits_forests")
     reversals = _recorded(monkeypatch, "_reverse_path_to_room")
     assert arboricity(g) == 4
-    assert [(k, fits) for (_, k), fits in tests] == [(3, False)]
+    assert [(k, fits) for (_, _, k), fits in tests] == [(3, False)]
     # the drain's reached set needs 4 forests, and the degeneracy builds 4
     reached = next(r for _, r in reversals if r is not None)
     assert sum(1 for u, v in g.edges if u in reached and v in reached) > 3 * (len(reached) - 1)
@@ -184,6 +203,20 @@ def test_arboricity_rejected_at_the_lower_bound(monkeypatch):
     for j in range(fd.k):
         _assert_forest(g.n, fd.forest_edges(j))
     assert sorted(e for j in range(fd.k) for e in fd.forest_edges(j)) == list(g.edges)
+
+
+def test_arboricity_peels_once(monkeypatch):
+    # one degeneracy peel bounds the value and gives the one orientation
+    # that every tested k drains in turn
+    peels = _recorded(monkeypatch, "degeneracy_ordering")
+    tests = _recorded(monkeypatch, "_fits_forests")
+    for g, want in ((complete_graph(60), 30), (_power(path_graph(2), 8), 5),
+                    (_power(complete_graph(4), 3), 5), (REJECTED_AT_THE_LOWER_BOUND, 4),
+                    (_grid(20, 20), 2)):
+        del peels[:], tests[:]
+        assert arboricity(g) == want
+        assert len(peels) == 1
+        assert len({id(out) for (_, out, _), _ in tests}) <= 1
 
 
 def test_arboricity_matches_bruteforce(monkeypatch):

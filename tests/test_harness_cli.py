@@ -303,6 +303,32 @@ def test_cli_label_decode_rejects_labels_encode_never_writes(capsys, tmp_path):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_cli_exits_2_on_bad_labels_and_arguments(capsys, tmp_path, k4_file):
+    labels = tmp_path / "k4.labels"
+    assert main(["label", "encode", k4_file, "--out", str(labels)]) == 0
+    good = labels.read_text()
+    assert good.startswith("4 3 3\n0 053\n")
+    cases = [(["label", "decode", str(labels), "0", "4"], "vertices must lie in 0..3"),
+             (["label", "decode", str(labels), "-1", "0"], "vertices must lie in 0..3"),
+             (["orient", "--max-outdegree", "-1", k4_file], "infeasible, density exceeds -1"),
+             (["fuzz-conj3", "--spaces", "bogus", "--trials", "1"],
+              "unknown space 'bogus'; choose from p3p3, p4p3, p4p4")]
+    for idx, (text, message) in enumerate((
+            (good.replace("4 3 3", "4 3"), "malformed label file header"),
+            (good.replace("4 3 3", "4 3 x"), "malformed label file header"),
+            (good.replace("0 053", "0 053 1"), "malformed label line: '0 053 1'"),
+            (good.replace("0 053", "0"), "malformed label line: '0'"),
+            (good.replace("0 053", "0 0053"), "label for 0 has 4 hex digits, want 3"),
+            (good.replace("0 053", "0 53"), "label for 0 has 2 hex digits, want 3"))):
+        p = tmp_path / f"bad{idx}.labels"
+        p.write_text(text)
+        cases.append((["label", "decode", str(p), "1", "2"], message))
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+
+
 def test_cli_verify_and_fuzz(capsys, tmp_path):
     out = str(tmp_path / "report.json")
     code, _ = run_cli(capsys, "verify", "--suite", "labels", "--trials", "3",
@@ -395,6 +421,29 @@ def test_cli_rejects_an_oversized_factor_before_allocating_it(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: factor 0 is not connected\n"
+
+
+def test_cli_rejects_instances_that_json_cannot_read(capsys, tmp_path):
+    # nesting past the recursion limit and an int past Python's digit limit
+    # are bad input, like a syntax error: exit 2 with the parser's message
+    deep = "[" * 100000
+    long_n = '{"factors": [{"n": %s, "edges": []}], "vertices": [[0]], "induced": true}' \
+        % ("1" * 5000)
+    syntax = '{"factors": ['
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(syntax)
+    p = tmp_path / "unreadable.json"
+    for text, message in ((deep, "maximum recursion depth exceeded"),
+                          (long_n, "Exceeds the limit (4300 digits)"),
+                          (syntax, str(exc.value))):
+        p.write_text(text)
+        for argv in (["vcd", str(p)], ["vcd", str(p), "--minor"],
+                     ["reduce", str(p), "--factor", "0", "--edge", "0,1"]):
+            assert main(argv) == 2, (argv, text[:20])
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {message}")
+            assert captured.err.count("\n") == 1
 
 
 def test_cli_rejects_instances_that_are_not_induced(capsys, tmp_path):
