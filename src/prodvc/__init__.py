@@ -7,7 +7,7 @@ from .density import (DensityReport, ForestDecomposition, arboricity,
                       forest_decomposition, mad)
 from .products import (ProductSpace, ProductSubgraph, Subproduct, instance_from_json,
                        instance_to_json, octahedron, project_factor, trace)
-from .vc import (MinorPartition, VcReport, compute_vc_report, shatters_minor,
+from .vc import (Found, MinorPartition, compute_vc_report, shatters_minor,
                  shatters_subproduct, vcd_induced, vcd_minor, vcdens_induced,
                  vcdens_minor)
 from .reductions import ReductionStep, reduce_edge, reduce_opposite_pair

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import FactorGraph, GraphError
+from .graph import FactorGraph, GraphError, neighbor_masks
 from .products import ProductSubgraph
 
 EXACT_DISMANTLING_CAP = 12  # most vertices on which min_dismantling_order is exact
@@ -34,13 +34,7 @@ class DismantlingCertificate:
 
 
 def _closed_masks(g: FactorGraph) -> list[int]:
-    masks = []
-    for v in range(g.n):
-        m = 1 << v
-        for w in g.adj[v]:
-            m |= 1 << w
-        masks.append(m)
-    return masks
+    return [mask | 1 << v for v, mask in enumerate(neighbor_masks(g))]
 
 
 def min_dismantling_order(g: FactorGraph) -> Optional[DismantlingCertificate]:
@@ -312,10 +306,7 @@ def clique_number(g: FactorGraph) -> int:
     explicit stack, so a long graph cannot overflow the interpreter stack."""
     if g.n == 0:
         return 0
-    adj_mask = [0] * g.n
-    for u, v in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_mask = neighbor_masks(g)
     best = 0
     stack = [((1 << g.n) - 1, 0)]  # (candidates, size)
     while stack:

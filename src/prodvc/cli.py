@@ -8,7 +8,6 @@ Exit codes: 0 all checks hold, 1 a proved claim was violated, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from .graph import FactorGraph, GraphError, degeneracy_ordering, from_edgelist
 from .harness import (SUITES, _json_text, fuzz_records, report_to_json, resolve_mu,
                       run_suite)
 from .labeling import decode, encode, from_label_file, to_label_file
-from .products import (ProductSpace, instance_from_json, instance_to_json)
+from .products import ProductSpace, instance_doc, instance_from_json
 from .reductions import reduce_edge, reduce_opposite_pair
 from .vc import DEFAULT_BUDGET, compute_vc_report, vcd_induced, vcdens_induced
 
@@ -33,8 +32,11 @@ def _rational(x) -> dict:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _fail(message: str) -> int:
@@ -97,38 +99,23 @@ def cmd_orient(args) -> int:
 def cmd_vcd(args) -> int:
     g = _load_instance(args.instance)
     doc = {"schema": SCHEMA, "n": g.n, "m": g.num_edges}
-    if args.minor:
-        rep = compute_vc_report(g, budget=args.budget)
-        doc.update({
-            "vcd": rep.vcd, "vcdens": _rational(rep.vcdens),
-            "vcd_star": rep.vcd_star, "vcdens_star": _rational(rep.vcdens_star),
-            "vcd_exact": rep.vcd_exact, "vcdens_exact": rep.vcdens_exact,
-            "vcd_star_exact": rep.vcd_star_exact,
-            "vcdens_star_exact": rep.vcdens_star_exact,
-            "vcd_witness": _factor_witness(rep.vcd_witness),
-            "vcdens_witness": _factor_witness(rep.vcdens_witness),
-            "vcd_star_witness": _partition_witness(rep.vcd_star_witness),
-            "vcdens_star_witness": _partition_witness(rep.vcdens_star_witness),
-        })
-    else:
-        d, w1, d_exact = vcd_induced(g, args.budget)
-        s, w2, s_exact = vcdens_induced(g, args.budget)
-        doc.update({"vcd": d, "vcdens": _rational(s),
-                    "vcd_exact": d_exact, "vcdens_exact": s_exact,
-                    "vcd_witness": _factor_witness(w1),
-                    "vcdens_witness": _factor_witness(w2)})
+    report = compute_vc_report(g, args.budget) if args.minor else {
+        "vcd": vcd_induced(g, args.budget), "vcdens": vcdens_induced(g, args.budget)}
+    for name, (value, witness, exact) in report.items():
+        doc[name] = _rational(value) if name.startswith("vcdens") else value
+        doc[f"{name}_exact"] = exact
+        doc[f"{name}_witness"] = _witness(witness)
     _emit(doc)
     return 0
 
 
-def _factor_witness(w):
-    return None if w is None else {str(i): list(vs) for i, vs in w.items()}
-
-
-def _partition_witness(mp):
-    if mp is None:
+def _witness(w):
+    """An induced witness as {str(factor): key}, a minor one as each factor's sorted parts."""
+    if w is None:
         return None
-    return [[sorted(p) for p in factor_parts] for factor_parts in mp.parts]
+    if isinstance(w, dict):
+        return {str(i): list(vs) for i, vs in w.items()}
+    return [[sorted(p) for p in factor_parts] for factor_parts in w.parts]
 
 
 def cmd_reduce(args) -> int:
@@ -146,10 +133,10 @@ def cmd_reduce(args) -> int:
         "factor": step.factor_index,
         "edge": list(step.edge),
         "graphs": {
-            "input": json.loads(instance_to_json(step.g)),
-            "contracted": json.loads(instance_to_json(step.g_contracted)),
-            "link": json.loads(instance_to_json(step.g_link)),
-            "link_centers": json.loads(instance_to_json(step.g_link_centers)),
+            "input": instance_doc(step.g),
+            "contracted": instance_doc(step.g_contracted),
+            "link": instance_doc(step.g_link),
+            "link_centers": instance_doc(step.g_link_centers),
             "link_tips": sorted(list(v) for v in step.tips),
         },
         "contraction_map": sorted([list(a), list(b)]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .flow import MaxFlow
-from .graph import FactorGraph, GraphError, degeneracy_ordering
+from .graph import FactorGraph, GraphError, degeneracy_ordering, neighbor_masks
 
 
 @dataclass(frozen=True)
@@ -116,21 +116,26 @@ def densest_subgraph_bruteforce(g: FactorGraph) -> DensityReport:
         raise GraphError("empty graph")
     if g.n > 20:
         raise GraphError("brute-force oracle capped at 20 vertices")
-    adj_mask = [0] * g.n
-    for u, v in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    edge_count = [0] * (1 << g.n)
+    edge_count = _subset_edge_counts(g)
     best_e, best_s, best_mask = 0, 1, 1
     for mask in range(1, 1 << g.n):
-        low = (mask & -mask).bit_length() - 1
-        e = edge_count[mask] = edge_count[mask & (mask - 1)] + (adj_mask[low] & mask).bit_count()
-        s = mask.bit_count()
+        e, s = edge_count[mask], mask.bit_count()
         if e * best_s > best_e * s:  # e/s > best_e/best_s, in integers
             best_e, best_s, best_mask = e, s, mask
     best = Fraction(best_e, best_s)
     witness = tuple(v for v in range(g.n) if best_mask >> v & 1)
     return DensityReport(density=best, witness=witness, mad=2 * best)
+
+
+def _subset_edge_counts(g: FactorGraph) -> list[int]:
+    """Entry mask: the number of edges of g inside the vertex set `mask`,
+    for all 2^n sets, each from the set without its lowest vertex."""
+    adj_mask = neighbor_masks(g)
+    edge_count = [0] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        low = (mask & -mask).bit_length() - 1
+        edge_count[mask] = edge_count[mask & (mask - 1)] + (adj_mask[low] & mask).bit_count()
+    return edge_count
 
 
 def dens(g: FactorGraph) -> Fraction:
@@ -175,21 +180,9 @@ def arboricity_bruteforce(g: FactorGraph) -> int:
     """Oracle: enumerate all vertex subsets of size >= 2 (n <= 12)."""
     if g.n > 12:
         raise GraphError("brute-force oracle capped at 12 vertices")
-    if g.m == 0:
-        return 0
-    adj_mask = [0] * g.n
-    for u, v in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    edge_count = [0] * (1 << g.n)
-    best = 0
-    for mask in range(1, 1 << g.n):
-        low = (mask & -mask).bit_length() - 1
-        edge_count[mask] = edge_count[mask & (mask - 1)] + (adj_mask[low] & mask).bit_count()
-        size = mask.bit_count()
-        if size >= 2:
-            best = max(best, -(-edge_count[mask] // (size - 1)))
-    return best
+    return max((-(-edges // (mask.bit_count() - 1))
+                for mask, edges in enumerate(_subset_edge_counts(g)) if mask.bit_count() >= 2),
+               default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,15 @@ def degree_sequence(g: FactorGraph) -> list[int]:
     return [len(g.adj[v]) for v in range(g.n)]
 
 
+def neighbor_masks(g: FactorGraph) -> list[int]:
+    """Entry v: the neighbours of v as a bitmask, bit w for vertex w."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 # ---------------------------------------------------------------------------
 # connectivity inside a vertex set
 

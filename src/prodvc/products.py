@@ -200,13 +200,17 @@ def octahedron(d: int) -> FactorGraph:
 # ---------------------------------------------------------------------------
 # JSON instance interchange format
 
-def instance_to_json(g: ProductSubgraph) -> str:
-    doc = {
+def instance_doc(g: ProductSubgraph) -> dict:
+    """An instance as a JSON document: factors, sorted vertices, induced."""
+    return {
         "factors": [{"n": f.n, "edges": [list(e) for e in f.edges]} for f in g.space.factors],
         "vertices": [list(v) for v in sorted(g.vertices)],
         "induced": True,
     }
-    return json.dumps(doc, sort_keys=True)
+
+
+def instance_to_json(g: ProductSubgraph) -> str:
+    return json.dumps(instance_doc(g), sort_keys=True)
 
 
 def instance_from_json(text: str) -> ProductSubgraph:

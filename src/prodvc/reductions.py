@@ -190,7 +190,7 @@ def vc_monotonicity_check(step: ReductionStep) -> list[InequalityRecord]:
     """
     from .vc import minor_search
 
-    d_g, _, s_g, _, e_g = minor_search(step.g)
+    d_g, s_g = minor_search(step.g)
     records = []
 
     def record(name, lhs=0, rhs="-", lhs_exact=True, rhs_exact=True, skipped=False):
@@ -204,18 +204,20 @@ def vc_monotonicity_check(step: ReductionStep) -> list[InequalityRecord]:
             verdict = "inconclusive"
         records.append(InequalityRecord(name=name, lhs=str(lhs), rhs=str(rhs), verdict=verdict))
 
+    def compare(name, lhs, rhs, drop=0):  # lhs <= rhs - drop for two `Found`s
+        record(name, lhs.value, rhs.value - drop, lhs.exact, rhs.exact)
+
     if step.g_contracted.n:
-        d_c, _, s_c, _, e_c = minor_search(step.g_contracted)
+        d_c, s_c = minor_search(step.g_contracted)
         # the contracted part is a minor-subproduct of g, so exact lhs vs
         # bounded rhs can only under-report the right side
-        record("vcd_star(contracted) <= vcd_star(g)", d_c, d_g, e_c, e_g)
-        record("vcdens_star(contracted) <= vcdens_star(g)", s_c, s_g, e_c, e_g)
+        compare("vcd_star(contracted) <= vcd_star(g)", d_c, d_g)
+        compare("vcdens_star(contracted) <= vcdens_star(g)", s_c, s_g)
 
     if step.g_link_centers.n:
-        d_cc, _, s_cc, _, e_cc = minor_search(step.g_link_centers)
-        record("vcd_star(centers) <= vcd_star(g) - 1", d_cc, d_g - 1, e_cc, e_g)
-        record("vcdens_star(centers) <= vcdens_star(g) - 1/2",
-               s_cc, s_g - Fraction(1, 2), e_cc, e_g)
+        d_cc, s_cc = minor_search(step.g_link_centers)
+        compare("vcd_star(centers) <= vcd_star(g) - 1", d_cc, d_g, 1)
+        compare("vcdens_star(centers) <= vcdens_star(g) - 1/2", s_cc, s_g, Fraction(1, 2))
     else:
         record("vcd_star(centers) <= vcd_star(g) - 1", skipped=True)
         record("vcdens_star(centers) <= vcdens_star(g) - 1/2", skipped=True)

@@ -18,12 +18,11 @@ that its witness reaches.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .density import densest_subgraph
 from .graph import (FactorGraph, GraphError, induced_subgraph, is_connected_within, quotient,
@@ -33,6 +32,14 @@ from .products import ProductSpace, ProductSubgraph, Subproduct, trace
 DEFAULT_BUDGET = 10_000_000  # work units of each VC scan; see `_scan`
 
 Partition = tuple[frozenset, ...]
+
+
+class Found(NamedTuple):
+    """One VC quantity: its value, a witness that reaches it (None for the
+    value 0) and whether the value is exact, not just a lower bound."""
+    value: int | Fraction
+    witness: object
+    exact: bool
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +260,27 @@ def _induced_ceilings(f: FactorGraph, vals: frozenset) -> list[Fraction]:
 
 
 def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ceilings=None,
-          ) -> tuple[Optional[int], Optional[tuple], Optional[Fraction], Optional[tuple], bool]:
-    """Depth-first over one option per factor: (most factors with two or
-    more labels, its choice, largest density, its choice, exact?).  A
-    choice is a tuple of option keys, the first strict maximum in scan
+          ) -> tuple[Optional[Found], Optional[Found]]:
+    """Depth-first over one option per factor: the most factors with two
+    or more labels and the largest density, each found with its choice as
+    witness, a tuple of option keys, the first strict maximum in scan
     order.  Only the wanted maxima are sought, the dimension when `dims`
     and the density when `density` is given; the others come back None.
 
-    `options(i, f, spend, left)` yields the options of factor f =
-    factors[i] as (key, label of each vertex of f, t), labels in range(t);
-    label t drops the vertex, and `left()` reads the budget left.  A choice
-    is shattered when the vertices of g that no option drops carry every
-    combination of labels.  This marginalizes, so the scan
-    keeps a prefix's cells, each the set of vertices of g (a bitmask) whose
-    labels so far match one combination, in signature order (cell-major,
-    label-minor).  An option's label j covers the vertices whose coordinate
+    `options(f, vals, spend, left)` yields the options of a factor f, in
+    which g takes the coordinates `vals`, as (key, label of each vertex of
+    f, t), labels in range(t); label t drops the vertex, and `left()` reads
+    the budget left.  A choice is shattered when the vertices of g that no
+    option drops carry every combination of labels.  This marginalizes, so
+    the scan keeps a prefix's cells, each the set of vertices of g (a
+    bitmask) whose labels so far match one combination, in signature order
+    (cell-major, label-minor).  An option's label j covers the vertices whose coordinate
     it labels j, an OR of per-coordinate masks; the new cells are each old
     cell ANDed with each label's mask, and the scan drops any prefix with
     more cells than g has vertices or with an empty cell.
-    `density(i, key, spend)` is asked when an option first survives a
-    prefix; entry t of `ceilings(i)` bounds the density of any option of
-    factor i with t labels.
+    `density(f, key, spend)` is asked when an option of f first survives a
+    prefix; entry t of `ceilings(f, vals)` bounds the density of any
+    option of f with t labels.
 
     Branch and bound: let P be the fewest vertices of g in a cell of a
     prefix, its smallest bit count.  Every final cell needs a vertex, so the
@@ -313,6 +320,7 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
             masks[v[i]] = masks.get(v[i], 0) | bit
             bit <<= 1
         coord_masks.append(masks)
+    vals = [frozenset(masks) for masks in coord_masks]
     h = [len(masks) for masks in coord_masks]
     wide = [0] * (m + 1)  # wide[i]: factors i.. with h >= 2
     for i in reversed(range(m)):
@@ -320,7 +328,8 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
     scale, caps = 1, []  # caps[i][t]: the ceiling of factor i at t labels, scaled
     if density is not None and n:
         scale = lcm(*range(1, max(h) + 1))
-        caps = [[c.numerator * scale // c.denominator for c in ceilings(i)] for i in range(m)]
+        caps = [[c.numerator * scale // c.denominator for c in ceilings(f, vals[i])]
+                for i, f in enumerate(factors)]
     table: dict[tuple[int, int], int] = {}
 
     def most_density(i: int, p: int) -> int:
@@ -341,7 +350,7 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
         return ((not dims or nontrivial + min(wide[i], p.bit_length() - 1) <= d)
                 and (density is None or total + most_density(i, p) <= s))
 
-    streams = [options(i, f, spend, lambda: left) for i, f in enumerate(factors)]
+    streams = [options(f, vals[i], spend, lambda: left) for i, f in enumerate(factors)]
     kept: list[list] = [[] for _ in range(m)]
     combo: list = [None] * m
     d, d_combo, s, s_combo = 0, None, 0, None
@@ -387,7 +396,7 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
                 continue
             p = min(map(int.bit_count, new_cells))
             if value is None and not hopeless(i + 1, p, more, most):
-                found = density(i, key, spend)
+                found = density(factors[i], key, spend)
                 value = entry[3] = found.numerator * scale // found.denominator
                 most = total + value
             if value is None or hopeless(i + 1, p, more, most):  # None: cut on its ceiling
@@ -400,76 +409,76 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
         exact = True
     except _BudgetSpent:
         exact = False
-    return (d if dims else None, d_combo, None if density is None else Fraction(s, scale),
-            s_combo, exact)
+    return (Found(d, d_combo, exact) if dims else None,
+            None if density is None else Found(Fraction(s, scale), s_combo, exact))
 
 
 # ---------------------------------------------------------------------------
 # induced VC-dimension and VC-density
 
-def vcd_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
-                ) -> tuple[int, Optional[dict[int, tuple[int, int]]], bool]:
-    """(vcd, witness as factor -> edge, exact?): the most factors of a
+def _by_factor(choice: Optional[tuple]) -> Optional[dict[int, tuple[int, ...]]]:
+    """An induced scan's choice as factor -> key, skipped factors left out."""
+    return choice and {i: key for i, key in enumerate(choice) if key}
+
+
+def vcd_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> Found:
+    """vcd, with a witness as factor -> edge: the most factors of a
     shattered cube-subproduct, from one `_scan` whose options for a factor
     are its edges between coordinate values of g, in `f.edges` order, ends
     labelled 0 and 1 and every other vertex dropped, then "skip"."""
-    vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
-    def options(i: int, f: FactorGraph, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
+    def options(f: FactorGraph, vals, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
         for a, b in f.edges:
-            if a in vals[i] and b in vals[i]:
+            if a in vals and b in vals:
                 yield (a, b), [0 if v == a else 1 if v == b else 2 for v in range(f.n)], 2
         yield (), [0] * f.n, 1  # skip the factor
 
-    d, choice, _, _, exact = _scan(g, budget, options, dims=True)
-    return d, choice and {i: key for i, key in enumerate(choice) if key}, exact
+    d, choice, exact = _scan(g, budget, options, dims=True)[0]
+    return Found(d, _by_factor(choice), exact)
 
 
-def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
-                   ) -> tuple[Fraction, Optional[dict[int, tuple[int, ...]]], bool]:
-    """(vcdens, witness, exact?): the largest density of a shattered
-    subproduct (sum of the densities of the chosen induced subgraphs of the
-    factors), from one `_scan` whose options for a factor are "skip", then
-    the connected subsets of its coordinate values with 2..|V(g)| vertices
-    (seed ascending, then bitmask order); a vertex whose coordinate lies
-    outside the chosen subset drops out.  Each density solve is charged
-    2 + |V| + |E| units of the subgraph."""
-    factors = g.space.factors
-    vals = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
+def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> Found:
+    """vcdens, with a witness as factor -> subset: the largest density of a
+    shattered subproduct (sum of the densities of the chosen induced
+    subgraphs of the factors), from one `_scan` whose options for a factor
+    are "skip", then the connected subsets of its coordinate values with
+    2..|V(g)| vertices (seed ascending, then bitmask order); a vertex whose
+    coordinate lies outside the chosen subset drops out.  Each density
+    solve is charged 2 + |V| + |E| units of the subgraph."""
 
-    def options(i: int, f: FactorGraph, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
+    def options(f: FactorGraph, vals, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
         yield (), [0] * f.n, 1  # skip the factor
-        for seed in sorted(vals[i]):
-            above = frozenset(v for v in vals[i] if v >= seed)
+        for seed in sorted(vals):
+            above = frozenset(v for v in vals if v >= seed)
             for s in _connected_subsets_with_seed(f, above, seed, above, spend):
                 if 2 <= len(s) <= g.n:
                     key = tuple(sorted(s))
                     yield key, [key.index(v) if v in s else len(s) for v in range(f.n)], len(s)
 
-    def density(i: int, key: tuple, spend) -> Fraction:
+    def density(f: FactorGraph, key: tuple, spend) -> Fraction:
         if not key:
             return Fraction(0)
-        sub, _ = induced_subgraph(factors[i], key)
+        sub, _ = induced_subgraph(f, key)
         spend(2 + sub.n + sub.m)
         return _quotient_density(sub)
 
-    _, _, s, choice, exact = _scan(g, budget, options, dims=False, density=density,
-                                   ceilings=lambda i: _induced_ceilings(factors[i], vals[i]))
-    return s, choice and {i: key for i, key in enumerate(choice) if key}, exact
+    s, choice, exact = _scan(g, budget, options, dims=False, density=density,
+                             ceilings=_induced_ceilings)[1]
+    return Found(s, _by_factor(choice), exact)
 
 
 # ---------------------------------------------------------------------------
 # minor VC-dimension and VC-density
 
-def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, fallback=None,
+def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
                  dims: bool = True, dens: bool = True,
-                 ) -> tuple[Optional[int], Optional[MinorPartition], Optional[Fraction],
-                            Optional[MinorPartition], bool]:
-    """(vcd*, witness, vcdens*, witness, exact?) from one `_scan` over the
-    factorwise connected partitions whose parts all meet the coordinates of
-    g, each vertex labelled by the part holding its coordinate.  Only the
-    wanted quantities are sought, vcd* when `dims` and vcdens* when `dens`
-    (a density-free scan solves no flows); the others come back as None.
+                 ) -> tuple[Optional[Found], Optional[Found]]:
+    """(vcd*, vcdens*), each witnessed by a `MinorPartition`, from one
+    `_scan` over the factorwise connected partitions whose parts all meet
+    the coordinates of g, each vertex labelled by the part holding its
+    coordinate.  Only the wanted quantities are sought, vcd* when `dims`
+    and vcdens* when `dens` (a density-free scan solves no flows); the
+    others come back as None.
     The budget also counts one unit per vertex or edge read by the
     connectivity tests that build parts.
 
@@ -482,17 +491,15 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, fallback=None
     at the option where a fresh enumeration would, and results are those
     of a fresh enumeration at every budget.
 
-    When the budget runs out, the induced witnesses (`fallback()` gives the
-    pair, None for one not wanted; by default the wanted ones are
-    computed), grown into partitions, replace the scan's witnesses they
-    beat.  Each value is the one its witness reaches.
+    When the budget runs out, the induced witnesses, grown into
+    partitions, replace the scan's witnesses they beat: `induced` is their
+    pair (None for one not wanted), computed here when it is None.  Each
+    value is the one its witness reaches.
     """
-    factors = g.space.factors
-    hits = [frozenset(v[i] for v in g.vertices) for i in range(g.space.m)]
 
-    def options(i: int, f: FactorGraph, spend, left) -> Iterator[tuple[bytes, bytes, int]]:
+    def options(f: FactorGraph, hits, spend, left) -> Iterator[tuple[bytes, bytes, int]]:
         n = f.n
-        record = _stream_record(f, hits[i]) if n < 256 else None
+        record = _stream_record(f, hits) if n < 256 else None
         if record:  # replay: each option's units, then the option
             keys, counts, charges = record
             at = 0
@@ -505,7 +512,7 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, fallback=None
             return
         keys, counts, charges = bytearray(), bytearray(), array("q")
         mark = left()
-        for parts in _partitions(f, hits[i], spend):
+        for parts in _partitions(f, hits, spend):
             key = (bytes if len(parts) < 256 else tuple)(_part_of(parts, n))
             if record is not None:
                 charges.append(mark - left())
@@ -517,26 +524,24 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, fallback=None
             charges.append(mark - left())
             record[:] = bytes(keys), bytes(counts), charges
 
-    def density(i: int, part_of, spend) -> Fraction:
-        return _partition_density(factors[i], part_of)
-
-    d, d_combo, s, s_combo, exact = _scan(
-        g, budget, options, dims=dims, density=density if dens else None,
-        ceilings=lambda i: _minor_ceilings(factors[i], len(hits[i])))
-    d_mp, s_mp = (c and MinorPartition(g.space, [_parts_of(po) for po in c])
-                  for c in (d_combo, s_combo))
-    if not exact:
-        w_vcd, w_dens = fallback() if fallback else (
-            vcd_induced(g)[1] if dims else None, vcdens_induced(g)[1] if dens else None)
-        if dims:
-            grown = _seed_partition_from_edges(g, w_vcd)  # one part per factor if None
-            if shatters_minor(g, grown) and grown.nontrivial_factors() > d:
-                d, d_mp = grown.nontrivial_factors(), grown
-        if dens:
-            grown = _seed_partition_from_edges(g, w_dens)
-            if shatters_minor(g, grown) and grown.minor_density() > s:
-                s, s_mp = grown.minor_density(), grown
-    return d, d_mp, s, s_mp, exact
+    density = (lambda f, part_of, spend: _partition_density(f, part_of)) if dens else None
+    scanned = _scan(g, budget, options, dims=dims, density=density,
+                    ceilings=lambda f, hits: _minor_ceilings(f, len(hits)))
+    searches = ((vcd_induced, MinorPartition.nontrivial_factors),
+                (vcdens_induced, MinorPartition.minor_density))
+    found = []
+    for j, (best, (search, measure)) in enumerate(zip(scanned, searches)):
+        if best is not None:
+            value, choice, exact = best
+            witness = choice and MinorPartition(g.space, [_parts_of(po) for po in choice])
+            if not exact:
+                seeds = search(g).witness if induced is None else induced[j]
+                grown = _seed_partition_from_edges(g, seeds)  # one part per factor if None
+                if shatters_minor(g, grown) and measure(grown) > value:
+                    value, witness = measure(grown), grown
+            best = Found(value, witness, exact)
+        found.append(best)
+    return found[0], found[1]
 
 
 def _seed_partition_from_edges(g: ProductSubgraph,
@@ -563,11 +568,14 @@ def _seed_partition_from_edges(g: ProductSubgraph,
     return MinorPartition(g.space, parts)
 
 
+# vcd_minor and vcdens_minor return (value, exact?, witness), not a `Found`:
+# the benchmark's tracer (`_count_exact` in bench/tracing.py) reads result[1]
+# as the exact flag, so their order changes only with the benchmark.
 def vcd_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
               ) -> tuple[int, bool, Optional[MinorPartition]]:
     """(vcd*, exact?, witness); see `minor_search`.  A scan that runs out
     falls back on `vcd_induced` at the default budget, not at `budget`."""
-    d, witness, _, _, exact = minor_search(g, budget, dens=False)
+    d, witness, exact = minor_search(g, budget, dens=False)[0]
     return d, exact, witness
 
 
@@ -575,38 +583,19 @@ def vcdens_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
                  ) -> tuple[Fraction, bool, Optional[MinorPartition]]:
     """(vcdens*, exact?, witness); see `minor_search`.  A scan that runs out
     falls back on `vcdens_induced` at the default budget, not at `budget`."""
-    _, _, s, witness, exact = minor_search(g, budget, dims=False)
+    s, witness, exact = minor_search(g, budget, dims=False)[1]
     return s, exact, witness
 
 
 # ---------------------------------------------------------------------------
 # combined report
 
-@dataclass
-class VcReport:
-    vcd: int
-    vcdens: Fraction
-    vcd_star: int
-    vcdens_star: Fraction
-    vcd_exact: bool
-    vcdens_exact: bool
-    vcd_star_exact: bool
-    vcdens_star_exact: bool
-    vcd_witness: Optional[dict] = None
-    vcdens_witness: Optional[dict] = None
-    vcd_star_witness: Optional[MinorPartition] = field(default=None, repr=False)
-    vcdens_star_witness: Optional[MinorPartition] = field(default=None, repr=False)
-
-
-def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> VcReport:
-    vcd, w1, vcd_exact = vcd_induced(g, budget)
-    vcdens, w2, vcdens_exact = vcdens_induced(g, budget)
-    vcd_star, w3, vcdens_star, w4, exact = minor_search(g, budget, lambda: (w1, w2))
-    return VcReport(vcd=vcd, vcdens=vcdens, vcd_star=vcd_star, vcdens_star=vcdens_star,
-                    vcd_exact=vcd_exact, vcdens_exact=vcdens_exact,
-                    vcd_star_exact=exact, vcdens_star_exact=exact,
-                    vcd_witness=w1, vcdens_witness=w2,
-                    vcd_star_witness=w3, vcdens_star_witness=w4)
+def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> dict[str, Found]:
+    """The four quantities by name; a minor scan that runs out falls back on
+    the induced witnesses computed here, at `budget`."""
+    vcd, vcdens = vcd_induced(g, budget), vcdens_induced(g, budget)
+    vcd_star, vcdens_star = minor_search(g, budget, (vcd.witness, vcdens.witness))
+    return {"vcd": vcd, "vcdens": vcdens, "vcd_star": vcd_star, "vcdens_star": vcdens_star}
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,10 @@ def test_cli_exits_2_on_bad_labels_and_arguments(capsys, tmp_path, k4_file):
         p = tmp_path / f"bad{idx}.labels"
         p.write_text(text)
         cases.append((["label", "decode", str(p), "1", "2"], message))
+    latin1 = tmp_path / "latin1.labels"  # any input file that is not UTF-8
+    latin1.write_bytes(b"\xff" + good.encode())
+    for argv in (["density", str(latin1)], ["label", "decode", str(latin1), "0", "1"]):
+        cases.append((argv, f"{latin1}: not UTF-8 text (invalid start byte at byte 0)"))
     for argv, message in cases:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

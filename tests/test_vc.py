@@ -240,19 +240,19 @@ def test_minor_dominates_induced():
         verts = rng.sample(list(sp.vertices()), rng.randint(1, sp.num_vertices()))
         g = ProductSubgraph(sp, verts)
         rep = compute_vc_report(g)
-        assert rep.vcd <= rep.vcd_star
-        assert rep.vcdens <= rep.vcdens_star
-        assert rep.vcd_star_exact and rep.vcdens_star_exact
-        assert 2 ** rep.vcd <= max(g.n, 1)
+        assert rep["vcd"].value <= rep["vcd_star"].value
+        assert rep["vcdens"].value <= rep["vcdens_star"].value
+        assert rep["vcd_star"].exact and rep["vcdens_star"].exact
+        assert 2 ** rep["vcd"].value <= max(g.n, 1)
 
 
 def test_minor_witnesses_shatter():
     g = ProductSubgraph(grid_space(), GRID_FIVE)
     rep = compute_vc_report(g)
-    assert shatters_minor(g, rep.vcd_star_witness)
-    assert shatters_minor(g, rep.vcdens_star_witness)
-    assert rep.vcd_star_witness.nontrivial_factors() == rep.vcd_star
-    assert rep.vcdens_star_witness.minor_density() == rep.vcdens_star
+    (d, d_mp, _), (s, s_mp, _) = rep["vcd_star"], rep["vcdens_star"]
+    assert shatters_minor(g, d_mp) and shatters_minor(g, s_mp)
+    assert d_mp.nontrivial_factors() == d
+    assert s_mp.minor_density() == s
 
 
 def test_heuristic_mode_is_lower_bound():
@@ -282,7 +282,7 @@ def clear_vc_caches():
 
 
 def minor_result(g, budget, **kw):
-    d, d_mp, s, s_mp, exact = minor_search(g, budget, **kw)
+    (d, d_mp, exact), (s, s_mp, _) = minor_search(g, budget, **kw)
     return d, d_mp and d_mp.parts, s, s_mp and s_mp.parts, exact
 
 
@@ -304,7 +304,7 @@ def test_replayed_streams_give_the_results_of_fresh_ones():
 def test_a_scan_that_runs_out_records_no_stream():
     g = ProductSpace([path_graph(22), complete_graph(2)]).materialize()
     hits = frozenset(range(22))
-    no_fallback = {"fallback": lambda: (None, None)}
+    no_fallback = {"induced": (None, None)}
     clear_vc_caches()
     cold = minor_result(g, DEFAULT_BUDGET, **no_fallback)
     assert not cold[-1] and not _stream_record(path_graph(22), hits)
@@ -323,7 +323,7 @@ def exact_from(g, cold: bool) -> int:
         mid = (low + high) // 2
         if cold:
             clear_vc_caches()
-        if minor_search(g, mid, fallback=lambda: (None, None))[-1]:
+        if minor_search(g, mid, induced=(None, None))[0].exact:
             high = mid
         else:
             low = mid + 1
@@ -366,7 +366,7 @@ def test_minor_search_matches_naive_oracle():
         size = sp.num_vertices()
         verts = rng.sample(list(sp.vertices()), rng.randint(min(size, 4), min(size, 24)))
         g = ProductSubgraph(sp, verts)
-        d, d_mp, s, s_mp, exact = minor_search(g)
+        (d, d_mp, exact), (s, s_mp, _) = minor_search(g)
         assert exact
         assert (d, d_mp and d_mp.parts, s, s_mp and s_mp.parts) == naive_minor_values(g)
 
@@ -585,7 +585,7 @@ def assert_matches_oracles(g):
     """minor_search, vcd_minor, vcdens_minor and vcdens_induced are exact
     and agree, values and witnesses, with the unpruned oracles."""
     want = naive_minor_values(g)
-    d, d_mp, s, s_mp, exact = minor_search(g)
+    (d, d_mp, exact), (s, s_mp, _) = minor_search(g)
     assert exact and (d, d_mp and d_mp.parts, s, s_mp and s_mp.parts) == want
     d, exact, d_mp = vcd_minor(g)
     assert exact and (d, d_mp and d_mp.parts) == want[:2]
@@ -616,13 +616,15 @@ def report_digest(reports) -> str:
     """sha256 over every value, witness and exact flag of the reports."""
     digest = hashlib.sha256()
     for rep in reports:
+        vcd, vcdens, vcd_star, vcdens_star = (rep[name] for name in
+                                              ("vcd", "vcdens", "vcd_star", "vcdens_star"))
         minor = [w and [sorted(map(sorted, parts)) for parts in w.parts]
-                 for w in (rep.vcd_star_witness, rep.vcdens_star_witness)]
+                 for w in (vcd_star.witness, vcdens_star.witness)]
         digest.update(repr((
-            rep.vcd, str(rep.vcdens), rep.vcd_star, str(rep.vcdens_star),
-            rep.vcd_exact, rep.vcdens_exact, rep.vcd_star_exact, rep.vcdens_star_exact,
-            rep.vcd_witness and sorted(rep.vcd_witness.items()),
-            rep.vcdens_witness and sorted(rep.vcdens_witness.items()), minor)).encode())
+            vcd.value, str(vcdens.value), vcd_star.value, str(vcdens_star.value),
+            vcd.exact, vcdens.exact, vcd_star.exact, vcdens_star.exact,
+            vcd.witness and sorted(vcd.witness.items()),
+            vcdens.witness and sorted(vcdens.witness.items()), minor)).encode())
     return digest.hexdigest()
 
 
