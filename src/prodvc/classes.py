@@ -186,7 +186,9 @@ def product_elimination_report(g: ProductSubgraph) -> ProductEliminationReport:
     later = Counter(x if key[x] < key[y] else y for x, y in g.edges)
     dd_sub = max(later.values(), default=0)
     dd_prod = sum(c.dd for c in certs)
-    assert dd_sub <= dd_prod
+    if dd_sub > dd_prod:
+        raise RuntimeError(f"product_elimination_report: the subgraph's "
+                           f"later-degree {dd_sub} is above the product's {dd_prod}")
     return ProductEliminationReport(tuple(certs), dd_prod, dd_sub,
                                     exact=all(c.exact for c in certs))
 
@@ -245,19 +247,21 @@ def _find_hole(g: FactorGraph) -> Optional[tuple[int, ...]]:
                         path.append(a)
                         a = prev[a]
                     hole = tuple([v] + path[::-1])
-                    _assert_hole(g, hole)
+                    _check_hole(g, hole)
                     return hole
     return None
 
 
-def _assert_hole(g: FactorGraph, cycle: tuple[int, ...]) -> None:
+def _check_hole(g: FactorGraph, cycle: tuple[int, ...]) -> None:
     k = len(cycle)
-    assert k >= 4
+    if k < 4:
+        raise RuntimeError(f"_find_hole: cycle {cycle} is shorter than 4")
     for i in range(k):
         for j in range(i + 1, k):
             adjacent = g.has_edge(cycle[i], cycle[j])
             consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            assert adjacent == consecutive, f"cycle {cycle} has a chord or gap"
+            if adjacent != consecutive:
+                raise RuntimeError(f"_find_hole: cycle {cycle} has a chord or gap")
 
 
 def chordal_certificate(g: FactorGraph) -> ChordalCertificate:
@@ -277,7 +281,9 @@ def chordal_certificate(g: FactorGraph) -> ChordalCertificate:
         for w in later:
             if w != u and not g.has_edge(u, w):
                 hole = _find_hole(g)
-                assert hole is not None
+                if hole is None:
+                    raise RuntimeError("chordal_certificate: no perfect elimination "
+                                       "ordering, but no chordless cycle either")
                 return ChordalCertificate(False, None, None, hole)
     return ChordalCertificate(True, tuple(peo), omega, None)
 

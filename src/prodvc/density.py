@@ -4,14 +4,16 @@ arboricity, forest decompositions, and bounded-outdegree orientations.
 Every ratio is an exact `Fraction`.  The densest-subgraph search runs
 min-cuts on Goldberg's vertex network (source -> vertices -> sink, one
 two-way arc per edge) with the test ratio p/q scaled to integer
-capacities, so no tolerance is involved anywhere.  Arboricity, forests and
-bounded-outdegree orientations need no flow: all start from the
-degeneracy orientation, and an orientation with outdegree d comes from it
-by reversing directed paths, one per unit of excess, with the set reached
-from a vertex that has no path as the witness that d is below the density.
-The arboricity test drains one vertex at a time to outdegree 0 through the
-same loop, `_drain`.  One peel serves an `arboricity` call: each k it tests
-drains the orientation that the last one left.
+capacities, so no tolerance is involved anywhere; each round after the
+first cuts only the subgraph induced on the last round's witness.
+Arboricity, forests and bounded-outdegree orientations need no flow: all
+start from the degeneracy orientation, and an orientation with outdegree d
+comes from it by reversing directed paths, one per unit of excess, with
+the set reached from a vertex that has no path as the witness that d is
+below the density.  The arboricity test drains one vertex at a time to
+outdegree 0 through the same loop, `_drain`.  One peel serves an
+`arboricity` call: each k it tests drains the orientation that the last
+one left.
 """
 
 from __future__ import annotations
@@ -42,31 +44,43 @@ class ForestDecomposition:
         return sorted((min(v, p), max(v, p)) for v, p in enumerate(self.parents[j]) if p != n)
 
 
-def _vertex_network(g: FactorGraph, p: int, q: int) -> tuple[MaxFlow, int]:
+def _vertex_network(g: FactorGraph, p: int, q: int,
+                    within: Optional[set[int]] = None) -> tuple[MaxFlow, int]:
     """Goldberg's network for the ratio p/q, and its supply (the capacity
     out of the source).
 
     Nodes: 0 = source, 1 = sink, 2 + v = vertex v.  Vertex v has the arc
     source -> v with capacity q deg v - 2p when that is positive, else
     v -> sink with 2p - q deg v; each edge is one arc pair with q both ways.
-    A source side S of vertices cuts supply + 2(p|S| - q|E(S)|).
+    A source side S of vertices cuts supply + 2(p|S| - q|E(S)|).  Given
+    `within`, the network is that of the subgraph induced on it: degrees
+    count neighbours inside it, and only its vertices and the edges inside
+    it get arcs.
     """
+    if within is None:
+        vertices, adj, edges = range(g.n), g.adj, g.edges
+    else:
+        vertices = sorted(within)
+        adj = {v: g.adj[v] & within for v in vertices}
+        edges = [(u, v) for u, v in g.edges if u in within and v in within]
     net = MaxFlow(2 + g.n)
     supply = 0
-    for v in range(g.n):
-        excess = q * len(g.adj[v]) - 2 * p
+    for v in vertices:
+        excess = q * len(adj[v]) - 2 * p
         if excess > 0:
             net.add_edge(0, 2 + v, excess)
             supply += excess
         elif excess < 0:
             net.add_edge(2 + v, 1, -excess)
-    for u, v in g.edges:
+    for u, v in edges:
         net.add_edge(2 + u, 2 + v, q, q)
     return net, supply
 
 
-def _denser_subgraph(g: FactorGraph, threshold: Fraction) -> Optional[set[int]]:
-    """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None.
+def _denser_subgraph(g: FactorGraph, threshold: Fraction,
+                     within: Optional[set[int]] = None) -> Optional[set[int]]:
+    """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None;
+    given `within`, S is a subset of it.
 
     Min-cut over the vertex network for p/q: the cut for a source side S
     costs supply + 2(p|S| - q|E(S)|), so it drops below the supply exactly
@@ -75,7 +89,7 @@ def _denser_subgraph(g: FactorGraph, threshold: Fraction) -> Optional[set[int]]:
     """
     if g.m == 0:
         return None
-    net, supply = _vertex_network(g, threshold.numerator, threshold.denominator)
+    net, supply = _vertex_network(g, threshold.numerator, threshold.denominator, within)
     if net.max_flow(0, 1) >= supply:
         return None
     side = net.min_cut_source_side(0)
@@ -93,13 +107,23 @@ def _edge_count_within(g: FactorGraph, vertices: set[int]) -> int:
 def densest_subgraph(g: FactorGraph) -> DensityReport:
     """Exact maximizer of |E'|/|V'| over nonempty vertex subsets.  Each
     round must strictly raise the density, so a wrong cut raises
-    RuntimeError instead of looping forever."""
+    RuntimeError instead of looping forever.
+
+    Round k returns the minimal maximizer S_k of |E(S)| - l_k |S|, where
+    l_1 = m/n and l_{k+1} = |E(S_k)|/|S_k| > l_k.  These sets shrink as l
+    rises (Gallo, Grigoriadis and Tarjan 1989): if S and T are the minimal
+    maximizers at l < l', then S & T is a maximizer at l' too, because
+    |E(.)| is supermodular and S maximizes at l, so T lies inside S.  So
+    every round after the first cuts only the subgraph induced on the last
+    witness.  A subset of it has the same objective there as in g, so the
+    round returns the same set, and the search stops at the same round, as
+    with a cut of the whole graph.
+    """
     if g.n == 0:
         raise GraphError("empty graph")
-    best_set = set(range(g.n))
-    best = Fraction(g.m, g.n)
+    best_set, best = None, Fraction(g.m, g.n)  # None: every vertex
     while True:
-        improved = _denser_subgraph(g, best)
+        improved = _denser_subgraph(g, best, best_set)
         if improved is None:
             break
         found = Fraction(_edge_count_within(g, improved), len(improved))
@@ -107,7 +131,8 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
             raise RuntimeError(f"densest_subgraph: a round reached density {found}, "
                                f"not above {best}")
         best_set, best = improved, found
-    return DensityReport(density=best, witness=tuple(sorted(best_set)), mad=2 * best)
+    witness = tuple(range(g.n)) if best_set is None else tuple(sorted(best_set))
+    return DensityReport(density=best, witness=witness, mad=2 * best)
 
 
 def densest_subgraph_bruteforce(g: FactorGraph) -> DensityReport:

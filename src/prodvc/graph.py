@@ -11,6 +11,10 @@ from __future__ import annotations
 import heapq
 from typing import Collection, Container, Iterable, Optional, Sequence
 
+# most vertices an edge-list header may declare: FactorGraph allocates one
+# set per vertex, edgeless ones included (the order of products.MATERIALIZE_CAP)
+EDGELIST_VERTEX_CAP = 10 ** 6
+
 
 class GraphError(ValueError):
     pass
@@ -238,6 +242,8 @@ def from_edgelist(text: str) -> FactorGraph:
     if not rows:
         raise GraphError("empty edge-list file")
     n, m = _int_pair(rows[0], "header")
+    if n > EDGELIST_VERTEX_CAP:
+        raise GraphError(f"header declares {n} vertices, above the cap of {EDGELIST_VERTEX_CAP}")
     if len(rows) - 1 != m:
         raise GraphError(f"header says {m} edges, found {len(rows) - 1}")
     edges = []

@@ -40,12 +40,20 @@ class ReductionStep:
     edge_groups: dict[str, int]
 
     def check_counting(self) -> None:
-        """The exact vertex split and the edge upper bound."""
-        assert self.g.n == self.g_contracted.n + self.g_link_centers.n
-        assert (self.g.num_edges
-                <= self.g_contracted.num_edges + self.g_link.num_edges
-                + self.g_link_centers.n)
-        assert (self.g_link.n == self.g_link_centers.n + len(self.tips))
+        """The exact vertex split and the edge upper bound; a violation
+        raises RuntimeError."""
+        if self.g.n != self.g_contracted.n + self.g_link_centers.n:
+            raise RuntimeError(f"check_counting: {self.g.n} vertices, but "
+                               f"{self.g_contracted.n} contracted and "
+                               f"{self.g_link_centers.n} centers")
+        bound = self.g_contracted.num_edges + self.g_link.num_edges + self.g_link_centers.n
+        if self.g.num_edges > bound:
+            raise RuntimeError(f"check_counting: {self.g.num_edges} edges, "
+                               f"above the bound {bound}")
+        if self.g_link.n != self.g_link_centers.n + len(self.tips):
+            raise RuntimeError(f"check_counting: the link part has {self.g_link.n} "
+                               f"vertices, but {self.g_link_centers.n} centers "
+                               f"and {len(self.tips)} tips")
 
 
 def _classify_edges(g: ProductSubgraph, i: int, cmap: dict[Coord, Coord],
@@ -73,7 +81,9 @@ def _classify_edges(g: ProductSubgraph, i: int, cmap: dict[Coord, Coord],
                 square += 1
         images[key] += 1
     created = g_contracted.num_edges - len(images)
-    assert created >= 0
+    if created < 0:
+        raise RuntimeError(f"_classify_edges: {len(images)} edge images, but the "
+                           f"contracted part has {g_contracted.num_edges} edges")
     return {"collapsed": collapsed, "triangle_merged": triangle,
             "square_merged": square, "created": created}
 
@@ -107,9 +117,13 @@ def _reduce(g: ProductSubgraph, i: int, u: int, v: int, f_hat: FactorGraph,
     groups = _classify_edges(g, i, cmap, g_contracted)
     # an edge uv collapses once per center; an opposite pair is never adjacent
     adjacent = g.space.factors[i].has_edge(u, v)
-    assert groups["collapsed"] == (g_link_centers.n if adjacent else 0)
-    assert groups["square_merged"] == g_link_centers.num_edges
-    assert groups["triangle_merged"] == len(tips)
+    expected = {"collapsed": g_link_centers.n if adjacent else 0,
+                "square_merged": g_link_centers.num_edges,
+                "triangle_merged": len(tips)}
+    for group, count in expected.items():
+        if groups[group] != count:
+            raise RuntimeError(f"_reduce: {groups[group]} edges {group.replace('_', ' ')}, "
+                               f"expected {count}")
 
     step = ReductionStep(factor_index=i, edge=edge, g=g,
                          g_contracted=g_contracted, g_link=g_link,
@@ -165,7 +179,9 @@ def reduce_opposite_pair(g: ProductSubgraph, i: int, e: int) -> ReductionStep:
     phi = [x - (x > ebar) for x in range(f.n)]
     phi[ebar] = phi[e]
     nbrs = sorted(f.adj[ebar])
-    assert set(nbrs) == set(range(f.n)) - {e, ebar}
+    if set(nbrs) != set(range(f.n)) - {e, ebar}:
+        raise RuntimeError(f"reduce_opposite_pair: {ebar}, opposite {e}, is not "
+                           f"adjacent to every other vertex of factor {i}")
     leaf_of = {x: j + 1 for j, x in enumerate(nbrs)}
     return _reduce(g, i, e, ebar, quotient(f, phi), phi, leaf_of, (min(e, ebar), max(e, ebar)))
 

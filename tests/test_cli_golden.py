@@ -1,14 +1,17 @@
-"""Golden stdout bytes of `prodvc vcd` and `prodvc reduce`: the sha256 of
-what each command writes on fixed instances, so a refactor of the VC scan,
-the report records or the instance writer that moves a value, a witness, an
-`exact` flag or a key order shows here."""
+"""Golden stdout bytes of `prodvc vcd` and `prodvc reduce` on product
+instances, and of `density`, `arboricity`, `orient` and `label encode` on
+edge lists: the sha256 of what each command writes on fixed inputs, so a
+refactor of the VC scan, the density rounds, the drains, the report records
+or the writers that moves a value, a witness, an `exact` flag, an arc or a
+key order shows here."""
 
 import hashlib
+import random
 
 import pytest
 
 from prodvc.cli import main
-from prodvc.graph import complete_graph, path_graph
+from prodvc.graph import FactorGraph, complete_graph, path_graph, to_edgelist
 from prodvc.harness import GeneratorSpec, generate
 from prodvc.products import ProductSpace, ProductSubgraph, instance_to_json, octahedron
 
@@ -63,6 +66,60 @@ GOLDEN = {
 }
 
 
+def _shuffled_grid(a, b, rng):
+    label = list(range(a * b))
+    rng.shuffle(label)
+    edges = [(label[i * b + j], label[i * b + j + 1]) for i in range(a) for j in range(b - 1)]
+    edges += [(label[i * b + j], label[i * b + b + j]) for i in range(a - 1) for j in range(b)]
+    return FactorGraph(a * b, edges)
+
+
+GNM_PAIRS = [(u, v) for u in range(55) for v in range(u + 1, 55)]
+
+GRAPHS = {
+    "gnm55": FactorGraph(55, random.Random(7).sample(GNM_PAIRS, 69)),  # 4 density rounds
+    "grid8": _shuffled_grid(8, 8, random.Random(8)),
+    "q6": ProductSpace([path_graph(2)] * 6).materialize().to_factor_graph()[0],
+    "k4tail": FactorGraph(6, list(complete_graph(4).edges) + [(3, 4), (4, 5)]),
+}
+
+# (graph, command) -> sha256 of stdout; orient runs at ceil(dens)
+GRAPH_GOLDEN = {
+    ("gnm55", "density"):
+        "48336e1b98ee332b6628805d9fe4321c82d34600fd0d7a396beb2be97f431919",
+    ("gnm55", "arboricity"):
+        "9516c369a58067b93e81a89aa9e384f73f5174619071e6bc0cd010fcbb4e6b10",
+    ("gnm55", "orient --max-outdegree 2"):
+        "7891054d556604eddb6a74d87915553262e5fdbebaf5773e7fcc3d3b35f966ff",
+    ("gnm55", "label encode"):
+        "ad8908575b6be86b49e7be86183c5e63b2c13c764d18ac6c0e39c0381be75ddc",
+    ("grid8", "density"):
+        "69554081156ffd94367a3b73f79aea2cf6795723684c01370db554c5e80caa16",
+    ("grid8", "arboricity"):
+        "1e526439936c36d21d7c96dd23982f81dfac1177d7047b5abdee01fc85787c8e",
+    ("grid8", "orient --max-outdegree 2"):
+        "9884b4b21e65a6312de1a18dbdc66908c226822b0ea0ac1043d2aa8dbaac4ea0",
+    ("grid8", "label encode"):
+        "e6f7deb9dc3ad54ccfe0e7130a36d0a8ce60b2585ef8ac9fd19625776d0a7984",
+    ("k4tail", "density"):
+        "57d68a22f1730ca512e8af96430d984d2715063e2a27d1a0326621d7ca4dd8da",
+    ("k4tail", "arboricity"):
+        "0aaf83cec5cba7edd05c9ab823ccd36920646e48ddcdf629787c1d818083de30",
+    ("k4tail", "orient --max-outdegree 2"):
+        "11ddc75595bb89759a1fc25fd25aadbb14a2acef0355f6cbedd68f9728dd483c",
+    ("k4tail", "label encode"):
+        "00d4906991a33e7fac5459369a7a3d93471d3569af9b532398cac5d3943ed532",
+    ("q6", "density"):
+        "eb4a07a5e6e35fef476fe8c3dac244e8c7e1a5ba7de55215f280e897b4994640",
+    ("q6", "arboricity"):
+        "6685b5ea8b041b156ddd741f674d6756794eaee8057901010735e91aca5fcf57",
+    ("q6", "orient --max-outdegree 3"):
+        "1889a293f433f80ecefbdab87e8295674008e14961c933f71bf6ee7f8e2f5bb6",
+    ("q6", "label encode"):
+        "59509464de655d3ff883d112f5aa17fd22d2524dc1b50584b616eb813ab723e7",
+}
+
+
 @pytest.mark.parametrize("name, command", sorted(GOLDEN))
 def test_cli_stdout_matches_golden_digest(capsys, tmp_path, name, command):
     path = tmp_path / f"{name}.json"
@@ -71,3 +128,14 @@ def test_cli_stdout_matches_golden_digest(capsys, tmp_path, name, command):
     assert main([subcommand, str(path), *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name, command]
+
+
+@pytest.mark.parametrize("name, command", sorted(GRAPH_GOLDEN))
+def test_edge_list_stdout_matches_golden_digest(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(to_edgelist(GRAPHS[name]))
+    args = command.split()
+    head = 2 if args[0] == "label" else 1  # the file follows `label encode`
+    assert main([*args[:head], str(path), *args[head:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_GOLDEN[name, command]

@@ -37,7 +37,8 @@ def test_round_that_does_not_raise_the_density_fails(monkeypatch):
     # repeat forever; the round check raises instead (an explicit raise, so
     # it holds under python -O too)
     for side in (lambda g: set(range(g.n)), lambda g: {0, 1}):
-        monkeypatch.setattr(density, "_denser_subgraph", lambda g, threshold: side(g))
+        monkeypatch.setattr(density, "_denser_subgraph",
+                            lambda g, threshold, within=None: side(g))
         with pytest.raises(RuntimeError):
             densest_subgraph(cycle_graph(5))
 
@@ -87,6 +88,33 @@ def test_witness_is_the_union_of_all_densest_sets():
             if e * top.denominator == top.numerator * mask.bit_count():
                 union |= mask
         assert densest_subgraph(g).witness == tuple(v for v in range(g.n) if union >> v & 1)
+
+
+def test_whole_graph_has_no_set_denser_than_the_result(monkeypatch):
+    # rounds after the first cut only the last witness; one cut of the
+    # whole graph at the final density re-checks the verdict without the
+    # nesting argument, on sparse graphs that take 3 or 4 rounds and on
+    # grids, whose densest set is every vertex
+    rounds = _recorded(monkeypatch, "_denser_subgraph")
+    rng = random.Random(1981)
+    graphs = []
+    for _ in range(12):
+        n = rng.randint(30, 200)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(FactorGraph(n, rng.sample(pairs, rng.randint(n, 2 * n))))
+    graphs += [_grid(a, b, rng) for a, b in ((2, 3), (8, 8), (5, 13), (12, 12))]
+    counts = []
+    for g in graphs:
+        del rounds[:]
+        rep = densest_subgraph(g)
+        counts.append(len(rounds))
+        sides = [set(range(g.n))] + [side for _, side in rounds[:-1]]
+        assert all(later <= earlier for earlier, later in zip(sides, sides[1:]))
+        assert density._denser_subgraph(g, rep.density) is None
+        ws = set(rep.witness)
+        assert Fraction(density._edge_count_within(g, ws), len(ws)) == rep.density
+    assert set(counts[:12]) == {3, 4}
+    assert counts[12:] == [1] * 4
 
 
 def test_forest_bound_round_matches_bruteforce():

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodvc.cli import build_parser, main
-from prodvc.graph import FactorGraph, GraphError, complete_graph, path_graph, to_edgelist
+from prodvc.graph import (EDGELIST_VERTEX_CAP, FactorGraph, GraphError, complete_graph,
+                          path_graph, to_edgelist)
 from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_sum,
                             check_thm4, fuzz_records,
                             generate, instance_digest, random_factor,
@@ -425,6 +427,25 @@ def test_cli_rejects_an_oversized_factor_before_allocating_it(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: factor 0 is not connected\n"
+
+
+def test_cli_rejects_an_edge_list_header_above_the_vertex_cap(tmp_path):
+    # a header of 10**9 vertices is refused before one set per vertex is
+    # allocated; the child's address space is capped, so a regression ends
+    # in a MemoryError traceback instead of exhausting the machine
+    p = tmp_path / "huge.txt"
+    p.write_text("1000000000 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+    limit = (2 ** 30, 2 ** 30)
+    proc = subprocess.run([sys.executable, "-m", "prodvc", "density", str(p)], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: header declares 1000000000 vertices, "
+                           f"above the cap of {EDGELIST_VERTEX_CAP}\n")
 
 
 def test_cli_rejects_instances_that_json_cannot_read(capsys, tmp_path):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,42 @@ def test_triangle_reduction_produces_tips():
         assert step.tips == tips
         assert step.edge_groups["triangle_merged"] == len(tips)
         assert step.g.n == step.g_contracted.n + step.g_link_centers.n
+
+
+# K3 x K2 reduced along the edge 0-1 of K3, with each triangle merge counted
+# twice: 4 merges against 2 tips
+DOUBLED_TRIANGLES = """
+from prodvc import reductions
+from prodvc.graph import complete_graph, path_graph
+from prodvc.products import ProductSpace
+
+real = reductions._classify_edges
+
+
+def doubled(*args):
+    groups = real(*args)
+    groups["triangle_merged"] *= 2
+    return groups
+
+
+reductions._classify_edges = doubled
+try:
+    reductions.reduce_edge(ProductSpace([complete_graph(3), path_graph(2)]).materialize(), 0, 0, 1)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_wrong_certificate_raises_under_python_dash_o():
+    # the certificate checks are explicit raises, so -O, which strips
+    # asserts, still refuses the miscounted step instead of returning it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+    proc = subprocess.run([sys.executable, "-O", "-c", DOUBLED_TRIANGLES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "_reduce: 4 edges triangle merged, expected 2\n"
 
 
 def test_reduction_requires_a_valid_factor_and_edge():
