@@ -44,8 +44,11 @@ class ForestDecomposition:
         return sorted((min(v, p), max(v, p)) for v, p in enumerate(self.parents[j]) if p != n)
 
 
+_Within = tuple[set[int], list[tuple[int, int]]]  # a vertex set and g's edges inside it
+
+
 def _vertex_network(g: FactorGraph, p: int, q: int,
-                    within: Optional[set[int]] = None) -> tuple[MaxFlow, int]:
+                    within: Optional[_Within] = None) -> tuple[MaxFlow, int]:
     """Goldberg's network for the ratio p/q, and its supply (the capacity
     out of the source).
 
@@ -53,16 +56,16 @@ def _vertex_network(g: FactorGraph, p: int, q: int,
     source -> v with capacity q deg v - 2p when that is positive, else
     v -> sink with 2p - q deg v; each edge is one arc pair with q both ways.
     A source side S of vertices cuts supply + 2(p|S| - q|E(S)|).  Given
-    `within`, the network is that of the subgraph induced on it: degrees
-    count neighbours inside it, and only its vertices and the edges inside
-    it get arcs.
+    `within`, a vertex set and g's edges inside it, the network is that of
+    the subgraph induced on the set: degrees count neighbours inside it, and
+    only its vertices and those edges get arcs.
     """
     if within is None:
         vertices, adj, edges = range(g.n), g.adj, g.edges
     else:
-        vertices = sorted(within)
-        adj = {v: g.adj[v] & within for v in vertices}
-        edges = [(u, v) for u, v in g.edges if u in within and v in within]
+        inside, edges = within
+        vertices = sorted(inside)
+        adj = {v: g.adj[v] & inside for v in vertices}
     net = MaxFlow(2 + g.n)
     supply = 0
     for v in vertices:
@@ -78,9 +81,10 @@ def _vertex_network(g: FactorGraph, p: int, q: int,
 
 
 def _denser_subgraph(g: FactorGraph, threshold: Fraction,
-                     within: Optional[set[int]] = None) -> Optional[set[int]]:
+                     within: Optional[_Within] = None) -> Optional[set[int]]:
     """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None;
-    given `within`, S is a subset of it.
+    given `within`, a vertex set and g's edges inside it, S is a subset of
+    that set.
 
     Min-cut over the vertex network for p/q: the cut for a source side S
     costs supply + 2(p|S| - q|E(S)|), so it drops below the supply exactly
@@ -117,21 +121,24 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
     every round after the first cuts only the subgraph induced on the last
     witness.  A subset of it has the same objective there as in g, so the
     round returns the same set, and the search stops at the same round, as
-    with a cut of the whole graph.
+    with a cut of the whole graph.  The edges inside each witness are
+    filtered from those inside the last one, so no round after the first
+    scans all of g's edges.
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    best_set, best = None, Fraction(g.m, g.n)  # None: every vertex
+    within, best, edges = None, Fraction(g.m, g.n), g.edges  # None: every vertex
     while True:
-        improved = _denser_subgraph(g, best, best_set)
+        improved = _denser_subgraph(g, best, within)
         if improved is None:
             break
-        found = Fraction(_edge_count_within(g, improved), len(improved))
+        edges = [(u, v) for u, v in edges if u in improved and v in improved]
+        found = Fraction(len(edges), len(improved))
         if found <= best:
             raise RuntimeError(f"densest_subgraph: a round reached density {found}, "
                                f"not above {best}")
-        best_set, best = improved, found
-    witness = tuple(range(g.n)) if best_set is None else tuple(sorted(best_set))
+        within, best = (improved, edges), found
+    witness = tuple(range(g.n)) if within is None else tuple(sorted(within[0]))
     return DensityReport(density=best, witness=witness, mad=2 * best)
 
 

@@ -6,6 +6,10 @@ bits each: the vertex id followed by its parents in the k degeneracy forests
 of `forest_decomposition`, i.e. its out-neighbours (the value n marks a
 root).  Two labels decide adjacency alone: the vertices are adjacent exactly
 when one's id appears among the other's parent fields.
+
+`encode` and `from_label_file` hand out their labels as `_Label`s, ints
+that keep their split into id and parent fields after their first decode,
+since each label takes part in 2n decodes of an all-pairs query.
 """
 
 from __future__ import annotations
@@ -21,6 +25,16 @@ def field_width(n: int) -> int:
     ceil(log2(n+1)) is n.bit_length(); the float log2 rounds wrongly from
     n = 2**53 on."""
     return max(1, n.bit_length())
+
+
+class _Label(int):
+    """A label that keeps its split, (k, w, id, parent fields), once a decode
+    under that layout has checked it.  It compares, hashes and prints as its
+    value, and pickles as a plain int."""
+    _split = (None, None, None, ())
+
+    def __reduce__(self):
+        return int, (int(self),)
 
 
 @dataclass(frozen=True)
@@ -46,7 +60,7 @@ def encode(g: FactorGraph) -> LabelScheme:
         value = v
         for forest in fd.parents:
             value = (value << w) | forest[v]
-        labels.append(value)
+        labels.append(_Label(value))
     return LabelScheme(n=g.n, k=fd.k, w=w, labels=tuple(labels))
 
 
@@ -54,6 +68,12 @@ def decode(label_x: int, label_y: int, k: int, w: int) -> bool:
     """Adjacency from two labels alone: true iff one id is a parent field of
     the other.  Root sentinels never collide with an id, since every id is
     below the sentinel value."""
+    if type(label_x) is _Label and type(label_y) is _Label:
+        kx, wx, x, px = label_x._split
+        ky, wy, y, py = label_y._split
+        if kx == k == ky and wx == w == wy:
+            return (y in px or x in py) and x != y
+        return _split_and_decode(label_x, label_y, k, w)
     both = label_x | label_y  # negative iff either label is
     if both < 0:
         raise GraphError("labels are nonnegative integers")
@@ -69,6 +89,23 @@ def decode(label_x: int, label_y: int, k: int, w: int) -> bool:
         if (label_x >> top) & mask == y or (label_y >> top) & mask == x:
             return True
     return False
+
+
+def _split_and_decode(label_x: _Label, label_y: _Label, k: int, w: int) -> bool:
+    """decode's checks, then each label's split under (k, w) stored on it."""
+    both = label_x | label_y
+    if both < 0:
+        raise GraphError("labels are nonnegative integers")
+    top = k * w
+    if both >> (top + w):
+        raise GraphError("label too long for the declared field layout")
+    mask = (1 << w) - 1
+    for label in (label_x, label_y):
+        label._split = (k, w, label >> top,
+                        frozenset(label >> i * w & mask for i in range(k)))
+    x, px = label_x._split[2:]
+    y, py = label_y._split[2:]
+    return (y in px or x in py) and x != y
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +136,9 @@ def from_label_file(text: str) -> LabelScheme:
         raise GraphError(f"header says {n} labels, found {len(rows) - 1}")
     bits = (k + 1) * w
     hexlen = -(-bits // 4)
+    if hexlen > len(text):  # before a w-bit mask is built from the header alone
+        raise GraphError(f"field layout k={k}, w={w} needs {hexlen} hex digits per label, "
+                         f"more than the file holds")
     pad = 4 * hexlen - bits
     top = bits - w
     mask = (1 << w) - 1
@@ -137,7 +177,7 @@ def from_label_file(text: str) -> LabelScheme:
             prev = p
         full = full or prev < n
         seen.add(v)
-        labels[v] = label
+        labels[v] = _Label(label)
     if k and not full:
         raise GraphError(f"no label fills all {k} parent fields")
     return LabelScheme(n=n, k=k, w=w, labels=tuple(labels))
@@ -145,6 +185,7 @@ def from_label_file(text: str) -> LabelScheme:
 
 def decoded_graph(scheme: LabelScheme) -> FactorGraph:
     """The graph the labels describe, reconstructed pairwise."""
+    labels, k, w = scheme.labels, scheme.k, scheme.w
     edges = [(u, v) for u in range(scheme.n) for v in range(u + 1, scheme.n)
-             if decode(scheme.labels[u], scheme.labels[v], scheme.k, scheme.w)]
+             if decode(labels[u], labels[v], k, w)]
     return FactorGraph(scheme.n, edges)

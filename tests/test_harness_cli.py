@@ -19,6 +19,7 @@ from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_s
                             check_thm4, fuzz_records,
                             generate, instance_digest, random_factor,
                             report_to_json, resolve_mu, run_suite)
+from prodvc.labeling import decode, encode, from_label_file, to_label_file
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct,
                              instance_from_json, instance_to_json, octahedron)
 from prodvc.vc import MinorPartition, shatters_minor, shatters_subproduct
@@ -321,7 +322,10 @@ def test_cli_exits_2_on_bad_labels_and_arguments(capsys, tmp_path, k4_file):
             (good.replace("0 053", "0 053 1"), "malformed label line: '0 053 1'"),
             (good.replace("0 053", "0"), "malformed label line: '0'"),
             (good.replace("0 053", "0 0053"), "label for 0 has 4 hex digits, want 3"),
-            (good.replace("0 053", "0 53"), "label for 0 has 2 hex digits, want 3"))):
+            (good.replace("0 053", "0 53"), "label for 0 has 2 hex digits, want 3"),
+            (good.replace("4 3 3", "4 3 99999999999"),  # no 12.5 GB mask from the header
+             "field layout k=3, w=99999999999 needs 99999999999 hex digits per label, "
+             "more than the file holds"))):
         p = tmp_path / f"bad{idx}.labels"
         p.write_text(text)
         cases.append((["label", "decode", str(p), "1", "2"], message))
@@ -333,6 +337,51 @@ def test_cli_exits_2_on_bad_labels_and_arguments(capsys, tmp_path, k4_file):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n", argv
+
+
+def test_cli_label_decode_fuzz(capsys, tmp_path):
+    # byte and token mutations of label files, with random vertex arguments:
+    # each call exits 0 with decode's answer or 2 with one error line, and
+    # no exception leaves main
+    rng = random.Random(1977)
+    sparse = FactorGraph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+                              if rng.random() < 0.3])
+    seeds = [(g.n, to_label_file(encode(g)).encode())
+             for g in (complete_graph(4), path_graph(8), sparse)]
+    tokens = [b"0", b"1", b"7", b"-1", b"+1", b"0x1", b"1_0", b"ff", b"FF", b"zz", b"#",
+              b"", b"\xff", "\u0661".encode(), b"9" * 5000, b"99999999999", b"0 0"]
+    path = tmp_path / "fuzz.labels"
+    exits = {0: 0, 2: 0}
+    for _ in range(400):
+        n, text = rng.choice(seeds)
+        data = bytearray(text)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(data) + 1)
+            op = rng.randrange(4)
+            if op == 0 and at < len(data):
+                data[at] = rng.randrange(256)
+            elif op == 1:
+                data[at:at] = bytes([rng.choice(b"0123456789abcdef \n#-x\xff")])
+            elif op == 2:
+                del data[at:at + 1]
+            else:
+                parts = re.split(rb"(\s+)", bytes(data))
+                parts[2 * rng.randrange((len(parts) + 1) // 2)] = rng.choice(tokens)
+                data = bytearray(b"".join(parts))
+        path.write_bytes(bytes(data))
+        x, y = rng.randint(-1, n), rng.randint(-1, n)
+        code = main(["label", "decode", str(path), str(x), str(y)])
+        captured = capsys.readouterr()
+        assert code in exits, data
+        exits[code] += 1
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: "), data
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), data
+        else:
+            scheme = from_label_file(data.decode())
+            adjacent = decode(int(scheme.labels[x]), int(scheme.labels[y]), scheme.k, scheme.w)
+            assert captured.err == "" and json.loads(captured.out)["adjacent"] is adjacent
+    assert min(exits.values()) >= 40, exits  # both outcomes are common
 
 
 def test_cli_verify_and_fuzz(capsys, tmp_path):

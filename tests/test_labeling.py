@@ -1,4 +1,8 @@
+import copy
+import hashlib
+import json
 import math
+import pickle
 import random
 
 import pytest
@@ -6,8 +10,8 @@ import pytest
 from prodvc.density import mad
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           degeneracy_ordering, path_graph)
-from prodvc.labeling import (LabelScheme, decode, decoded_graph, encode, field_width,
-                             from_label_file, to_label_file)
+from prodvc.labeling import (LabelScheme, _Label, decode, decoded_graph, encode,
+                             field_width, from_label_file, to_label_file)
 
 
 def random_graph(rng, n_max=20):
@@ -88,14 +92,17 @@ def field_list_decode(label_x, label_y, k, w):
     return ids[0] != ids[1] and (ids[0] in fields[1] or ids[1] in fields[0])
 
 
-def test_decode_matches_field_list_oracle():
-    rng = random.Random(12)
+def outcome(decoder, x, y, k, w):
+    try:
+        return decoder(x, y, k, w)
+    except GraphError as exc:
+        return str(exc)
 
-    def outcome(decoder, x, y, k, w):
-        try:
-            return decoder(x, y, k, w)
-        except GraphError as exc:
-            return str(exc)
+
+def test_decode_matches_field_list_oracle():
+    # plain ints, and labels as encode hands them out: decoded cold, when
+    # each keeps its split, and again from the kept splits
+    rng = random.Random(12)
 
     def with_field(label, i, value, w):
         return label & ~(((1 << w) - 1) << (i * w)) | value << (i * w)
@@ -120,9 +127,76 @@ def test_decode_matches_field_list_oracle():
                 for a, b in pairs:
                     want = outcome(field_list_decode, a, b, k, w)
                     assert outcome(decode, a, b, k, w) == want, (a, b, k, w)
+                    la = _Label(a)
+                    lb = la if a == b else _Label(b)
+                    for _ in range(2):
+                        assert outcome(decode, la, lb, k, w) == want, (a, b, k, w)
+                        assert outcome(decode, lb, la, k, w) == want, (b, a, k, w)
                     seen.add(want)
     assert seen == {True, False, "labels are nonnegative integers",
                     "label too long for the declared field layout"}
+
+
+def test_labels_are_checked_again_under_a_new_layout():
+    # a label keeps the split of the last layout that checked it; another
+    # layout runs the checks again, and may find the label too long for it
+    rng = random.Random(23)
+    for g in (complete_graph(4), cycle_graph(9), random_graph(rng, 30)):
+        s = encode(g)
+        k, w = s.k, s.w
+        layouts = [(k, w), (k - 1, w), (k, w), (k + 1, w), (k, w + 1), (0, w),
+                   ((k + 1) * w - 1, 1), (k, w), (k, 0)]
+        seen = set()
+        for x in range(g.n):
+            for y in range(g.n):
+                for kk, ww in layouts:
+                    want = outcome(field_list_decode, s.labels[x], s.labels[y], kk, ww)
+                    assert outcome(decode, s.labels[x], s.labels[y], kk, ww) == want
+                    # one label that keeps a split beside a plain int
+                    assert outcome(decode, s.labels[x], int(s.labels[y]), kk, ww) == want
+                    seen.add(want)
+        assert seen == {True, False, "label too long for the declared field layout"}
+        assert decoded_graph(s) == g
+    zero = _Label(0)
+    assert decode(zero, zero, 3, 0) is False
+    assert field_list_decode(0, 0, 3, 0) is False
+
+
+# sha256 of every file in _golden_corpus(), and of the file each reads back
+# as, written by the labeling code before labels kept their split
+GOLDEN_LABEL_FILES = "73ff6ef18cfa0d349060a947d6cd81bc8764b702be30a8c8e61aa8c4d7f46b5e"
+
+
+def _golden_corpus():
+    rng = random.Random(23)
+    graphs = [path_graph(9), cycle_graph(7), complete_graph(6)]
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.05, 0.2, 0.5))
+        graphs.append(FactorGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                      if rng.random() < p]))
+    return graphs
+
+
+def test_labels_stay_ints_to_every_consumer():
+    digest = hashlib.sha256()
+    for g in _golden_corpus():
+        scheme = encode(g)
+        text = to_label_file(scheme)
+        back = from_label_file(text)
+        digest.update(text.encode())
+        digest.update(to_label_file(back).encode())
+        for s in (scheme, back):
+            assert decoded_graph(s) == g  # every label now keeps its split
+            values = [int(label) for label in s.labels]
+            assert {type(label) for label in pickle.loads(pickle.dumps(s.labels))} == {int}
+            assert pickle.loads(pickle.dumps(s.labels)) == s.labels
+            assert copy.deepcopy(s) == s == scheme
+            assert json.dumps(list(s.labels)) == json.dumps(values)
+            assert list(map(hash, s.labels)) == list(map(hash, values))
+            assert [str(label) for label in s.labels] == [str(v) for v in values]
+            assert to_label_file(LabelScheme(s.n, s.k, s.w, tuple(values))) == text
+    assert digest.hexdigest() == GOLDEN_LABEL_FILES
 
 
 def test_decode_validates_length():
