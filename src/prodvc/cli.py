@@ -16,14 +16,12 @@ from .classes import (chordal_certificate, clique_number, min_dismantling_order,
 from .density import (arboricity, bounded_outdegree_orientation, densest_subgraph,
                       forest_decomposition)
 from .graph import FactorGraph, GraphError, degeneracy_ordering, from_edgelist
-from .harness import (SUITES, _json_text, fuzz_records, report_to_json, resolve_mu,
-                      run_suite)
+from .harness import (SCHEMA, SUITES, _json_text, fuzz_records, report_to_json,
+                      resolve_mu, run_suite)
 from .labeling import decode, encode, from_label_file, to_label_file
 from .products import ProductSpace, instance_doc, instance_from_json
 from .reductions import reduce_edge, reduce_opposite_pair
 from .vc import DEFAULT_BUDGET, compute_vc_report, vcd_induced, vcdens_induced
-
-SCHEMA = "prodvc-report-1"
 
 
 def _rational(x) -> dict:

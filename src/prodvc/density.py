@@ -4,8 +4,11 @@ arboricity, forest decompositions, and bounded-outdegree orientations.
 Every ratio is an exact `Fraction`.  The densest-subgraph search runs
 min-cuts on Goldberg's vertex network (source -> vertices -> sink, one
 two-way arc per edge) with the test ratio p/q scaled to integer
-capacities, so no tolerance is involved anywhere; each round after the
-first cuts only the subgraph induced on the last round's witness.
+capacities, so no tolerance is involved anywhere.  Every round builds its
+network the same way, from a vertex list and the edges inside it: all of
+g in the first round, the last round's witness and its edges after that.
+The cut's source side is the set the last level search of the max-flow
+reached.
 Arboricity, forests and bounded-outdegree orientations need no flow: all
 start from the degeneracy orientation, and an orientation with outdegree d
 comes from it by reversing directed paths, one per unit of excess, with
@@ -44,32 +47,26 @@ class ForestDecomposition:
         return sorted((min(v, p), max(v, p)) for v, p in enumerate(self.parents[j]) if p != n)
 
 
-_Within = tuple[set[int], list[tuple[int, int]]]  # a vertex set and g's edges inside it
+def _vertex_network(g: FactorGraph, p: int, q: int, vertices,
+                    edges: list[tuple[int, int]]) -> tuple[MaxFlow, int]:
+    """Goldberg's network for the ratio p/q on the subgraph of g made of
+    `vertices` and `edges`, g's edges inside them, and its supply (the
+    capacity out of the source).
 
-
-def _vertex_network(g: FactorGraph, p: int, q: int,
-                    within: Optional[_Within] = None) -> tuple[MaxFlow, int]:
-    """Goldberg's network for the ratio p/q, and its supply (the capacity
-    out of the source).
-
-    Nodes: 0 = source, 1 = sink, 2 + v = vertex v.  Vertex v has the arc
-    source -> v with capacity q deg v - 2p when that is positive, else
-    v -> sink with 2p - q deg v; each edge is one arc pair with q both ways.
-    A source side S of vertices cuts supply + 2(p|S| - q|E(S)|).  Given
-    `within`, a vertex set and g's edges inside it, the network is that of
-    the subgraph induced on the set: degrees count neighbours inside it, and
-    only its vertices and those edges get arcs.
+    Nodes: 0 = source, 1 = sink, 2 + v = vertex v.  With deg v counted in
+    `edges`, vertex v has the arc source -> v with capacity q deg v - 2p
+    when that is positive, else v -> sink with 2p - q deg v; each edge is
+    one arc pair with q both ways.  A source side S of vertices cuts
+    supply + 2(p|S| - q|E(S)|).
     """
-    if within is None:
-        vertices, adj, edges = range(g.n), g.adj, g.edges
-    else:
-        inside, edges = within
-        vertices = sorted(inside)
-        adj = {v: g.adj[v] & inside for v in vertices}
+    degree = [0] * g.n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
     net = MaxFlow(2 + g.n)
     supply = 0
     for v in vertices:
-        excess = q * len(adj[v]) - 2 * p
+        excess = q * degree[v] - 2 * p
         if excess > 0:
             net.add_edge(0, 2 + v, excess)
             supply += excess
@@ -81,10 +78,11 @@ def _vertex_network(g: FactorGraph, p: int, q: int,
 
 
 def _denser_subgraph(g: FactorGraph, threshold: Fraction,
-                     within: Optional[_Within] = None) -> Optional[set[int]]:
-    """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None;
-    given `within`, a vertex set and g's edges inside it, S is a subset of
-    that set.
+                     within=None) -> Optional[set[int]]:
+    """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None.
+    `within` is a pair of vertices and g's edges inside them, all of g when
+    not given; S is a subset of those vertices, and every call builds its
+    network on that pair.
 
     Min-cut over the vertex network for p/q: the cut for a source side S
     costs supply + 2(p|S| - q|E(S)|), so it drops below the supply exactly
@@ -93,11 +91,13 @@ def _denser_subgraph(g: FactorGraph, threshold: Fraction,
     """
     if g.m == 0:
         return None
-    net, supply = _vertex_network(g, threshold.numerator, threshold.denominator, within)
+    vertices, edges = within or (range(g.n), g.edges)
+    net, supply = _vertex_network(g, threshold.numerator, threshold.denominator,
+                                  vertices, edges)
     if net.max_flow(0, 1) >= supply:
         return None
-    side = net.min_cut_source_side(0)
-    witness = {v for v in range(g.n) if 2 + v in side}
+    side = net.min_cut_source_side()
+    witness = {v for v in vertices if 2 + v in side}
     if not witness:
         raise RuntimeError(f"_denser_subgraph: the cut below the supply at {threshold} "
                            f"has no vertex on the source side")
@@ -127,19 +127,18 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    within, best, edges = None, Fraction(g.m, g.n), g.edges  # None: every vertex
+    within, best = (range(g.n), g.edges), Fraction(g.m, g.n)
     while True:
         improved = _denser_subgraph(g, best, within)
         if improved is None:
             break
-        edges = [(u, v) for u, v in edges if u in improved and v in improved]
+        edges = [(u, v) for u, v in within[1] if u in improved and v in improved]
         found = Fraction(len(edges), len(improved))
         if found <= best:
             raise RuntimeError(f"densest_subgraph: a round reached density {found}, "
                                f"not above {best}")
-        within, best = (improved, edges), found
-    witness = tuple(range(g.n)) if within is None else tuple(sorted(within[0]))
-    return DensityReport(density=best, witness=witness, mad=2 * best)
+        within, best = (sorted(improved), edges), found
+    return DensityReport(density=best, witness=tuple(within[0]), mad=2 * best)
 
 
 def densest_subgraph_bruteforce(g: FactorGraph) -> DensityReport:

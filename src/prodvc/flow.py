@@ -1,7 +1,10 @@
 """Dinic max-flow with integer capacities.
 
 All capacities are exact integers (callers scale rationals beforehand), so
-min-cut comparisons are exact.
+min-cut comparisons are exact.  The level search that ends `max_flow`, the
+one that fails to reach the sink, labels every node the source reaches in
+the residual graph, so the min-cut's source side is read off its levels
+with no second search.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ class MaxFlow:
         self.cap.append(reverse)
 
     def _bfs(self, s: int, t: int) -> bool:
+        # a failing search labels all of s's residual reach: min_cut_source_side reads it
         self.level = [-1] * self.n
         self.level[s] = 0
         queue = deque([s])
@@ -80,15 +84,7 @@ class MaxFlow:
                 flow += pushed
         return flow
 
-    def min_cut_source_side(self, s: int) -> set[int]:
-        """Nodes reachable from s in the residual graph (call after max_flow)."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for i in self.head[v]:
-                w = self.to[i]
-                if self.cap[i] > 0 and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+    def min_cut_source_side(self) -> set[int]:
+        """Nodes reachable from the source in the residual graph: those the
+        last level search of `max_flow` labelled (call after max_flow)."""
+        return {v for v, depth in enumerate(self.level) if depth >= 0}

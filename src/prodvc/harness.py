@@ -23,10 +23,13 @@ from typing import Optional
 from .classes import (chordal_certificate, clique_number, product_elimination_report,
                       suboctahedron_structure)
 from .density import dens, densest_subgraph, mad
-from .graph import FactorGraph, GraphError, complete_graph, cycle_graph, path_graph
+from .graph import (FactorGraph, GraphError, complete_graph, cycle_graph, path_graph,
+                    two_min_degree_vertices)
 from .products import (ProductSpace, ProductSubgraph, instance_to_json, octahedron,
                        project_factor, instance_from_json)
-from .vc import vcd_induced, vcdens_minor
+from .vc import vcd_induced, vcd_minor, vcdens_minor
+
+SCHEMA = "prodvc-report-1"  # the "schema" key of every JSON document prodvc writes
 
 FAMILIES = ("path", "cycle", "tree", "chordal", "clique", "octahedron", "sparse")
 
@@ -148,7 +151,7 @@ def report_to_json(records: list[VerificationRecord],
                    violations: Optional[list] = None) -> str:
     """The report document; `violations`, when given, becomes a top-level key."""
     ordered = sorted(records, key=lambda r: (r.instance, r.claim))
-    doc = {"schema": "prodvc-report-1",
+    doc = {"schema": SCHEMA,
            "counts": {v: sum(1 for r in ordered if r.verdict == v)
                       for v in ("holds", "violated", "inconclusive")},
            "records": [r.to_dict() for r in ordered]}
@@ -244,6 +247,11 @@ def _timed(claim: str, digest: str, lhs, rhs, verdict: str, start: float,
                               detail=detail)
 
 
+def _verdict(holds: bool, exact: bool = True) -> str:
+    """A claim that fails on an inexact side is inconclusive, not violated."""
+    return "holds" if holds else "violated" if exact else "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -255,8 +263,7 @@ def check_density_sum(factors: list[FactorGraph]) -> VerificationRecord:
     flat, _ = g.to_factor_graph()
     lhs = densest_subgraph(flat).density
     rhs = sum((dens(f) for f in factors), Fraction(0))
-    verdict = "holds" if lhs == rhs else "violated"
-    return _timed("Lem2", instance_digest(g), lhs, rhs, verdict, start,
+    return _timed("Lem2", instance_digest(g), lhs, rhs, _verdict(lhs == rhs), start,
                   statement="dens(product) == sum of factor densities")
 
 
@@ -267,9 +274,8 @@ def check_hypercube_bound(g: ProductSubgraph) -> VerificationRecord:
     lhs = Fraction(g.num_edges, g.n)
     rhs, _, exact = vcd_induced(g)
     # a bounded vcd is a lower bound, so only lhs <= rhs settles the claim
-    verdict = "holds" if lhs <= rhs else "violated" if exact else "inconclusive"
-    return _timed("Thm1", instance_digest(g), lhs, rhs, verdict, start, vcd_exact=exact,
-                  statement="|E|/|V| <= vcd for induced hypercube subgraphs")
+    return _timed("Thm1", instance_digest(g), lhs, rhs, _verdict(lhs <= rhs, exact), start,
+                  vcd_exact=exact, statement="|E|/|V| <= vcd for induced hypercube subgraphs")
 
 
 def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
@@ -295,10 +301,9 @@ def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
         ok = g.num_edges == 0
     else:
         ok = 2 ** g.num_edges <= n ** (b0 * n)
-    verdict = "holds" if ok and b0 <= b else "violated"
     # mad = 2 * dens, so the bound normalized through densities is b0 itself
     log_bound = _timed("Thm4", digest, Fraction(g.num_edges, n), f"{b0}*log2({n})",
-                       verdict, start, b0=b0, b=b, b0_from_densities=b0,
+                       _verdict(ok and b0 <= b), start, b0=b0, b=b, b0_from_densities=b0,
                        statement="|E|/|V| <= b0*log2(n) and b0 <= b")
     start = time.monotonic()
     pick = next(((i, proj, remap) for i, (proj, remap) in enumerate(projections)
@@ -308,7 +313,6 @@ def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
                                   note="all projections trivial")]
     i, proj, remap = pick
     back = {j: c for c, j in remap.items()}
-    from .graph import two_min_degree_vertices
     parts = []
     for w in two_min_degree_vertices(proj):
         coord = back[w]
@@ -318,8 +322,7 @@ def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
     size, cut, deg = min(parts)
     ok = (deg <= b0 and cut <= b0 * size and 2 * size <= g.n)
     return [log_bound, _timed("Thm4-split", digest, str(cut), f"{b0}*{size}",
-                              "holds" if ok else "violated", start,
-                              factor=i, part_size=size, degree=deg, b0=b0,
+                              _verdict(ok), start, factor=i, part_size=size, degree=deg, b0=b0,
                               statement="cut <= b0*|A| and |A| <= n/2 after swap")]
 
 
@@ -347,16 +350,11 @@ def check_mu_bound(g: ProductSubgraph, mu: int) -> list[VerificationRecord]:
     most log2 of the vertex count), for a positive int mu."""
     start = time.monotonic()
     digest = instance_digest(g)
-    from .vc import vcd_minor
     d, exact, _ = vcd_minor(g)
     lhs = Fraction(g.num_edges, g.n)
     records = []
     # d is a lower bound when inexact, so lhs <= mu*d settles the claim
-    if lhs <= mu * d:
-        v1 = "holds"
-    else:
-        v1 = "violated" if exact else "inconclusive"
-    records.append(_timed("Thm5", digest, lhs, mu * d, v1, start,
+    records.append(_timed("Thm5", digest, lhs, mu * d, _verdict(lhs <= mu * d, exact), start,
                           mu=mu, vcd_star=d, exact=exact,
                           statement="|E|/|V| <= mu * vcd_star"))
     start = time.monotonic()
@@ -377,11 +375,8 @@ def check_elimination_bound(g: ProductSubgraph) -> VerificationRecord:
     d, _, exact = vcd_induced(g)
     lhs = Fraction(g.num_edges, g.n)
     rhs = rep.dd_product * d
-    if lhs <= rhs:
-        verdict = "holds"
-    else:
-        verdict = "violated" if rep.exact and exact else "inconclusive"
-    return _timed("Prop13", instance_digest(g), lhs, rhs, verdict, start,
+    return _timed("Prop13", instance_digest(g), lhs, rhs,
+                  _verdict(lhs <= rhs, rep.exact and exact), start,
                   dd_product=rep.dd_product, dd_subgraph=rep.dd_subgraph, vcd=d,
                   vcd_exact=exact,
                   statement="|E|/|V| <= DD * vcd for dismantlable factors")
@@ -404,9 +399,8 @@ def check_clique_bound(g: ProductSubgraph, kind: str) -> VerificationRecord:
     d, _, exact = vcd_induced(g)
     lhs = Fraction(g.num_edges, g.n)
     rhs = omega * d
-    verdict = "holds" if lhs <= rhs else "violated" if exact else "inconclusive"
     claim = "Cor14" if kind == "chordal" else "Prop15"
-    return _timed(claim, instance_digest(g), lhs, rhs, verdict, start,
+    return _timed(claim, instance_digest(g), lhs, rhs, _verdict(lhs <= rhs, exact), start,
                   omega=omega, vcd=d, vcd_exact=exact, kind=kind,
                   statement="|E|/|V| <= omega * vcd")
 
@@ -489,8 +483,8 @@ def _split_record(claim: str, digest: str, step, start: float,
     """A reduction step splits the vertices of g (whose digest is given)
     exactly into the contracted part and the centers."""
     whole, split = step.g.n, step.g_contracted.n + step.g_link_centers.n
-    return _timed(claim, digest, str(whole), str(split),
-                  "holds" if whole == split else "violated", start, statement=statement)
+    return _timed(claim, digest, str(whole), str(split), _verdict(whole == split), start,
+                  statement=statement)
 
 
 def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
@@ -581,8 +575,7 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
             scheme = encode(f)
             ok = decoded_graph(scheme) == FactorGraph(f.n, f.edges)
             records.append(_timed("Labels", f"factor-{t}", str(scheme.k), str(f.m),
-                                  "holds" if ok else "violated", start,
-                                  n=f.n, bits=scheme.bits_per_label,
+                                  _verdict(ok), start, n=f.n, bits=scheme.bits_per_label,
                                   statement="decode reproduces adjacency"))
             start = time.monotonic()
             d = math.ceil(dens(f))

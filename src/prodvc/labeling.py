@@ -130,6 +130,8 @@ def from_label_file(text: str) -> LabelScheme:
         n, k, w = map(int, rows[0].split())
     except ValueError:
         raise GraphError("malformed label file header")
+    if n < 1:  # encode labels no empty graph
+        raise GraphError(f"label file header declares {n} vertices, need at least 1")
     if k < 0 or w < 1:
         raise GraphError(f"bad field layout in label file header: k={k}, w={w}")
     if len(rows) - 1 != n:

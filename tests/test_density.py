@@ -385,7 +385,7 @@ def test_forest_decomposition_random():
 def test_empty_cut_witness_fails(monkeypatch):
     # a cut below the supply always has a vertex on its source side; a
     # wrong one raises (an explicit raise, so it holds under python -O too)
-    monkeypatch.setattr(MaxFlow, "min_cut_source_side", lambda net, s: {s})
+    monkeypatch.setattr(MaxFlow, "min_cut_source_side", lambda net: {0})
     k4_and_a_tail = FactorGraph(6, list(complete_graph(4).edges) + [(3, 4), (4, 5)])
     with pytest.raises(RuntimeError, match="no vertex on the source side"):
         density._denser_subgraph(k4_and_a_tail, Fraction(4, 3))
@@ -470,26 +470,50 @@ def test_density_oracle_property(bits, n):
     assert rep.density >= Fraction(g.m, g.n)
 
 
-def test_max_flow_matches_networkx():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(11)
+def _random_networks(seed):
+    """150 seeded random flow networks, as (n, net, arcs): each arc pair
+    goes into arcs as (u, v, capacity) both ways, some pairs two-way."""
+    rng = random.Random(seed)
     for _ in range(150):
         n = rng.randint(2, 12)
-        net, ref = MaxFlow(n), nx.DiGraph()
-        ref.add_nodes_from(range(n))
-        arcs = []
+        net, arcs = MaxFlow(n), []
         for _ in range(rng.randint(0, 3 * n)):
             u, v = rng.sample(range(n), 2)
             c, r = rng.randint(1, 9), rng.choice((0, 0, rng.randint(1, 9)))
             net.add_edge(u, v, c, r)  # r > 0: a two-way arc pair
-            for a, b, cap in ((u, v, c), (v, u, r)):
-                arcs.append((a, b, cap))
-                if ref.has_edge(a, b):
-                    ref[a][b]["capacity"] += cap
-                else:
-                    ref.add_edge(a, b, capacity=cap)
+            arcs += [(u, v, c), (v, u, r)]
+        yield n, net, arcs
+
+
+def test_max_flow_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for n, net, arcs in _random_networks(11):
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        for a, b, cap in arcs:
+            if ref.has_edge(a, b):
+                ref[a][b]["capacity"] += cap
+            else:
+                ref.add_edge(a, b, capacity=cap)
         value = net.max_flow(0, n - 1)
         assert value == nx.maximum_flow_value(ref, 0, n - 1)
-        side = net.min_cut_source_side(0)
+        side = net.min_cut_source_side()
         assert n - 1 not in side
+        assert sum(c for u, v, c in arcs if u in side and v not in side) == value
+
+
+def test_min_cut_side_is_the_residual_reach():
+    # with or without networkx: the side read off the last level search is
+    # what a residual search from the source reaches, and the capacity out
+    # of it is the flow value
+    for n, net, arcs in _random_networks(1970):
+        value = net.max_flow(0, n - 1)
+        reach, queue = {0}, [0]
+        for v in queue:  # the queue grows while it is walked
+            for i in net.head[v]:
+                if net.cap[i] > 0 and net.to[i] not in reach:
+                    reach.add(net.to[i])
+                    queue.append(net.to[i])
+        side = net.min_cut_source_side()
+        assert side == reach and n - 1 not in side
         assert sum(c for u, v, c in arcs if u in side and v not in side) == value

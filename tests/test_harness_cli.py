@@ -325,7 +325,8 @@ def test_cli_exits_2_on_bad_labels_and_arguments(capsys, tmp_path, k4_file):
             (good.replace("0 053", "0 53"), "label for 0 has 2 hex digits, want 3"),
             (good.replace("4 3 3", "4 3 99999999999"),  # no 12.5 GB mask from the header
              "field layout k=3, w=99999999999 needs 99999999999 hex digits per label, "
-             "more than the file holds"))):
+             "more than the file holds"),
+            ("0 0 1\n", "label file header declares 0 vertices, need at least 1"))):
         p = tmp_path / f"bad{idx}.labels"
         p.write_text(text)
         cases.append((["label", "decode", str(p), "1", "2"], message))
