@@ -14,9 +14,9 @@ start from the degeneracy orientation, and an orientation with outdegree d
 comes from it by reversing directed paths, one per unit of excess, with
 the set reached from a vertex that has no path as the witness that d is
 below the density.  The arboricity test drains one vertex at a time to
-outdegree 0 through the same loop, `_drain`.  One peel serves an
-`arboricity` call: each k it tests drains the orientation that the last
-one left.
+outdegree 0 through the same loop, `_drain`.  Each k it tests drains the
+orientation that the last one left.  A graph keeps its degeneracy peel, so
+it is peeled once for both the arboricity and the forests.
 """
 
 from __future__ import annotations
@@ -189,8 +189,9 @@ def arboricity(g: FactorGraph) -> int:
     and its edges are its vertices' out-arcs in the degeneracy orientation;
     the largest of these is a lower bound L.  Between them the value is the
     least k that `_fits_forests` accepts, and U when none below U fits.
-    Every tested k drains the orientation that the last one left, so the
-    peel is the only one.
+    Every tested k drains the orientation that the last one left.  The
+    graph keeps the peel, so a later `forest_decomposition` of it does not
+    peel again: one peel serves both the value and the forests.
 
     `forest_decomposition` builds degeneracy(g) forests, which may exceed
     this value (Q3: 3 for arboricity 2).

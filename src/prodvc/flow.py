@@ -9,8 +9,6 @@ with no second search.
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class MaxFlow:
     def __init__(self, num_nodes: int):
@@ -31,16 +29,17 @@ class MaxFlow:
 
     def _bfs(self, s: int, t: int) -> bool:
         # a failing search labels all of s's residual reach: min_cut_source_side reads it
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for i in self.head[v]:
-                if self.cap[i] > 0 and self.level[self.to[i]] < 0:
-                    self.level[self.to[i]] = self.level[v] + 1
-                    queue.append(self.to[i])
-        return self.level[t] >= 0
+        head, to, cap = self.head, self.to, self.cap
+        level = self.level = [-1] * self.n
+        level[s] = 0
+        queue = [s]
+        for v in queue:  # the queue grows while it is walked
+            depth = level[v] + 1
+            for i in head[v]:
+                if cap[i] > 0 and level[to[i]] < 0:
+                    level[to[i]] = depth
+                    queue.append(to[i])
+        return level[t] >= 0
 
     def _augment(self, s: int, t: int):
         """Push flow along one s-t path of the level graph; 0 once blocked.

@@ -25,10 +25,13 @@ class FactorGraph:
 
     `edges` is stored as a sorted tuple of (u, v) pairs with u < v; `adj[v]`
     is a frozenset of neighbors.  Instances are immutable by convention:
-    every operation returns a new graph.
+    every operation returns a new graph.  So the graph keeps its peel: the
+    first `degeneracy_ordering` call stores (order as a tuple, degeneracy)
+    in `_peel`, and later calls, such as the forests after the arboricity,
+    read it instead of peeling again.  Equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "edges", "adj", "name")
+    __slots__ = ("n", "edges", "adj", "name", "_peel")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: Optional[str] = None):
         if n < 0:
@@ -48,6 +51,7 @@ class FactorGraph:
             adj[v].add(u)
         self.adj = tuple(frozenset(s) for s in adj)
         self.name = name
+        self._peel = None
 
     @property
     def m(self) -> int:
@@ -183,8 +187,13 @@ def degeneracy_ordering(g: FactorGraph) -> tuple[list[int], int]:
     later in the order, and no smaller value works.  A heap holds each
     vertex's current (degree, id) as the int degree * n + id; older entries
     of a vertex carry a higher degree and are skipped when popped, so the
-    peel takes O(m log n).  A peeled vertex's degree is set to -1.
+    peel takes O(m log n).  A peeled vertex's degree is set to -1.  The
+    peel runs once per graph (see `FactorGraph`); each call returns a new
+    list, so a caller may change it.
     """
+    if g._peel is not None:
+        order, degeneracy = g._peel
+        return list(order), degeneracy
     n = g.n
     deg = degree_sequence(g)
     heap = [d * n + v for v, d in enumerate(deg)]
@@ -203,6 +212,7 @@ def degeneracy_ordering(g: FactorGraph) -> tuple[list[int], int]:
             if deg[w] > 0:  # not yet peeled, so v still counts in deg[w]
                 deg[w] -= 1
                 push(heap, deg[w] * n + w)
+    g._peel = tuple(order), degeneracy
     return order, degeneracy
 
 
@@ -225,31 +235,34 @@ def to_edgelist(g: FactorGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_pair(row: list[str], what: str) -> tuple[int, int]:
-    try:
-        a, b = map(int, row)
-    except ValueError:
-        raise GraphError(f"malformed {what} line: {' '.join(row)!r}") from None
-    return a, b
-
-
 def from_edgelist(text: str) -> FactorGraph:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
+    """The graph of an edge-list text: an "n m" header, then m lines "u v"
+    with 0 <= u < v < n, each edge once; `#` starts a comment, and blank
+    lines are skipped."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = [row for row in map(str.split, lines) if row]
     if not rows:
         raise GraphError("empty edge-list file")
-    n, m = _int_pair(rows[0], "header")
+    try:
+        n, m = map(int, rows[0])
+    except ValueError:
+        raise GraphError(f"malformed header line: {' '.join(rows[0])!r}") from None
     if n > EDGELIST_VERTEX_CAP:
         raise GraphError(f"header declares {n} vertices, above the cap of {EDGELIST_VERTEX_CAP}")
     if len(rows) - 1 != m:
         raise GraphError(f"header says {m} edges, found {len(rows) - 1}")
     edges = []
     for row in rows[1:]:
-        u, v = _int_pair(row, "edge")
+        try:
+            u, v = map(int, row)
+        except ValueError:
+            raise GraphError(f"malformed edge line: {' '.join(row)!r}") from None
         if not (0 <= u < v < n):
             raise GraphError(f"edge line '{u} {v}' violates 0 <= u < v < n")
         edges.append((u, v))
-    return FactorGraph(n, edges)
+    g = FactorGraph(n, edges)
+    if g.m != m:
+        raise GraphError(f"edge lines repeating an earlier one: {m - g.m} of {m}")
+    return g

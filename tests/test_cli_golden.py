@@ -1,9 +1,9 @@
 """Golden stdout bytes of `prodvc vcd` and `prodvc reduce` on product
 instances, and of `density`, `arboricity`, `orient` and `label encode` on
 edge lists: the sha256 of what each command writes on fixed inputs, so a
-refactor of the VC scan, the density rounds, the drains, the report records
-or the writers that moves a value, a witness, an `exact` flag, an arc or a
-key order shows here."""
+refactor of the VC scan, the density rounds, the drains, the report records,
+the writers or the edge-list loader that moves a value, a witness, an
+`exact` flag, an arc or a key order shows here."""
 
 import hashlib
 import random
@@ -81,6 +81,9 @@ GRAPHS = {
     "grid8": _shuffled_grid(8, 8, random.Random(8)),
     "q6": ProductSpace([path_graph(2)] * 6).materialize().to_factor_graph()[0],
     "k4tail": FactorGraph(6, list(complete_graph(4).edges) + [(3, 4), (4, 5)]),
+    # degeneracy forests outnumber the arboricity: 3 for 2, and 6 for 4
+    "q3": ProductSpace([path_graph(2)] * 3).materialize().to_factor_graph()[0],
+    "k3cube": ProductSpace([complete_graph(3)] * 3).materialize().to_factor_graph()[0],
 }
 
 # (graph, command) -> sha256 of stdout; orient runs at ceil(dens)
@@ -117,6 +120,46 @@ GRAPH_GOLDEN = {
         "1889a293f433f80ecefbdab87e8295674008e14961c933f71bf6ee7f8e2f5bb6",
     ("q6", "label encode"):
         "59509464de655d3ff883d112f5aa17fd22d2524dc1b50584b616eb813ab723e7",
+    ("q3", "arboricity"):
+        "dd47fef0af02392c787612b64384b5f051356739989ef6cbbb35d0d51f0c930d",
+    ("k3cube", "arboricity"):
+        "0701140d1213ecd8cb1556bf54c461f2a9b7d6387074ea864516602144c3d2a8",
+}
+
+# edge-list files in the loader's other spellings: comments, blank lines,
+# CRLF line ends, and integers with a sign or digit separators
+EDGE_TEXTS = {
+    "comments": "# a 5-cycle with a chord\n5 6  # header\n0 1\n1 2 # trailing\n"
+                "# a whole-line comment\n2 3\n3 4#no space\n0 4\n1 3\n",
+    "blank": "\n   \n4 4\n\n0 1\n \t \n1 2\n2 3\n\n0 3\n\n",
+    "crlf": "4 5\r\n0 1\r\n0 2\r\n1 2\r\n1 3\r\n2 3\r\n",
+    "integers": "+1_1 1_2\n0 +1\n0 1_0\n1 2\n2 3\n3 4\n4 5\n5 6\n"
+                "6 7\n7 8\n8 9\n9 1_0\n+2 +7\n",
+}
+
+EDGE_TEXT_GOLDEN = {
+    ("comments", "density"):
+        "20d0fecf244731eeb7d35d1b3ed09fcd7e13adf7b33eec00fbeb9916fe8c0851",
+    ("comments", "arboricity"):
+        "3ef9c4d1091a053852083397ebf3e83c32418589907376e6c814279fc54db396",
+    ("comments", "label encode"):
+        "4ab7d1f9a11318171f89d1fbdbdf61614978779fc574a9fb55f970bb7e9d318e",
+    ("blank", "density"):
+        "6a692811d5848e6589e94931850466681b51443f5676692b149eb3f0a11cbbb2",
+    ("blank", "arboricity"):
+        "f42eddf9f39e48e55d6fa155bb5cd545b43451bbc5c42bf9dfd9c1d142d5eef6",
+    ("crlf", "density"):
+        "8645db566a0464e8122e8d405d66de1eddbd1e9c4e64c820047dc9343198bfc9",
+    ("crlf", "arboricity"):
+        "fee2e1147fae6d6d2c14ba09cfb52279c9681e9b371f2846f5aaeb736c13195b",
+    ("crlf", "orient --max-outdegree 2"):
+        "713d750c4f2b36337e6359c33000567fb3d152c4fc3c3b6591bba3d3d6e28f88",
+    ("integers", "density"):
+        "1723444ce2e9448bcd4d06a7fc0315b539cab3d5e6d611299a60f6ed1af205a4",
+    ("integers", "arboricity"):
+        "4a982227298a8c67fdc1273663f29d1b87f897f785af9a26ea0a81530374a6d3",
+    ("integers", "label encode"):
+        "a5169f9e0465539c437308388650002fb82d3977ed365b17a5954d8a0153d8e5",
 }
 
 
@@ -139,3 +182,14 @@ def test_edge_list_stdout_matches_golden_digest(capsys, tmp_path, name, command)
     assert main([*args[:head], str(path), *args[head:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_GOLDEN[name, command]
+
+
+@pytest.mark.parametrize("name, command", sorted(EDGE_TEXT_GOLDEN))
+def test_edge_list_spellings_match_golden_digest(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(EDGE_TEXTS[name].encode())
+    args = command.split()
+    head = 2 if args[0] == "label" else 1
+    assert main([*args[:head], str(path), *args[head:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EDGE_TEXT_GOLDEN[name, command]

@@ -11,7 +11,8 @@ from prodvc.density import (arboricity, arboricity_bruteforce,
                             densest_subgraph_bruteforce, forest_decomposition, mad)
 from prodvc.flow import MaxFlow
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
-                          degeneracy_ordering, induced_subgraph, path_graph, star_graph)
+                          degeneracy_ordering, induced_subgraph, path_graph, star_graph,
+                          to_edgelist)
 from prodvc.products import ProductSpace
 
 
@@ -245,6 +246,34 @@ def test_arboricity_peels_once(monkeypatch):
         assert arboricity(g) == want
         assert len(peels) == 1
         assert len({id(out) for (_, out, _), _ in tests}) <= 1
+
+
+def test_one_heap_peel_per_graph_serves_value_forests_and_orientation(monkeypatch, tmp_path,
+                                                                      capsys):
+    # the value and the forests of `prodvc arboricity`, and the labels and
+    # the orientation of one `labels` suite graph, read one kept peel: the
+    # heap peel's first step, `degree_sequence`, runs once per graph
+    from prodvc import graph as graph_module
+    from prodvc.cli import main
+    from prodvc.harness import run_suite
+    from prodvc.labeling import encode
+    peels = []
+    real = graph_module.degree_sequence
+    monkeypatch.setattr(graph_module, "degree_sequence", lambda g: peels.append(g) or real(g))
+    path = tmp_path / "g.txt"
+    for g in (complete_graph(7), _power(path_graph(2), 4), _grid(6, 6, random.Random(6))):
+        path.write_text(to_edgelist(g))
+        del peels[:]
+        assert main(["arboricity", str(path)]) == 0
+        assert len(peels) == 1 and peels[0] == g
+        del peels[:]
+        encode(g)
+        bounded_outdegree_orientation(g, math.ceil(dens(g)))
+        assert peels == [g]
+    capsys.readouterr()
+    del peels[:]
+    records = run_suite("labels", trials=4, seed=3)
+    assert len(peels) == 4 and len(records) == 8
 
 
 def test_arboricity_matches_bruteforce(monkeypatch):

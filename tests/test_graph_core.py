@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -127,6 +129,40 @@ def test_degeneracy_ordering_matches_the_bucket_peel():
         assert degeneracy_ordering(g) == bucket_peel(g), g
 
 
+def test_degeneracy_ordering_keeps_its_peel_apart_from_callers():
+    # the peel is kept on the graph; every call hands out its own list, so a
+    # caller that changes one does not change what the next call returns
+    rng = random.Random(1953)
+    for _ in range(40):
+        n = rng.randint(0, 30)
+        g = FactorGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 0.3])
+        first = degeneracy_ordering(g)
+        second = degeneracy_ordering(g)
+        assert first == second == bucket_peel(g)
+        assert first[0] is not second[0]
+        first[0].reverse()
+        first[0].append(n)
+        second[0].clear()
+        assert degeneracy_ordering(g) == bucket_peel(g)
+
+
+def test_a_kept_peel_leaves_equality_hash_and_copies_alone():
+    rng = random.Random(1968)
+    for _ in range(20):
+        n = rng.randint(1, 25)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g, twin = FactorGraph(n, edges, name="g"), FactorGraph(n, edges)
+        before = [pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)]
+        peel = degeneracy_ordering(g)
+        after = [pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)]
+        assert g == twin and hash(g) == hash(twin)
+        for h in before + after:
+            assert h == g and hash(h) == hash(g) and h.name == "g"
+            assert h.adj == g.adj and degeneracy_ordering(h) == peel
+        assert {g, twin, *before, *after} == {twin}
+
+
 @given(graphs)
 def test_degeneracy_order_property(g):
     order, k = degeneracy_ordering(g)
@@ -172,3 +208,14 @@ def test_edgelist_comments_and_errors():
     for bad in ("x 1\n0 1\n", "3 1\n0 1 2\n", "3\n0 1\n", "3 1\n0 y\n"):
         with pytest.raises(GraphError):
             from_edgelist(bad)
+
+
+def test_edgelist_refuses_repeated_edge_lines():
+    # a header that counts an edge twice would describe a graph with fewer
+    # edges than it says; the constructor itself still merges repeats
+    for text, repeats in (("3 2\n0 1\n0 1\n", "1 of 2"),
+                          ("4 5\n0 1\n1 2\n0 1\n1 2\n0 1\n", "3 of 5"),
+                          ("3 2\n0 1\n0  1 # again\n", "1 of 2")):
+        with pytest.raises(GraphError, match=f"^edge lines repeating an earlier one: {repeats}$"):
+            from_edgelist(text)
+    assert FactorGraph(3, [(0, 1), (1, 0), (0, 1)]).m == 1

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodvc.cli import build_parser, main
+from prodvc.density import densest_subgraph
 from prodvc.graph import (EDGELIST_VERTEX_CAP, FactorGraph, GraphError, complete_graph,
-                          path_graph, to_edgelist)
+                          from_edgelist, path_graph, to_edgelist)
 from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_sum,
                             check_thm4, fuzz_records,
                             generate, instance_digest, random_factor,
@@ -340,6 +341,27 @@ def test_cli_exits_2_on_bad_labels_and_arguments(capsys, tmp_path, k4_file):
         assert captured.out == "" and captured.err == f"error: {message}\n", argv
 
 
+def _mutated(rng, data: bytes, alphabet: bytes, tokens) -> bytes:
+    """`data` after 0 to 3 random edits: a byte replaced, a byte of
+    `alphabet` inserted, a byte deleted, or a whitespace-separated token
+    swapped for one of `tokens`."""
+    data = bytearray(data)
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(data) + 1)
+        op = rng.randrange(4)
+        if op == 0 and at < len(data):
+            data[at] = rng.randrange(256)
+        elif op == 1:
+            data[at:at] = bytes([rng.choice(alphabet)])
+        elif op == 2:
+            del data[at:at + 1]
+        else:
+            parts = re.split(rb"(\s+)", bytes(data))
+            parts[2 * rng.randrange((len(parts) + 1) // 2)] = rng.choice(tokens)
+            data = bytearray(b"".join(parts))
+    return bytes(data)
+
+
 def test_cli_label_decode_fuzz(capsys, tmp_path):
     # byte and token mutations of label files, with random vertex arguments:
     # each call exits 0 with decode's answer or 2 with one error line, and
@@ -355,21 +377,8 @@ def test_cli_label_decode_fuzz(capsys, tmp_path):
     exits = {0: 0, 2: 0}
     for _ in range(400):
         n, text = rng.choice(seeds)
-        data = bytearray(text)
-        for _ in range(rng.randint(0, 3)):
-            at = rng.randrange(len(data) + 1)
-            op = rng.randrange(4)
-            if op == 0 and at < len(data):
-                data[at] = rng.randrange(256)
-            elif op == 1:
-                data[at:at] = bytes([rng.choice(b"0123456789abcdef \n#-x\xff")])
-            elif op == 2:
-                del data[at:at + 1]
-            else:
-                parts = re.split(rb"(\s+)", bytes(data))
-                parts[2 * rng.randrange((len(parts) + 1) // 2)] = rng.choice(tokens)
-                data = bytearray(b"".join(parts))
-        path.write_bytes(bytes(data))
+        data = _mutated(rng, text, b"0123456789abcdef \n#-x\xff", tokens)
+        path.write_bytes(data)
         x, y = rng.randint(-1, n), rng.randint(-1, n)
         code = main(["label", "decode", str(path), str(x), str(y)])
         captured = capsys.readouterr()
@@ -383,6 +392,99 @@ def test_cli_label_decode_fuzz(capsys, tmp_path):
             adjacent = decode(int(scheme.labels[x]), int(scheme.labels[y]), scheme.k, scheme.w)
             assert captured.err == "" and json.loads(captured.out)["adjacent"] is adjacent
     assert min(exits.values()) >= 40, exits  # both outcomes are common
+
+
+def _reference_edge_list(data: bytes):
+    """The edge-list format read one line at a time, apart from
+    `graph.from_edgelist`: (n, sorted edges), or None for a file that the
+    format refuses (not UTF-8, no header, a field that is not an int, a
+    line without exactly two fields, a negative or too large n, an edge
+    outside 0 <= u < v < n, an edge count other than the header's, or an
+    edge given twice)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    header, edges = None, []
+    for line in text.splitlines():
+        fields = line.partition("#")[0].split()
+        if not fields:
+            continue
+        if len(fields) != 2:
+            return None
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            return None
+        if header is None:
+            if not 0 <= a <= EDGELIST_VERTEX_CAP:
+                return None
+            header = (a, b)
+        elif 0 <= a < b < header[0]:
+            edges.append((a, b))
+        else:
+            return None
+    if header is None or len(edges) != header[1] or len(set(edges)) != len(edges):
+        return None
+    return header[0], sorted(edges)
+
+
+EDGE_LIST_COMMANDS = (["density"], ["arboricity"], ["orient", "--max-outdegree", "2"],
+                      ["classify"], ["label", "encode"])
+
+
+def test_cli_edge_list_fuzz(capsys, tmp_path):
+    # byte and token mutations of three small edge lists, some of which
+    # repeat an edge that their header counts: every edge-list command exits
+    # 0, or 2 with one error line, and accepts exactly the files that the
+    # line-by-line reference reads, whose n and edges the loader returns
+    rng = random.Random(1736)
+    sparse = [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.3]
+    seeds = [(4, list(complete_graph(4).edges)),
+             (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]), (9, sparse)]
+    tokens = [b"0", b"1", b"2", b"3", b"8", b"-1", b"+1", b"1_0", b"x", b"1.0", b"", b"#",
+              b"\xff", "\u0661".encode(), b"0 1", b"1 0", b"0 0", b"9" * 5000,
+              str(EDGELIST_VERTEX_CAP + 1).encode(), b"\r\n"]
+    path = tmp_path / "fuzz.txt"
+    accepted = refused = repeated = 0
+    for _ in range(400):
+        n, edges = rng.choice(seeds)
+        if rng.random() < 0.25:  # an edge line given twice, and counted twice
+            edges = edges + [rng.choice(edges)]
+            rng.shuffle(edges)
+        lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+        if rng.random() < 0.3:
+            lines.insert(rng.randrange(len(lines) + 1), "# comment")
+            lines[rng.randrange(len(lines))] += "  # note"
+            lines.insert(rng.randrange(len(lines) + 1), " \t")
+        text = ("\r\n" if rng.random() < 0.2 else "\n").join(lines) + "\n"
+        data = _mutated(rng, text.encode(), b"0123456789 \t\r\n#-+_x\xff", tokens)
+        path.write_bytes(data)
+        want = _reference_edge_list(data)
+        if want is None:
+            refused += 1
+        else:
+            accepted += 1
+            g = from_edgelist(path.read_text(encoding="utf-8"))
+            assert (g.n, list(g.edges)) == want, data
+        for args in EDGE_LIST_COMMANDS:
+            head = 2 if args[0] == "label" else 1
+            code = main([*args[:head], str(path), *args[head:]])
+            captured = capsys.readouterr()
+            assert code in (0, 2), (args, data)
+            if code == 2:
+                assert captured.out == "" and captured.err.startswith("error: "), (args, data)
+                assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), (args, data)
+                if "repeat" in captured.err:
+                    repeated += args[0] == "density"
+            else:
+                assert captured.err == "", (args, data)
+            if want is None:
+                assert code == 2, (args, data)
+            elif want[0] >= 1:
+                fits = args[0] != "orient" or densest_subgraph(g).density <= 2
+                assert code == (0 if fits else 2), (args, data)
+    assert min(accepted, refused) >= 80 and repeated >= 20, (accepted, refused, repeated)
 
 
 def test_cli_verify_and_fuzz(capsys, tmp_path):
