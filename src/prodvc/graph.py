@@ -45,6 +45,9 @@ class FactorGraph:
             norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = tuple(sorted(norm))
+        # Build sets, then freeze them: a frozenset's iteration order depends
+        # on how it was built, and command output follows it (the orientation
+        # `prodvc orient` prints changes if per-vertex lists are frozen instead).
         adj = [set() for _ in range(n)]
         for u, v in self.edges:
             adj[u].add(v)

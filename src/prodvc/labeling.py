@@ -68,43 +68,33 @@ def decode(label_x: int, label_y: int, k: int, w: int) -> bool:
     """Adjacency from two labels alone: true iff one id is a parent field of
     the other.  Root sentinels never collide with an id, since every id is
     below the sentinel value."""
+    # No comprehension, generator or nested function here: any of them makes
+    # k and w cell variables, which slows every call of a warm all-pairs loop.
     if type(label_x) is _Label and type(label_y) is _Label:
         kx, wx, x, px = label_x._split
         ky, wy, y, py = label_y._split
         if kx == k == ky and wx == w == wy:
             return (y in px or x in py) and x != y
-        return _split_and_decode(label_x, label_y, k, w)
+    return _split_and_decode(label_x, label_y, k, w)
+
+
+def _split_and_decode(label_x: int, label_y: int, k: int, w: int) -> bool:
+    """decode for every label its fast path misses (plain ints, mixed pairs,
+    _Labels last split under another layout): check both labels, split each
+    into id and parent fields under (k, w), and keep the split only on a
+    _Label."""
     both = label_x | label_y  # negative iff either label is
     if both < 0:
         raise GraphError("labels are nonnegative integers")
     top = k * w
     if both >> (top + w):
         raise GraphError("label too long for the declared field layout")
+    mask = (1 << w) - 1
     x, y = label_x >> top, label_y >> top
-    if x == y:
-        return False
-    mask = (1 << w) - 1
-    while top:
-        top -= w
-        if (label_x >> top) & mask == y or (label_y >> top) & mask == x:
-            return True
-    return False
-
-
-def _split_and_decode(label_x: _Label, label_y: _Label, k: int, w: int) -> bool:
-    """decode's checks, then each label's split under (k, w) stored on it."""
-    both = label_x | label_y
-    if both < 0:
-        raise GraphError("labels are nonnegative integers")
-    top = k * w
-    if both >> (top + w):
-        raise GraphError("label too long for the declared field layout")
-    mask = (1 << w) - 1
-    for label in (label_x, label_y):
-        label._split = (k, w, label >> top,
-                        frozenset(label >> i * w & mask for i in range(k)))
-    x, px = label_x._split[2:]
-    y, py = label_y._split[2:]
+    px, py = (frozenset(label >> i * w & mask for i in range(k)) for label in (label_x, label_y))
+    for label, split in ((label_x, (k, w, x, px)), (label_y, (k, w, y, py))):
+        if type(label) is _Label:
+            label._split = split
     return (y in px or x in py) and x != y
 
 

@@ -227,12 +227,18 @@ def instance_from_json(text: str) -> ProductSubgraph:
         factors = []
         for i, f in enumerate(doc["factors"]):
             n, edges = f["n"], [tuple(e) for e in f["edges"]]
+            # exact types: JSON true and false load as bools, which pass as ints
+            if type(n) is not int:
+                raise GraphError(f"factor {i}: vertex count {n!r} is not an int")
             for e in edges:
                 if len(e) != 2:
                     raise GraphError(f"factor {i}: edge {list(e)} is not a pair")
+                if type(e[0]) is not int or type(e[1]) is not int:
+                    raise GraphError(f"factor {i}: edge {list(e)} has an endpoint "
+                                     f"that is not an int")
             # connecting n vertices takes n - 1 edges: a factor with fewer is
             # refused before its adjacency, one set per vertex, is allocated
-            if type(n) is int and n > len(edges) + 1:
+            if n > len(edges) + 1:
                 raise GraphError(f"factor {i} is not connected")
             factors.append(FactorGraph(n, edges))
         space = ProductSpace(factors)

@@ -525,7 +525,7 @@ def _instance_doc(vertices, **extra):
     return doc
 
 
-def _assert_input_error(capsys, tmp_path, doc):
+def _assert_input_error(capsys, tmp_path, doc, message=None):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     for argv in (["vcd", str(p)], ["vcd", str(p), "--minor"],
@@ -534,6 +534,7 @@ def _assert_input_error(capsys, tmp_path, doc):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message is None or captured.err == f"error: {message}\n"
         # rejected while reading, before any command asks for an induced graph
         assert "induced" not in captured.err
 
@@ -544,6 +545,19 @@ def test_cli_rejects_coordinates_that_are_not_ints(capsys, tmp_path):
         for induced in ({"induced": True}, {"edges": [[0, 1]]}):
             _assert_input_error(capsys, tmp_path,
                                 _instance_doc([[0, 0], [1, 0], [bad, 1]], **induced))
+
+
+def test_cli_rejects_factor_sizes_and_endpoints_that_are_not_ints(capsys, tmp_path):
+    # JSON true and false load as bools, which Python compares and indexes as
+    # 1 and 0, so a bool size or endpoint would pass for an int
+    cases = [({"n": n, "edges": [[0, 1]]}, f"vertex count {n!r} is not an int")
+             for n in (True, 2.0, "2")]
+    cases += [({"n": 2, "edges": [edge]}, f"edge {edge} has an endpoint that is not an int")
+              for bad in (False, True, 0.0, "0") for edge in ([bad, 1], [0, bad])]
+    for factor, message in cases:
+        doc = _instance_doc([[0, 0], [1, 0]], induced=True)
+        doc["factors"][1] = factor
+        _assert_input_error(capsys, tmp_path, doc, f"factor 1: {message}")
 
 
 def test_cli_rejects_a_factor_edge_that_is_not_a_pair(capsys, tmp_path):
