@@ -16,7 +16,7 @@ from .classes import (chordal_certificate, clique_number, min_dismantling_order,
 from .density import (arboricity, bounded_outdegree_orientation, densest_subgraph,
                       forest_decomposition)
 from .graph import FactorGraph, GraphError, degeneracy_ordering, from_edgelist
-from .harness import (SCHEMA, SUITES, _json_text, fuzz_records, report_to_json,
+from .harness import (SCHEMA, SUITES, _json_text, _verdict, fuzz_records, report_to_json,
                       resolve_mu, run_suite)
 from .labeling import decode, encode, from_label_file, to_label_file
 from .products import ProductSpace, instance_doc, instance_from_json
@@ -182,8 +182,8 @@ def cmd_verify(args) -> int:
     records = run_suite(args.suite, trials=args.trials, seed=args.seed,
                         mu=resolve_mu(args.mu) if args.mu is not None else None)
     _write(report_to_json(records) + "\n", args.out)
-    violated = [r for r in records if r.verdict == "violated" and r.claim != "Conj3"]
-    return 1 if violated else 0
+    violated = _verdict(False)  # a claim that fails on exact sides
+    return 1 if any(r.verdict == violated for r in records) else 0
 
 
 def _named_space(name: str) -> ProductSpace:

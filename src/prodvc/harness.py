@@ -2,10 +2,8 @@
 
 Every check compares exact rationals (ratios as Fractions, logarithmic
 bounds as big-integer power comparisons) and returns a record with the two
-sides rendered as p/q strings.  A record is `inconclusive` only when one
-side had to be computed heuristically and the comparison would otherwise
-fail; a heuristic lower bound that already satisfies an upper-bound claim
-settles it.
+sides rendered as p/q strings.  Every verdict comes from `_verdict`, which
+takes a side from a bounded search as a lower bound on its true value.
 """
 
 from __future__ import annotations
@@ -247,9 +245,12 @@ def _timed(claim: str, digest: str, lhs, rhs, verdict: str, start: float,
                               detail=detail)
 
 
-def _verdict(holds: bool, exact: bool = True) -> str:
-    """A claim that fails on an inexact side is inconclusive, not violated."""
-    return "holds" if holds else "violated" if exact else "inconclusive"
+def _verdict(holds: bool, lhs_exact: bool = True, rhs_exact: bool = True) -> str:
+    """The verdict on a claim lhs <= rhs (or lhs == rhs) whose inexact sides
+    are lower bounds on their true values: it holds only when lhs is exact,
+    is violated only when rhs is exact, and is inconclusive otherwise."""
+    settled = lhs_exact if holds else rhs_exact
+    return "inconclusive" if not settled else "holds" if holds else "violated"
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +274,9 @@ def check_hypercube_bound(g: ProductSubgraph) -> VerificationRecord:
     start = time.monotonic()
     lhs = Fraction(g.num_edges, g.n)
     rhs, _, exact = vcd_induced(g)
-    # a bounded vcd is a lower bound, so only lhs <= rhs settles the claim
-    return _timed("Thm1", instance_digest(g), lhs, rhs, _verdict(lhs <= rhs, exact), start,
-                  vcd_exact=exact, statement="|E|/|V| <= vcd for induced hypercube subgraphs")
+    return _timed("Thm1", instance_digest(g), lhs, rhs, _verdict(lhs <= rhs, rhs_exact=exact),
+                  start, vcd_exact=exact,
+                  statement="|E|/|V| <= vcd for induced hypercube subgraphs")
 
 
 def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
@@ -352,18 +353,12 @@ def check_mu_bound(g: ProductSubgraph, mu: int) -> list[VerificationRecord]:
     digest = instance_digest(g)
     d, exact, _ = vcd_minor(g)
     lhs = Fraction(g.num_edges, g.n)
-    records = []
-    # d is a lower bound when inexact, so lhs <= mu*d settles the claim
-    records.append(_timed("Thm5", digest, lhs, mu * d, _verdict(lhs <= mu * d, exact), start,
-                          mu=mu, vcd_star=d, exact=exact,
-                          statement="|E|/|V| <= mu * vcd_star"))
+    records = [_timed("Thm5", digest, lhs, mu * d, _verdict(lhs <= mu * d, rhs_exact=exact),
+                      start, mu=mu, vcd_star=d, exact=exact,
+                      statement="|E|/|V| <= mu * vcd_star")]
     start = time.monotonic()
-    if 2 ** d > g.n:
-        v2 = "violated"  # a lower bound already too large is conclusive
-    else:
-        v2 = "holds" if exact else "inconclusive"
-    records.append(_timed("Lem8", digest, 2 ** d, g.n, v2, start, exact=exact,
-                          statement="2^vcd_star <= |V|"))
+    records.append(_timed("Lem8", digest, 2 ** d, g.n, _verdict(2 ** d <= g.n, exact), start,
+                          exact=exact, statement="2^vcd_star <= |V|"))
     return records
 
 
@@ -376,7 +371,7 @@ def check_elimination_bound(g: ProductSubgraph) -> VerificationRecord:
     lhs = Fraction(g.num_edges, g.n)
     rhs = rep.dd_product * d
     return _timed("Prop13", instance_digest(g), lhs, rhs,
-                  _verdict(lhs <= rhs, rep.exact and exact), start,
+                  _verdict(lhs <= rhs, rhs_exact=rep.exact and exact), start,
                   dd_product=rep.dd_product, dd_subgraph=rep.dd_subgraph, vcd=d,
                   vcd_exact=exact,
                   statement="|E|/|V| <= DD * vcd for dismantlable factors")
@@ -400,8 +395,8 @@ def check_clique_bound(g: ProductSubgraph, kind: str) -> VerificationRecord:
     lhs = Fraction(g.num_edges, g.n)
     rhs = omega * d
     claim = "Cor14" if kind == "chordal" else "Prop15"
-    return _timed(claim, instance_digest(g), lhs, rhs, _verdict(lhs <= rhs, exact), start,
-                  omega=omega, vcd=d, vcd_exact=exact, kind=kind,
+    return _timed(claim, instance_digest(g), lhs, rhs, _verdict(lhs <= rhs, rhs_exact=exact),
+                  start, omega=omega, vcd=d, vcd_exact=exact, kind=kind,
                   statement="|E|/|V| <= omega * vcd")
 
 
@@ -412,12 +407,8 @@ def check_dd_sum(space: ProductSpace) -> VerificationRecord:
     start = time.monotonic()
     g = space.materialize(216)
     rep = product_elimination_report(g)
-    if rep.dd_subgraph == rep.dd_product:
-        verdict = "holds" if rep.exact else "inconclusive"
-    else:
-        verdict = "violated" if rep.exact else "inconclusive"
-    return _timed("DD-sum", instance_digest(g),
-                  rep.dd_subgraph, rep.dd_product, verdict, start,
+    return _timed("DD-sum", instance_digest(g), rep.dd_subgraph, rep.dd_product,
+                  _verdict(rep.dd_subgraph == rep.dd_product, rep.exact, rep.exact), start,
                   statement="DD(product) == sum of factor dd values")
 
 
@@ -450,9 +441,9 @@ def fuzz_records(space: ProductSpace, trials: int, seed: int = 0,
                                "ratio": _frac_str(lhs),
                                "vcdens_star": _frac_str(d),
                                "digest": instance_digest(g)})
-    rec = _timed("Conj3", instance_digest(space.materialize()),
-                 str(len(violations)), "0",
-                 "holds" if not violations else "inconclusive", start,
+    # the conjecture is open, so a discovery is never a violation
+    rec = _timed("Conj3", instance_digest(space.materialize()), str(len(violations)), "0",
+                 _verdict(not violations, rhs_exact=False), start,
                  trials=trials, violations=[v["digest"] for v in violations],
                  statement="|E|/|V| <= vcdens_star (open; discoveries archived)")
     return [rec], violations

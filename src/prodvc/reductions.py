@@ -201,23 +201,18 @@ def vc_monotonicity_check(step: ReductionStep) -> list[InequalityRecord]:
     """Check how the minor VC quantities move across one reduction step:
     they never grow on the contracted part, and on the center part the
     dimension drops by one and the density by one half.  The tip count is
-    bounded by the centers times the number of common neighbors.  Any side
-    from a bounded search makes the verdict inconclusive rather than firm.
+    bounded by the centers times the number of common neighbors.  Verdicts
+    follow `harness._verdict`: a side from a bounded search is a lower bound,
+    so a bounded lhs never holds and a bounded rhs is never violated.
     """
+    from .harness import _verdict
     from .vc import minor_search
 
     d_g, s_g = minor_search(step.g)
     records = []
 
     def record(name, lhs=0, rhs="-", lhs_exact=True, rhs_exact=True, skipped=False):
-        if skipped:
-            verdict = "skipped"
-        elif lhs <= rhs:
-            verdict = "holds"
-        elif lhs_exact and rhs_exact:
-            verdict = "violated"
-        else:
-            verdict = "inconclusive"
+        verdict = "skipped" if skipped else _verdict(lhs <= rhs, lhs_exact, rhs_exact)
         records.append(InequalityRecord(name=name, lhs=str(lhs), rhs=str(rhs), verdict=verdict))
 
     def compare(name, lhs, rhs, drop=0):  # lhs <= rhs - drop for two `Found`s
@@ -225,8 +220,6 @@ def vc_monotonicity_check(step: ReductionStep) -> list[InequalityRecord]:
 
     if step.g_contracted.n:
         d_c, s_c = minor_search(step.g_contracted)
-        # the contracted part is a minor-subproduct of g, so exact lhs vs
-        # bounded rhs can only under-report the right side
         compare("vcd_star(contracted) <= vcd_star(g)", d_c, d_g)
         compare("vcdens_star(contracted) <= vcdens_star(g)", s_c, s_g)
 

@@ -114,6 +114,28 @@ def test_bounded_vcd_makes_failed_comparisons_inconclusive(monkeypatch):
                    for r in records)
 
 
+def test_bounded_vcd_star_and_dd_follow_the_one_verdict_rule(monkeypatch):
+    """Thm5 (|E|/|V| <= mu*vcd*) holds on a bounded vcd* but is never
+    violated by one; Lem8 (2^vcd* <= |V|) is violated by a bounded vcd* but
+    never holds on one; DD-sum on an inexact elimination order settles
+    nothing."""
+    from prodvc import harness
+    from prodvc.classes import ProductEliminationReport
+    grid = ProductSpace([path_graph(3), path_graph(3)])  # |E|/|V| = 4/3, |V| = 9
+    for d, exact, thm5, lem8 in ((0, False, "inconclusive", "inconclusive"),
+                                 (4, False, "holds", "violated"),
+                                 (0, True, "violated", "holds"),
+                                 (4, True, "holds", "violated")):
+        monkeypatch.setattr(harness, "vcd_minor", lambda g: (d, exact, None))
+        records = harness.check_mu_bound(grid.materialize(), 1)
+        assert [(r.claim, r.verdict) for r in records] == [("Thm5", thm5), ("Lem8", lem8)]
+    for dd_subgraph, exact, verdict in ((2, False, "inconclusive"), (1, False, "inconclusive"),
+                                        (2, True, "holds"), (1, True, "violated")):
+        report = ProductEliminationReport((), 2, dd_subgraph, exact)
+        monkeypatch.setattr(harness, "product_elimination_report", lambda g: report)
+        assert harness.check_dd_sum(grid).verdict == verdict
+
+
 def test_resolve_mu():
     assert resolve_mu("tree") == 2
     assert resolve_mu("planar") == 6
@@ -485,6 +507,70 @@ def test_cli_edge_list_fuzz(capsys, tmp_path):
                 fits = args[0] != "orient" or densest_subgraph(g).density <= 2
                 assert code == (0 if fits else 2), (args, data)
     assert min(accepted, refused) >= 80 and repeated >= 20, (accepted, refused, repeated)
+
+
+def _json_slots(doc):
+    """Every (container, key) pair inside a parsed JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _json_slots(value)
+
+
+INSTANCE_COMMANDS = (["vcd", "--budget", "2000"], ["vcd", "--minor", "--budget", "2000"],
+                     ["reduce", "--factor", "0", "--edge", "0,1"])
+
+
+def test_cli_instance_json_fuzz(capsys, tmp_path):
+    # value, key and list-item mutations of five small instance documents,
+    # and a corrupted character of their text: vcd, vcd --minor and reduce
+    # each exit 0 with no error line, or 2 with exactly one, and no
+    # exception leaves main
+    rng = random.Random(2011)
+    star = FactorGraph(4, [(0, 1), (0, 2), (0, 3)])
+    seeds = [ProductSubgraph(ProductSpace([path_graph(3), path_graph(3)]),
+                             [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2)]),
+             ProductSpace([complete_graph(3), path_graph(2)]).materialize(),
+             ProductSubgraph(ProductSpace([path_graph(2)] * 3),
+                             [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]),
+             ProductSpace([star]).materialize(),
+             ProductSubgraph(ProductSpace([octahedron(2), path_graph(2)]),
+                             [(0, 0), (1, 0), (2, 1), (3, 1)])]
+    values = [None, True, False, 0.5, 1.0, "", "1", 0, 1, 2, -1, 2 ** 70, -2 ** 70,
+              [], [0], [0, 1], [[0, 1]], {}]
+    path = tmp_path / "fuzz.json"
+    exits = {0: 0, 2: 0}
+    for _ in range(400):
+        doc = json.loads(instance_to_json(rng.choice(seeds)))
+        for _ in range(rng.randint(1, 2)):
+            slots = list(_json_slots(doc))
+            if not slots:
+                break
+            container, key = rng.choice(slots)
+            op = rng.randrange(3)
+            if op == 0:
+                container[key] = rng.choice(values)
+            elif op == 1:
+                del container[key]
+            elif isinstance(container, list):
+                container.insert(key, container[key])
+        text = json.dumps(doc)
+        if rng.random() < 0.2:
+            at = rng.randrange(len(text))
+            text = text[:at] + rng.choice('{}[],:"0123456789-. x') + text[at + 1:]
+        path.write_text(text)
+        for args in INSTANCE_COMMANDS:
+            code = main([args[0], str(path), *args[1:]])
+            captured = capsys.readouterr()
+            assert code in exits, (args, text)
+            exits[code] += 1
+            if code == 2:
+                assert captured.out == "" and captured.err.startswith("error: "), (args, text)
+                assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), (args, text)
+            else:
+                assert captured.err == "" and json.loads(captured.out), (args, text)
+    assert exits[0] >= 40 and exits[2] >= 600, exits
 
 
 def test_cli_verify_and_fuzz(capsys, tmp_path):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,3 +155,22 @@ def test_monotonicity_small_corpus():
             assert rec.verdict in ("holds", "skipped"), (rec, sorted(g.vertices))
             checked += 1
     assert checked >= 100
+
+
+def test_monotonicity_verdicts_treat_bounded_sides_as_lower_bounds(monkeypatch):
+    # minor_search stubbed per part: g gets the rhs value, the contracted and
+    # center parts the lhs one.  A bounded lhs never holds and a bounded rhs
+    # is never violated, whichever way the comparison goes.
+    from prodvc import vc
+    step = reduce_edge(ProductSpace([complete_graph(3), path_graph(2)]).materialize(), 0, 0, 1)
+    for lhs, rhs, verdict in (((1, False), (2, True), "inconclusive"),
+                              ((3, False), (2, True), "violated"),
+                              ((1, True), (2, False), "holds"),
+                              ((3, True), (2, False), "inconclusive"),
+                              ((3, True), (2, True), "violated")):
+        def search(g, lhs=lhs, rhs=rhs):
+            value, exact = rhs if g is step.g else lhs
+            return vc.Found(value, None, exact), vc.Found(Fraction(value), None, exact)
+        monkeypatch.setattr(vc, "minor_search", search)
+        records = vc_monotonicity_check(step)
+        assert [r.verdict for r in records] == [verdict] * 4 + ["holds"], (lhs, rhs)
