@@ -1,14 +1,16 @@
 """Exact density, maximum average degree, densest subgraph, Nash-Williams
 arboricity, forest decompositions, and bounded-outdegree orientations.
 
-Every ratio is an exact `Fraction`.  The densest-subgraph search runs
-min-cuts on Goldberg's vertex network (source -> vertices -> sink, one
-two-way arc per edge) with the test ratio p/q scaled to integer
-capacities, so no tolerance is involved anywhere.  Every round builds its
-network the same way, from a vertex list and the edges inside it: all of
-g in the first round, the last round's witness and its edges after that.
-The cut's source side is the set the last level search of the max-flow
-reached.
+Every ratio is an exact `Fraction`.  A connected graph with at most as
+many edges as vertices has at most one cycle, and its density is m/n with
+every vertex as witness, read off with no flow.  Otherwise the
+densest-subgraph search runs min-cuts on Goldberg's vertex network
+(source -> vertices -> sink, one two-way arc per edge) with the test
+ratio p/q scaled to integer capacities, so no tolerance is involved
+anywhere.  Every round builds its network the same way, from a vertex
+list and the edges inside it: all of g in the first round, the last
+round's witness and its edges after that.  The cut's source side is the
+set the last level search of the max-flow reached.
 Arboricity, forests and bounded-outdegree orientations need no flow: all
 start from the degeneracy orientation, and an orientation with outdegree d
 comes from it by reversing directed paths, one per unit of excess, with
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .flow import MaxFlow
-from .graph import FactorGraph, GraphError, degeneracy_ordering, neighbor_masks
+from .graph import FactorGraph, GraphError, degeneracy_ordering, is_connected, neighbor_masks
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,18 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
     with a cut of the whole graph.  The edges inside each witness are
     filtered from those inside the last one, so no round after the first
     scans all of g's edges.
+
+    A connected graph with m <= n has cyclomatic number c = m - n + 1 <= 1,
+    and a subgraph's cyclomatic number is at most the graph's, so a set S
+    spans at most |S| - 1 + c <= |S| m/n edges (as |S| <= n).  Its density
+    is m/n, every vertex is the witness, and no network is built: the
+    first round's answer, since that round finds no denser set.
     """
     if g.n == 0:
         raise GraphError("empty graph")
     within, best = (range(g.n), g.edges), Fraction(g.m, g.n)
+    if g.m <= g.n and is_connected(g):  # at most one cycle: no round can beat m/n
+        return DensityReport(density=best, witness=tuple(within[0]), mad=2 * best)
     while True:
         improved = _denser_subgraph(g, best, within)
         if improved is None:

@@ -12,7 +12,9 @@ ceilings, nothing below it can strictly beat the best so far for a wanted
 maximum; a cut option is still charged, and a cut can only skip ties, so
 witnesses are those of the full scan.  Each value is exact when its scan
 ends within its work budget and otherwise a lower bound, flagged inexact,
-that its witness reaches.
+that its witness reaches.  A scan depends only on the factors, the vertex
+set, the budget and the maxima wanted, so a process memoizes it by their
+values, in a bounded cache; results do not change.
 """
 
 from __future__ import annotations
@@ -259,23 +261,32 @@ def _induced_ceilings(f: FactorGraph, vals: frozenset) -> list[Fraction]:
     return [min(top, c) for c in _minor_ceilings(f, len(vals))]
 
 
-def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ceilings=None,
-          ) -> tuple[Optional[Found], Optional[Found]]:
-    """Depth-first over one option per factor: the most factors with two
-    or more labels and the largest density, each found with its choice as
+@lru_cache(maxsize=1 << 6)
+def _scan(factors: tuple[FactorGraph, ...], vertices: frozenset, budget: int, options,
+          dims: bool, density, ceilings) -> tuple[Optional[Found], Optional[Found]]:
+    """Depth-first over one option per factor of the subgraph g of the
+    product of `factors` on `vertices`: the most factors with two or more
+    labels and the largest density, each found with its choice as
     witness, a tuple of option keys, the first strict maximum in scan
     order.  Only the wanted maxima are sought, the dimension when `dims`
-    and the density when `density` is given; the others come back None.
+    and the density when `density` is not None; the others come back None.
 
-    `options(f, vals, spend, left)` yields the options of a factor f, in
-    which g takes the coordinates `vals`, as (key, label of each vertex of
-    f, t), labels in range(t); label t drops the vertex, and `left()` reads
-    the budget left.  A choice is shattered when the vertices of g that no
-    option drops carry every combination of labels.  This marginalizes, so
-    the scan keeps a prefix's cells, each the set of vertices of g (a
-    bitmask) whose labels so far match one combination, in signature order
-    (cell-major, label-minor).  An option's label j covers the vertices whose coordinate
-    it labels j, an OR of per-coordinate masks; the new cells are each old
+    The scan depends on its arguments' values alone, so it is memoized per
+    process: the callbacks are module-level functions, and two equal
+    subgraphs, such as two loads of one instance, share one scan at one
+    budget.  The cache is bounded and keeps only immutable results; each
+    caller builds its own witness from the choice.
+
+    `options(f, vals, n, spend, left)` yields the options of a factor f,
+    in which g takes the coordinates `vals`, as (key, label of each vertex
+    of f, t), labels in range(t); label t drops the vertex, n is |V(g)|
+    and `left()` reads the budget left.  A choice is shattered when the
+    vertices of g that no option drops carry every combination of labels.
+    This marginalizes, so the scan keeps a prefix's cells, each the set of
+    vertices of g (a bitmask) whose labels so far match one combination, in
+    signature order (cell-major, label-minor).  An option's label j covers
+    the vertices whose coordinate it labels j, an OR of per-coordinate
+    masks; the new cells are each old
     cell ANDed with each label's mask, and the scan drops any prefix with
     more cells than g has vertices or with an empty cell.
     `density(f, key, spend)` is asked when an option of f first survives a
@@ -302,7 +313,7 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
     charged.  A scan that runs out is inexact.  Inner factors keep their
     options, with the labels of f's vertices as bytes, for the next prefix.
     """
-    n, m, factors = g.n, g.space.m, g.space.factors
+    n, m = len(vertices), len(factors)
     left = budget
 
     def spend(units: int) -> None:
@@ -316,7 +327,7 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
     coord_masks: list[dict[int, int]] = []
     for i in range(m):
         masks, bit = {}, 1
-        for v in g.vertices:
+        for v in vertices:
             masks[v[i]] = masks.get(v[i], 0) | bit
             bit <<= 1
         coord_masks.append(masks)
@@ -350,7 +361,7 @@ def _scan(g: ProductSubgraph, budget: int, options, dims: bool, density=None, ce
         return ((not dims or nontrivial + min(wide[i], p.bit_length() - 1) <= d)
                 and (density is None or total + most_density(i, p) <= s))
 
-    streams = [options(f, vals[i], spend, lambda: left) for i, f in enumerate(factors)]
+    streams = [options(f, vals[i], n, spend, lambda: left) for i, f in enumerate(factors)]
     kept: list[list] = [[] for _ in range(m)]
     combo: list = [None] * m
     d, d_combo, s, s_combo = 0, None, 0, None
@@ -421,54 +432,101 @@ def _by_factor(choice: Optional[tuple]) -> Optional[dict[int, tuple[int, ...]]]:
     return choice and {i: key for i, key in enumerate(choice) if key}
 
 
+def _edge_options(f: FactorGraph, vals, n: int, spend, left,
+                  ) -> Iterator[tuple[tuple, list[int], int]]:
+    """vcd's options for f: its edges between the values `vals`, in
+    `f.edges` order, ends labelled 0 and 1 and every other vertex dropped,
+    then "skip"."""
+    for a, b in f.edges:
+        if a in vals and b in vals:
+            yield (a, b), [0 if v == a else 1 if v == b else 2 for v in range(f.n)], 2
+    yield (), [0] * f.n, 1  # skip the factor
+
+
 def vcd_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> Found:
     """vcd, with a witness as factor -> edge: the most factors of a
-    shattered cube-subproduct, from one `_scan` whose options for a factor
-    are its edges between coordinate values of g, in `f.edges` order, ends
-    labelled 0 and 1 and every other vertex dropped, then "skip"."""
-
-    def options(f: FactorGraph, vals, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
-        for a, b in f.edges:
-            if a in vals and b in vals:
-                yield (a, b), [0 if v == a else 1 if v == b else 2 for v in range(f.n)], 2
-        yield (), [0] * f.n, 1  # skip the factor
-
-    d, choice, exact = _scan(g, budget, options, dims=True)[0]
+    shattered cube-subproduct, from one `_scan` over `_edge_options`."""
+    d, choice, exact = _scan(g.space.factors, g.vertices, budget, _edge_options, True,
+                             None, None)[0]
     return Found(d, _by_factor(choice), exact)
+
+
+def _subset_options(f: FactorGraph, vals, n: int, spend, left,
+                    ) -> Iterator[tuple[tuple, list[int], int]]:
+    """vcdens's options for f: "skip", then the connected subsets of the
+    values `vals` with 2..n vertices (seed ascending, then bitmask order);
+    a vertex outside the chosen subset drops out."""
+    yield (), [0] * f.n, 1  # skip the factor
+    for seed in sorted(vals):
+        above = frozenset(v for v in vals if v >= seed)
+        for s in _connected_subsets_with_seed(f, above, seed, above, spend):
+            if 2 <= len(s) <= n:
+                key = tuple(sorted(s))
+                yield key, [key.index(v) if v in s else len(s) for v in range(f.n)], len(s)
+
+
+def _subset_density(f: FactorGraph, key: tuple, spend) -> Fraction:
+    """The density of f[key], charged 2 + |V| + |E| units of f[key]."""
+    if not key:
+        return Fraction(0)
+    sub, _ = induced_subgraph(f, key)
+    spend(2 + sub.n + sub.m)
+    return _quotient_density(sub)
 
 
 def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> Found:
     """vcdens, with a witness as factor -> subset: the largest density of a
     shattered subproduct (sum of the densities of the chosen induced
-    subgraphs of the factors), from one `_scan` whose options for a factor
-    are "skip", then the connected subsets of its coordinate values with
-    2..|V(g)| vertices (seed ascending, then bitmask order); a vertex whose
-    coordinate lies outside the chosen subset drops out.  Each density
-    solve is charged 2 + |V| + |E| units of the subgraph."""
-
-    def options(f: FactorGraph, vals, spend, left) -> Iterator[tuple[tuple, list[int], int]]:
-        yield (), [0] * f.n, 1  # skip the factor
-        for seed in sorted(vals):
-            above = frozenset(v for v in vals if v >= seed)
-            for s in _connected_subsets_with_seed(f, above, seed, above, spend):
-                if 2 <= len(s) <= g.n:
-                    key = tuple(sorted(s))
-                    yield key, [key.index(v) if v in s else len(s) for v in range(f.n)], len(s)
-
-    def density(f: FactorGraph, key: tuple, spend) -> Fraction:
-        if not key:
-            return Fraction(0)
-        sub, _ = induced_subgraph(f, key)
-        spend(2 + sub.n + sub.m)
-        return _quotient_density(sub)
-
-    s, choice, exact = _scan(g, budget, options, dims=False, density=density,
-                             ceilings=_induced_ceilings)[1]
+    subgraphs of the factors), from one `_scan` over `_subset_options`."""
+    s, choice, exact = _scan(g.space.factors, g.vertices, budget, _subset_options, False,
+                             _subset_density, _induced_ceilings)[1]
     return Found(s, _by_factor(choice), exact)
 
 
 # ---------------------------------------------------------------------------
 # minor VC-dimension and VC-density
+
+def _partition_options(f: FactorGraph, hits, n: int, spend, left,
+                       ) -> Iterator[tuple[bytes, bytes, int]]:
+    """The minor scan's options for f: its connected partitions whose parts
+    all meet `hits`, each keyed and labelled by `part_of`, replayed from
+    `_stream_record` when some scan has read the stream to its end."""
+    width = f.n
+    record = _stream_record(f, hits) if width < 256 else None
+    if record:  # replay: each option's units, then the option
+        keys, counts, charges = record
+        at = 0
+        for t, units in zip(counts, charges):
+            spend(units)
+            key = keys[at:at + width]
+            at += width
+            yield key, key, t
+        spend(charges[-1])
+        return
+    keys, counts, charges = bytearray(), bytearray(), array("q")
+    mark = left()
+    for parts in _partitions(f, hits, spend):
+        key = (bytes if len(parts) < 256 else tuple)(_part_of(parts, width))
+        if record is not None:
+            charges.append(mark - left())
+            keys += key
+            counts.append(len(parts))
+        yield key, key, len(parts)
+        mark = left()
+    if record is not None:
+        charges.append(mark - left())
+        record[:] = bytes(keys), bytes(counts), charges
+
+
+def _partition_option_density(f: FactorGraph, part_of, spend) -> Fraction:
+    """The density of the minor of f that `part_of` defines, uncharged."""
+    return _partition_density(f, part_of)
+
+
+def _partition_ceilings(f: FactorGraph, hits) -> tuple[Fraction, ...]:
+    """The minor ceilings of f at as many labels as `hits` has values."""
+    return _minor_ceilings(f, len(hits))
+
 
 def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
                  dims: bool = True, dens: bool = True,
@@ -496,37 +554,8 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
     pair (None for one not wanted), computed here when it is None.  Each
     value is the one its witness reaches.
     """
-
-    def options(f: FactorGraph, hits, spend, left) -> Iterator[tuple[bytes, bytes, int]]:
-        n = f.n
-        record = _stream_record(f, hits) if n < 256 else None
-        if record:  # replay: each option's units, then the option
-            keys, counts, charges = record
-            at = 0
-            for t, units in zip(counts, charges):
-                spend(units)
-                key = keys[at:at + n]
-                at += n
-                yield key, key, t
-            spend(charges[-1])
-            return
-        keys, counts, charges = bytearray(), bytearray(), array("q")
-        mark = left()
-        for parts in _partitions(f, hits, spend):
-            key = (bytes if len(parts) < 256 else tuple)(_part_of(parts, n))
-            if record is not None:
-                charges.append(mark - left())
-                keys += key
-                counts.append(len(parts))
-            yield key, key, len(parts)
-            mark = left()
-        if record is not None:
-            charges.append(mark - left())
-            record[:] = bytes(keys), bytes(counts), charges
-
-    density = (lambda f, part_of, spend: _partition_density(f, part_of)) if dens else None
-    scanned = _scan(g, budget, options, dims=dims, density=density,
-                    ceilings=lambda f, hits: _minor_ceilings(f, len(hits)))
+    scanned = _scan(g.space.factors, g.vertices, budget, _partition_options, dims,
+                    _partition_option_density if dens else None, _partition_ceilings)
     searches = ((vcd_induced, MinorPartition.nontrivial_factors),
                 (vcdens_induced, MinorPartition.minor_density))
     found = []

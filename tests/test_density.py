@@ -1,18 +1,19 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodvc import density
-from prodvc.density import (arboricity, arboricity_bruteforce,
+from prodvc.density import (DensityReport, arboricity, arboricity_bruteforce,
                             bounded_outdegree_orientation, dens, densest_subgraph,
                             densest_subgraph_bruteforce, forest_decomposition, mad)
 from prodvc.flow import MaxFlow
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
-                          degeneracy_ordering, induced_subgraph, path_graph, star_graph,
-                          to_edgelist)
+                          degeneracy_ordering, induced_subgraph, is_connected, path_graph,
+                          star_graph, to_edgelist)
 from prodvc.products import ProductSpace
 
 
@@ -36,12 +37,15 @@ def test_known_densities():
 def test_round_that_does_not_raise_the_density_fails(monkeypatch):
     # a wrong cut, whose side is no denser than the density so far, would
     # repeat forever; the round check raises instead (an explicit raise, so
-    # it holds under python -O too)
+    # it holds under python -O too).  C5 plus a chord has m > n, so it runs
+    # a round; C5 itself has m = n and is answered with no round at all
+    c5_chord = FactorGraph(5, cycle_graph(5).edges + ((0, 2),))
     for side in (lambda g: set(range(g.n)), lambda g: {0, 1}):
         monkeypatch.setattr(density, "_denser_subgraph",
                             lambda g, threshold, within=None: side(g))
         with pytest.raises(RuntimeError):
-            densest_subgraph(cycle_graph(5))
+            densest_subgraph(c5_chord)
+        assert densest_subgraph(cycle_graph(5)) == DensityReport(1, (0, 1, 2, 3, 4), 2)
 
 
 def test_witness_achieves_density():
@@ -67,13 +71,28 @@ def test_flow_matches_bruteforce_oracle():
 
 
 def _edge_counts(g):
-    """|E(S)| for every nonempty vertex set S of g, keyed by bitmask."""
+    """|E(S)| for every nonempty vertex set S of g, keyed by bitmask: the
+    count of S without its highest vertex v, plus v's neighbours in S."""
     adj = [0] * g.n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return {mask: sum((adj[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1) // 2
-            for mask in range(1, 1 << g.n)}
+    counts = {0: 0}
+    for mask in range(1, 1 << g.n):
+        v = mask.bit_length() - 1
+        rest = mask ^ 1 << v
+        counts[mask] = counts[rest] + (adj[v] & rest).bit_count()
+    del counts[0]
+    return counts
+
+
+def _union_of_densest_sets(g, top):
+    """The vertices of every set S of g with |E(S)|/|S| equal to `top`."""
+    union = 0
+    for mask, e in _edge_counts(g).items():
+        if e * top.denominator == top.numerator * mask.bit_count():
+            union |= mask
+    return tuple(v for v in range(g.n) if union >> v & 1)
 
 
 def test_witness_is_the_union_of_all_densest_sets():
@@ -84,11 +103,49 @@ def test_witness_is_the_union_of_all_densest_sets():
     graphs.append(FactorGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
     for g in graphs:
         top = densest_subgraph_bruteforce(g).density
-        union = 0
-        for mask, e in _edge_counts(g).items():
-            if e * top.denominator == top.numerator * mask.bit_count():
-                union |= mask
-        assert densest_subgraph(g).witness == tuple(v for v in range(g.n) if union >> v & 1)
+        assert densest_subgraph(g).witness == _union_of_densest_sets(g, top)
+
+
+def _trees_and_unicyclic_graphs(n):
+    """A tree with each vertex v >= 1 under a parent below v, for every
+    such parent choice, and each of them with one more edge.  Labelling
+    a spanning tree breadth-first puts parents first, so this meets every
+    connected graph on n vertices with m <= n, up to isomorphism."""
+    for parents in iproduct(*(range(v) for v in range(1, n))):
+        tree = [(p, v) for v, p in enumerate(parents, 1)]
+        yield FactorGraph(n, tree)
+        for extra in combinations(range(n), 2):
+            if extra not in tree:
+                yield FactorGraph(n, tree + [extra])
+
+
+def _seeded_tree_or_unicyclic_graph(rng, n):
+    """A random tree on n vertices, relabelled at random, and with one more
+    edge half of the time."""
+    label = rng.sample(range(n), n)
+    edges = {tuple(sorted((label[rng.randrange(v)], label[v]))) for v in range(1, n)}
+    if rng.random() < 0.5 and n >= 3:
+        edges.add(rng.choice([e for e in combinations(range(n), 2) if e not in edges]))
+    return FactorGraph(n, edges)
+
+
+def test_graphs_with_at_most_one_cycle_need_no_flow(monkeypatch):
+    # a connected graph with m <= n has density m/n, every vertex its
+    # densest set; the flow rounds never run
+    def no_flow(*args):
+        raise AssertionError("a graph with at most one cycle ran a flow round")
+
+    monkeypatch.setattr(density, "_denser_subgraph", no_flow)
+    rng = random.Random(2028)
+    graphs = [g for n in range(1, 8) for g in _trees_and_unicyclic_graphs(n)]
+    graphs += [_seeded_tree_or_unicyclic_graph(rng, rng.randint(8, 14)) for _ in range(24)]
+    assert len(graphs) > 12000
+    for g in graphs:
+        assert g.m <= g.n and is_connected(g)
+        got = densest_subgraph(g)
+        oracle = densest_subgraph_bruteforce(g).density
+        assert got.density == oracle == Fraction(g.m, g.n) and got.mad == 2 * oracle
+        assert got.witness == _union_of_densest_sets(g, oracle) == tuple(range(g.n))
 
 
 def test_whole_graph_has_no_set_denser_than_the_result(monkeypatch):

@@ -119,5 +119,37 @@ def test_every_prodvc_name_the_benchmark_reaches_resolves():
         if not callable(getattr(mods.get(layer), attr, None)):
             missing.append(name)
     assert missing == [], "the benchmark reaches these names"
-    for cache in (mods["vc"].connected_partitions, mods["vc"]._partition_density):
+    for cache in (mods["vc"].connected_partitions, mods["vc"]._partition_density,
+                  mods["vc"]._scan):
         assert callable(cache.cache_info) and callable(cache.cache_clear)
+
+
+def _is_cache_decorator(node) -> bool:
+    """True for `lru_cache`, `cache`, `lru_cache(...)` and their
+    `functools.` spellings."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_every_module_cache_is_bounded_and_found_by_its_module():
+    # the benchmark clears, before every job, each module-level object with
+    # `cache_clear` whose __module__ is the module it sits in; a cache that
+    # escaped that test would carry results from one job to the next, and
+    # an unbounded one would grow for the life of the process
+    src = Path(prodvc.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        mod = importlib.import_module(f"prodvc.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorated = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and any(_is_cache_decorator(d) for d in node.decorator_list)}
+        cleared = {attr for attr, obj in vars(mod).items() if hasattr(obj, "cache_clear")
+                   and getattr(obj, "__module__", None) == mod.__name__}
+        assert cleared == decorated, path.name
+        for name in decorated:
+            cache = getattr(mod, name)
+            assert cache.cache_parameters()["maxsize"] is not None, f"{path.name}: {name}"
+        found |= {f"{path.stem}.{name}" for name in decorated}
+    assert {"vc._scan", "vc.connected_partitions", "vc._stream_record"} <= found

@@ -10,7 +10,8 @@ from prodvc.density import densest_subgraph_bruteforce
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           induced_subgraph, is_connected, path_graph, quotient, star_graph)
 from prodvc.harness import GeneratorSpec, generate, random_factor
-from prodvc.products import ProductSpace, ProductSubgraph, Subproduct
+from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, instance_from_json,
+                             instance_to_json)
 from prodvc import vc
 from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _induced_ceilings, _minor_ceilings,
                        _part_of, _partitions, _stream_record, compute_vc_report,
@@ -296,7 +297,11 @@ def test_replayed_streams_give_the_results_of_fresh_ones():
             clear_vc_caches()
             cold.append(minor_result(g, budget))
         assert cold[-1][-1]  # the full scan is exact, so it records every stream it read
-        assert [minor_result(g, budget) for budget in budgets] == cold
+        warm = []
+        for budget in budgets:
+            vc._scan.cache_clear()  # keep the stream records: replay, not a memoized scan
+            warm.append(minor_result(g, budget))
+        assert warm == cold
         bounded += sum(not result[-1] for result in cold)
     assert bounded > 100
 
@@ -312,17 +317,21 @@ def test_a_scan_that_runs_out_records_no_stream():
     assert not minor_result(g, 1000, **no_fallback)[-1]
     assert not _stream_record(path_graph(22), hits)
     assert _stream_record(complete_graph(2), frozenset({0, 1}))  # read to its end
+    vc._scan.cache_clear()
     assert minor_result(g, DEFAULT_BUDGET, **no_fallback) == cold
 
 
 def exact_from(g, cold: bool) -> int:
     """The least budget at which the minor scan of g is exact, that is, the
-    units a full scan charges."""
+    units a full scan charges; a warm search keeps the stream records but
+    no memoized scan, so each probe replays the streams."""
     low, high = 0, DEFAULT_BUDGET
     while low < high:
         mid = (low + high) // 2
         if cold:
             clear_vc_caches()
+        else:
+            vc._scan.cache_clear()
         if minor_search(g, mid, induced=(None, None))[0].exact:
             high = mid
         else:
@@ -338,6 +347,49 @@ def test_replayed_streams_charge_what_fresh_ones_do():
         fresh = exact_from(g, cold=True)
         minor_search(g)
         assert fresh > 0 and exact_from(g, cold=False) == fresh
+
+
+def scan_counts():
+    info = vc._scan.cache_info()
+    return info.hits, info.misses
+
+
+def test_equal_instances_share_one_scan():
+    # two loads of one instance text are equal subgraphs, not one object:
+    # the second minor search is a cache hit and gives equal results
+    text = instance_to_json(ProductSubgraph(grid_space(), GRID_FIVE))
+    clear_vc_caches()
+    first = minor_result(instance_from_json(text), DEFAULT_BUDGET)
+    assert scan_counts() == (0, 1)
+    assert minor_result(instance_from_json(text), DEFAULT_BUDGET) == first
+    assert scan_counts() == (1, 1)
+
+
+def test_a_different_budget_quantity_or_vertex_set_misses():
+    g = ProductSubgraph(grid_space(), GRID_FIVE)
+    clear_vc_caches()
+    minor_search(g)
+    calls = [lambda: minor_search(g, DEFAULT_BUDGET - 1),
+             lambda: minor_search(g, dims=False),
+             lambda: minor_search(g, dens=False),
+             lambda: minor_search(ProductSubgraph(grid_space(), GRID_FIVE[:-1]))]
+    for misses, call in enumerate(calls, 2):
+        call()
+        assert scan_counts() == (0, misses)
+    minor_search(g)
+    assert scan_counts() == (1, len(calls) + 1)
+
+
+def test_a_changed_witness_does_not_reach_the_next_call():
+    g = ProductSubgraph(grid_space(), GRID_FIVE)
+    clear_vc_caches()
+    first = vcd_induced(g)
+    expected = dict(first.witness)
+    assert first.value == len(expected) == 1
+    first.witness.clear()
+    again = vcd_induced(g)
+    assert scan_counts() == (1, 1)
+    assert again.witness == expected and again.witness is not first.witness
 
 
 def naive_minor_values(g):
@@ -570,13 +622,17 @@ def test_minor_ceilings_are_one_shared_tuple_per_factor_and_count():
 def test_vc_reports_with_cold_and_warm_ceilings_agree():
     graphs = [generate(GeneratorSpec(m=1 + seed % 3, seed=seed))[1] for seed in range(110)]
     cold = []
-    for g in graphs:
+    for g in graphs:  # no memoized scan either, so every report scans
         _minor_ceilings.cache_clear()
+        vc._scan.cache_clear()
         cold.append(report_digest([compute_vc_report(g)]))
     for g in graphs:  # every row any of them asks for is cached
         compute_vc_report(g)
     misses = _minor_ceilings.cache_info().misses
-    warm = [report_digest([compute_vc_report(g)]) for g in graphs]
+    warm = []
+    for g in graphs:
+        vc._scan.cache_clear()
+        warm.append(report_digest([compute_vc_report(g)]))
     assert _minor_ceilings.cache_info().misses == misses > 10
     assert warm == cold
 
