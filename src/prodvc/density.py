@@ -79,12 +79,10 @@ def _vertex_network(g: FactorGraph, p: int, q: int, vertices,
     return net, supply
 
 
-def _denser_subgraph(g: FactorGraph, threshold: Fraction,
-                     within=None) -> Optional[set[int]]:
+def _denser_subgraph(g: FactorGraph, threshold: Fraction, within) -> Optional[set[int]]:
     """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None.
-    `within` is a pair of vertices and g's edges inside them, all of g when
-    not given; S is a subset of those vertices, and every call builds its
-    network on that pair.
+    `within` is a pair of vertices and g's edges inside them; S is a subset
+    of those vertices, and every call builds its network on that pair.
 
     Min-cut over the vertex network for p/q: the cut for a source side S
     costs supply + 2(p|S| - q|E(S)|), so it drops below the supply exactly
@@ -93,7 +91,7 @@ def _denser_subgraph(g: FactorGraph, threshold: Fraction,
     """
     if g.m == 0:
         return None
-    vertices, edges = within or (range(g.n), g.edges)
+    vertices, edges = within
     net, supply = _vertex_network(g, threshold.numerator, threshold.denominator,
                                   vertices, edges)
     if net.max_flow(0, 1) >= supply:

@@ -528,7 +528,7 @@ def _partition_ceilings(f: FactorGraph, hits) -> tuple[Fraction, ...]:
     return _minor_ceilings(f, len(hits))
 
 
-def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
+def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
                  dims: bool = True, dens: bool = True,
                  ) -> tuple[Optional[Found], Optional[Found]]:
     """(vcd*, vcdens*), each witnessed by a `MinorPartition`, from one
@@ -549,22 +549,23 @@ def minor_search(g: ProductSubgraph, budget: int = DEFAULT_BUDGET, induced=None,
     at the option where a fresh enumeration would, and results are those
     of a fresh enumeration at every budget.
 
-    When the budget runs out, the induced witnesses, grown into
-    partitions, replace the scan's witnesses they beat: `induced` is their
-    pair (None for one not wanted), computed here when it is None.  Each
-    value is the one its witness reaches.
+    When the budget runs out, the induced witnesses at the same budget,
+    from `vcd_induced(g, budget)` and `vcdens_induced(g, budget)` (memoized
+    scans, so `compute_vc_report` pays for them once), grown into
+    partitions, replace the scan's witnesses they beat.  Each value is the
+    one its witness reaches.
     """
     scanned = _scan(g.space.factors, g.vertices, budget, _partition_options, dims,
                     _partition_option_density if dens else None, _partition_ceilings)
     searches = ((vcd_induced, MinorPartition.nontrivial_factors),
                 (vcdens_induced, MinorPartition.minor_density))
     found = []
-    for j, (best, (search, measure)) in enumerate(zip(scanned, searches)):
+    for best, (search, measure) in zip(scanned, searches):
         if best is not None:
             value, choice, exact = best
             witness = choice and MinorPartition(g.space, [_parts_of(po) for po in choice])
             if not exact:
-                seeds = search(g).witness if induced is None else induced[j]
+                seeds = search(g, budget).witness
                 grown = _seed_partition_from_edges(g, seeds)  # one part per factor if None
                 if shatters_minor(g, grown) and measure(grown) > value:
                     value, witness = measure(grown), grown
@@ -602,16 +603,14 @@ def _seed_partition_from_edges(g: ProductSubgraph,
 # as the exact flag, so their order changes only with the benchmark.
 def vcd_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
               ) -> tuple[int, bool, Optional[MinorPartition]]:
-    """(vcd*, exact?, witness); see `minor_search`.  A scan that runs out
-    falls back on `vcd_induced` at the default budget, not at `budget`."""
+    """(vcd*, exact?, witness); see `minor_search`."""
     d, witness, exact = minor_search(g, budget, dens=False)[0]
     return d, exact, witness
 
 
 def vcdens_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
                  ) -> tuple[Fraction, bool, Optional[MinorPartition]]:
-    """(vcdens*, exact?, witness); see `minor_search`.  A scan that runs out
-    falls back on `vcdens_induced` at the default budget, not at `budget`."""
+    """(vcdens*, exact?, witness); see `minor_search`."""
     s, witness, exact = minor_search(g, budget, dims=False)[1]
     return s, exact, witness
 
@@ -620,10 +619,10 @@ def vcdens_minor(g: ProductSubgraph, budget: int = DEFAULT_BUDGET,
 # combined report
 
 def compute_vc_report(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> dict[str, Found]:
-    """The four quantities by name; a minor scan that runs out falls back on
-    the induced witnesses computed here, at `budget`."""
+    """The four quantities by name, every scan at `budget`.  The induced
+    pair comes first, so a minor fallback finds its scans in `_scan`'s cache."""
     vcd, vcdens = vcd_induced(g, budget), vcdens_induced(g, budget)
-    vcd_star, vcdens_star = minor_search(g, budget, (vcd.witness, vcdens.witness))
+    vcd_star, vcdens_star = minor_search(g, budget)
     return {"vcd": vcd, "vcdens": vcdens, "vcd_star": vcd_star, "vcdens_star": vcdens_star}
 
 

@@ -42,7 +42,7 @@ def test_round_that_does_not_raise_the_density_fails(monkeypatch):
     c5_chord = FactorGraph(5, cycle_graph(5).edges + ((0, 2),))
     for side in (lambda g: set(range(g.n)), lambda g: {0, 1}):
         monkeypatch.setattr(density, "_denser_subgraph",
-                            lambda g, threshold, within=None: side(g))
+                            lambda g, threshold, within: side(g))
         with pytest.raises(RuntimeError):
             densest_subgraph(c5_chord)
         assert densest_subgraph(cycle_graph(5)) == DensityReport(1, (0, 1, 2, 3, 4), 2)
@@ -168,7 +168,7 @@ def test_whole_graph_has_no_set_denser_than_the_result(monkeypatch):
         counts.append(len(rounds))
         sides = [set(range(g.n))] + [side for _, side in rounds[:-1]]
         assert all(later <= earlier for earlier, later in zip(sides, sides[1:]))
-        assert density._denser_subgraph(g, rep.density) is None
+        assert density._denser_subgraph(g, rep.density, (range(g.n), g.edges)) is None
         ws = set(rep.witness)
         assert Fraction(density._edge_count_within(g, ws), len(ws)) == rep.density
     assert set(counts[:12]) == {3, 4}
@@ -474,7 +474,8 @@ def test_empty_cut_witness_fails(monkeypatch):
     monkeypatch.setattr(MaxFlow, "min_cut_source_side", lambda net: {0})
     k4_and_a_tail = FactorGraph(6, list(complete_graph(4).edges) + [(3, 4), (4, 5)])
     with pytest.raises(RuntimeError, match="no vertex on the source side"):
-        density._denser_subgraph(k4_and_a_tail, Fraction(4, 3))
+        density._denser_subgraph(k4_and_a_tail, Fraction(4, 3),
+                                 (range(6), k4_and_a_tail.edges))
 
 
 def test_orientation_above_the_bound_fails(monkeypatch):

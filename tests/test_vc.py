@@ -267,10 +267,14 @@ def test_heuristic_mode_is_lower_bound():
         assert d_exact == s_exact
         if d_exact:
             break
-        assert vcd_induced(g)[0] <= d <= exact_d
-        assert vcdens_induced(g)[0] <= s <= exact_s
-        assert shatters_minor(g, d_mp) and d_mp.nontrivial_factors() == d
-        assert shatters_minor(g, s_mp) and s_mp.minor_density() == s
+        assert vcd_induced(g, budget)[0] <= d <= exact_d
+        assert vcdens_induced(g, budget)[0] <= s <= exact_s
+        for value, mp, measure in ((d, d_mp, MinorPartition.nontrivial_factors),
+                                   (s, s_mp, MinorPartition.minor_density)):
+            if value:
+                assert shatters_minor(g, mp) and measure(mp) == value
+            else:
+                assert mp is None
         budget += 1
     assert budget > 1 and (d, s) == (exact_d, exact_s)
 
@@ -282,8 +286,8 @@ def clear_vc_caches():
             obj.cache_clear()
 
 
-def minor_result(g, budget, **kw):
-    (d, d_mp, exact), (s, s_mp, _) = minor_search(g, budget, **kw)
+def minor_result(g, budget):
+    (d, d_mp, exact), (s, s_mp, _) = minor_search(g, budget)
     return d, d_mp and d_mp.parts, s, s_mp and s_mp.parts, exact
 
 
@@ -309,16 +313,15 @@ def test_replayed_streams_give_the_results_of_fresh_ones():
 def test_a_scan_that_runs_out_records_no_stream():
     g = ProductSpace([path_graph(22), complete_graph(2)]).materialize()
     hits = frozenset(range(22))
-    no_fallback = {"induced": (None, None)}
     clear_vc_caches()
-    cold = minor_result(g, DEFAULT_BUDGET, **no_fallback)
+    cold = minor_result(g, DEFAULT_BUDGET)
     assert not cold[-1] and not _stream_record(path_graph(22), hits)
     clear_vc_caches()
-    assert not minor_result(g, 1000, **no_fallback)[-1]
+    assert not minor_result(g, 1000)[-1]
     assert not _stream_record(path_graph(22), hits)
     assert _stream_record(complete_graph(2), frozenset({0, 1}))  # read to its end
     vc._scan.cache_clear()
-    assert minor_result(g, DEFAULT_BUDGET, **no_fallback) == cold
+    assert minor_result(g, DEFAULT_BUDGET) == cold
 
 
 def exact_from(g, cold: bool) -> int:
@@ -332,7 +335,7 @@ def exact_from(g, cold: bool) -> int:
             clear_vc_caches()
         else:
             vc._scan.cache_clear()
-        if minor_search(g, mid, induced=(None, None))[0].exact:
+        if minor_search(g, mid)[0].exact:
             high = mid
         else:
             low = mid + 1
@@ -390,6 +393,61 @@ def test_a_changed_witness_does_not_reach_the_next_call():
     again = vcd_induced(g)
     assert scan_counts() == (1, 1)
     assert again.witness == expected and again.witness is not first.witness
+
+
+BOUNDED_BUDGETS = (0, 7, 50, 300)
+
+
+def budget_corpus():
+    return [ProductSubgraph(grid_space(), GRID_FIVE)] + [
+        generate(GeneratorSpec(m=1 + seed % 3, seed=seed))[1] for seed in range(20)]
+
+
+def test_every_scan_of_a_vc_call_runs_at_its_budget(monkeypatch):
+    # a minor scan that runs out falls back on the induced scans at the
+    # caller's budget, never at the default one
+    budgets, real = [], vc._scan
+
+    def record(factors, vertices, budget, *rest):
+        budgets.append(budget)
+        return real(factors, vertices, budget, *rest)
+
+    clear_vc_caches()
+    monkeypatch.setattr(vc, "_scan", record)
+    calls = (vcd_minor, vcdens_minor, minor_search, compute_vc_report)
+    fallbacks = 0
+    for g in budget_corpus():
+        for budget in BOUNDED_BUDGETS:
+            for call in calls:
+                del budgets[:]
+                call(g, budget)
+                assert budgets and set(budgets) == {budget}
+                fallbacks += len(budgets) > (3 if call is compute_vc_report else 1)
+    assert fallbacks > 0
+
+
+def test_minor_values_equal_the_report_at_every_budget():
+    bounded = 0
+    for g in budget_corpus():
+        for budget in BOUNDED_BUDGETS:
+            report = compute_vc_report(g, budget)
+            d, d_exact, _ = vcd_minor(g, budget)
+            s, _, _ = vcdens_minor(g, budget)
+            assert (d, s) == (report["vcd_star"].value, report["vcdens_star"].value)
+            bounded += not d_exact
+    assert bounded > 0
+    g = ProductSubgraph(grid_space(), GRID_FIVE)
+    assert (vcd_minor(g, 0)[:2], vcdens_minor(g, 0)[:2]) == ((0, False), (0, False))
+
+
+def test_the_report_fallback_reads_its_own_induced_scans():
+    # three scans, the induced pair and the minor one; the minor scan runs
+    # out, and its fallback finds the induced pair in the cache
+    g = ProductSpace([path_graph(22), complete_graph(2)]).materialize()
+    clear_vc_caches()
+    report = compute_vc_report(g, 1000)
+    assert not report["vcd_star"].exact and not report["vcdens_star"].exact
+    assert scan_counts() == (2, 3)
 
 
 def naive_minor_values(g):
