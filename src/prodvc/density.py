@@ -1,16 +1,21 @@
 """Exact density, maximum average degree, densest subgraph, Nash-Williams
 arboricity, forest decompositions, and bounded-outdegree orientations.
 
-Every ratio is an exact `Fraction`.  A connected graph with at most as
-many edges as vertices has at most one cycle, and its density is m/n with
-every vertex as witness, read off with no flow.  Otherwise the
-densest-subgraph search runs min-cuts on Goldberg's vertex network
-(source -> vertices -> sink, one two-way arc per edge) with the test
-ratio p/q scaled to integer capacities, so no tolerance is involved
-anywhere.  Every round builds its network the same way, from a vertex
-list and the edges inside it: all of g in the first round, the last
-round's witness and its edges after that.  The cut's source side is the
-set the last level search of the max-flow reached.
+Every ratio is an exact `Fraction`.  Two kinds of graph have density m/n
+with every vertex as witness, read off with no flow: a connected graph with
+at most as many edges as vertices (at most one cycle), and a regular graph.
+Otherwise the densest-subgraph search runs min-cuts on Goldberg's vertex
+network (source -> vertices -> sink, one two-way arc per edge) with the
+test ratio p/q scaled to integer capacities, so no tolerance is involved
+anywhere.  The first round cuts at the best density among the suffixes of
+the degeneracy order, the peel the graph already keeps.  Every round builds
+its network the same way, from a vertex list and the edges inside it: all
+of g in the first round, the last round's witness and its edges after
+that.  The max-flow saturates the short source-to-sink paths greedily
+before Dinic's phases, and stops there when they fill every arc out of the
+source.  A cut that finds a denser set reads it as the source side that the
+last level search reached; the cut that finds none reads the witness off
+the sink side, as the vertices that reach the sink in no residual path.
 Arboricity, forests and bounded-outdegree orientations need no flow: all
 start from the degeneracy orientation, and an orientation with outdegree d
 comes from it by reversing directed paths, one per unit of excess, with
@@ -79,74 +84,108 @@ def _vertex_network(g: FactorGraph, p: int, q: int, vertices,
     return net, supply
 
 
-def _denser_subgraph(g: FactorGraph, threshold: Fraction, within) -> Optional[set[int]]:
-    """A vertex set S with |E(S)|/|S| strictly above `threshold`, or None.
-    `within` is a pair of vertices and g's edges inside them; S is a subset
-    of those vertices, and every call builds its network on that pair.
+def _denser_subgraph(g: FactorGraph, threshold: Fraction, within) -> tuple[bool, set[int]]:
+    """One min-cut round at `threshold`: (True, S) with |E(S)|/|S| strictly
+    above `threshold`, or (False, S) with S the union of every set whose
+    density is exactly `threshold` (empty if there is none).  `within` is a
+    pair of vertices and g's edges inside them; S is a subset of those
+    vertices, and every call builds its network on that pair.
 
     Min-cut over the vertex network for p/q: the cut for a source side S
-    costs supply + 2(p|S| - q|E(S)|), so it drops below the supply exactly
-    when q|E(S)| > p|S|.  The witness is the minimal min-cut source side,
-    whichever augmenting paths found it.
+    costs supply + 2(p|S| - q|E(S)|), so the min-cut sides are the
+    maximizers of q|E(S)| - p|S|.  When the flow falls below the supply some
+    S has q|E(S)| > p|S|, and S is the minimal min-cut source side, read off
+    the last level search.  Otherwise the maximizers are the empty set and
+    the sets at density exactly p/q, and S is the maximal source side: the
+    vertices that reach the sink in no residual path.  Both sides are the
+    same for every maximum flow, whichever augmenting paths found it.
     """
-    if g.m == 0:
-        return None
     vertices, edges = within
     net, supply = _vertex_network(g, threshold.numerator, threshold.denominator,
                                   vertices, edges)
     if net.max_flow(0, 1) >= supply:
-        return None
+        sink_side = net.min_cut_sink_side(1)
+        return False, {v for v in vertices if 2 + v not in sink_side}
     side = net.min_cut_source_side()
     witness = {v for v in vertices if 2 + v in side}
     if not witness:
         raise RuntimeError(f"_denser_subgraph: the cut below the supply at {threshold} "
                            f"has no vertex on the source side")
-    return witness
+    return True, witness
 
 
 def _edge_count_within(g: FactorGraph, vertices: set[int]) -> int:
     return sum(1 for u, v in g.edges if u in vertices and v in vertices)
 
 
-def densest_subgraph(g: FactorGraph) -> DensityReport:
-    """Exact maximizer of |E'|/|V'| over nonempty vertex subsets.  Each
-    round must strictly raise the density, so a wrong cut raises
-    RuntimeError instead of looping forever.
+def _peel_density(g: FactorGraph) -> Fraction:
+    """The largest |E(S)|/|S| over the suffixes S of the degeneracy order
+    (Charikar's greedy peel, 2000), at least m/n since all of g is one.  A
+    suffix's edges are its vertices' out-arcs in the degeneracy orientation."""
+    out, order, _ = _degeneracy_orientation(g)
+    edges, top, size = 0, 0, 1
+    for s, v in enumerate(reversed(order), 1):
+        edges += len(out[v])
+        if edges * size > top * s:  # edges/s > top/size, in integers
+            top, size = edges, s
+    return Fraction(top, size)
 
-    Round k returns the minimal maximizer S_k of |E(S)| - l_k |S|, where
-    l_1 = m/n and l_{k+1} = |E(S_k)|/|S_k| > l_k.  These sets shrink as l
-    rises (Gallo, Grigoriadis and Tarjan 1989): if S and T are the minimal
-    maximizers at l < l', then S & T is a maximizer at l' too, because
-    |E(.)| is supermodular and S maximizes at l, so T lies inside S.  So
+
+def densest_subgraph(g: FactorGraph) -> DensityReport:
+    """Exact maximizer of |E'|/|V'| over nonempty vertex subsets: the union
+    of all of them, which is itself one.  Each round that finds a denser set
+    must strictly raise the density, so a wrong cut raises RuntimeError
+    instead of looping forever, and the final witness is checked to have
+    the density reported.
+
+    Two kinds of graph are answered in closed form, m/n with every vertex
+    as the witness and no network built:
+    - a connected graph with m <= n.  Its cyclomatic number is
+      c = m - n + 1 <= 1, and a subgraph's cyclomatic number is at most the
+      graph's, so a set S spans at most |S| - 1 + c <= |S| m/n edges (as
+      |S| <= n);
+    - a regular graph, connected or not, tested as max degree * n <= 2m.
+      A set S spans at most |S| d/2 edges with d the common degree, and
+      all of g spans exactly that.
+
+    Other graphs run rounds from l_1 = the best density among the suffixes
+    of the degeneracy order, which is at least m/n and often already the
+    optimum.  Round k cuts at l_k.  If a set beats l_k, the round returns
+    the minimal maximizer S_k of |E(S)| - l_k |S|, and l_{k+1} =
+    |E(S_k)|/|S_k| > l_k.  Otherwise l_k is the density, and the round
+    returns the maximal maximizer, whose value is 0: the union of all the
+    densest sets.  Every maximizer T at l' lies inside every maximizer S at
+    l < l' (Gallo, Grigoriadis and Tarjan 1989).  With f(X) = |E(X)| - l|X|,
+    supermodularity gives f(S | T) + f(S & T) >= f(S) + f(T), and
+    f(S | T) <= f(S), so f(T) <= f(S & T).  As T maximizes at l',
+    f(T) - f(S & T) >= (l' - l)|T - S|.  Together, T - S is empty.  So
     every round after the first cuts only the subgraph induced on the last
     witness.  A subset of it has the same objective there as in g, so the
-    round returns the same set, and the search stops at the same round, as
-    with a cut of the whole graph.  The edges inside each witness are
-    filtered from those inside the last one, so no round after the first
-    scans all of g's edges.
-
-    A connected graph with m <= n has cyclomatic number c = m - n + 1 <= 1,
-    and a subgraph's cyclomatic number is at most the graph's, so a set S
-    spans at most |S| - 1 + c <= |S| m/n edges (as |S| <= n).  Its density
-    is m/n, every vertex is the witness, and no network is built: the
-    first round's answer, since that round finds no denser set.
+    round returns the same set as a cut of the whole graph would.  The
+    edges inside each witness are filtered from those inside the last one,
+    so no round after the first scans all of g's edges.
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    within, best = (range(g.n), g.edges), Fraction(g.m, g.n)
-    if g.m <= g.n and is_connected(g):  # at most one cycle: no round can beat m/n
-        return DensityReport(density=best, witness=tuple(within[0]), mad=2 * best)
+    whole = Fraction(g.m, g.n)
+    if (g.m <= g.n and is_connected(g)  # at most one cycle: no set beats m/n
+            or max(map(len, g.adj)) * g.n <= 2 * g.m):  # regular: none beats d/2
+        return DensityReport(density=whole, witness=tuple(range(g.n)), mad=2 * whole)
+    within, best = (range(g.n), g.edges), _peel_density(g)
     while True:
-        improved = _denser_subgraph(g, best, within)
-        if improved is None:
+        denser, side = _denser_subgraph(g, best, within)
+        edges = [(u, v) for u, v in within[1] if u in side and v in side]
+        if not denser:
             break
-        edges = [(u, v) for u, v in within[1] if u in improved and v in improved]
-        found = Fraction(len(edges), len(improved))
+        found = Fraction(len(edges), len(side))
         if found <= best:
             raise RuntimeError(f"densest_subgraph: a round reached density {found}, "
                                f"not above {best}")
-        within, best = (sorted(improved), edges), found
-    return DensityReport(density=best, witness=tuple(within[0]), mad=2 * best)
+        within, best = (sorted(side), edges), found
+    if not side or len(edges) * best.denominator != best.numerator * len(side):
+        raise RuntimeError(f"densest_subgraph: the last cut's side holds {len(edges)} "
+                           f"edges on {len(side)} vertices, not density {best}")
+    return DensityReport(density=best, witness=tuple(sorted(side)), mad=2 * best)
 
 
 def densest_subgraph_bruteforce(g: FactorGraph) -> DensityReport:

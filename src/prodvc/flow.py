@@ -1,10 +1,17 @@
 """Dinic max-flow with integer capacities.
 
 All capacities are exact integers (callers scale rationals beforehand), so
-min-cut comparisons are exact.  The level search that ends `max_flow`, the
-one that fails to reach the sink, labels every node the source reaches in
-the residual graph, so the min-cut's source side is read off its levels
-with no second search.
+min-cut comparisons are exact.  `max_flow` first pushes greedily along every
+residual source-to-sink path of at most three arcs: s -> t and s -> v -> t,
+then s -> v -> u -> t, the shape of a path in the density layer's network.
+When this pre-pass saturates every arc out of the source, the first level
+search labels the source alone and no Dinic phase runs.  The level search
+that ends `max_flow`, the one that fails to reach the sink, labels every
+node the source reaches in the residual graph, so the minimal min-cut's
+source side is read off its levels with no second search.
+`min_cut_sink_side` is the set of nodes that reach the sink in the residual
+graph; the rest is the maximal min-cut's source side.  Every maximum flow
+has the same minimal and maximal sides, so the pre-pass moves neither.
 """
 
 from __future__ import annotations
@@ -26,6 +33,48 @@ class MaxFlow:
         self.head[v].append(len(self.to))
         self.to.append(u)
         self.cap.append(reverse)
+
+    def _saturate_short_paths(self, s: int, t: int) -> int:
+        """Push greedily along every residual s -> t and s -> v -> t path,
+        then along every residual s -> v -> u -> t path; return the flow
+        pushed.  `into_t[u]` lists the arcs u -> t."""
+        head, to, cap = self.head, self.to, self.cap
+        into_t: dict[int, list[int]] = {}
+        for i in head[t]:
+            into_t.setdefault(to[i], []).append(i ^ 1)
+        flow = 0
+        for i in head[s]:
+            v = to[i]
+            if v == t:
+                flow += cap[i]
+                cap[i ^ 1] += cap[i]
+                cap[i] = 0
+                continue
+            for j in into_t.get(v, ()):
+                pushed = min(cap[i], cap[j])
+                flow += pushed
+                cap[i] -= pushed
+                cap[i ^ 1] += pushed
+                cap[j] -= pushed
+                cap[j ^ 1] += pushed
+        for i in head[s]:
+            v = to[i]
+            for j in head[v]:
+                if not cap[i]:
+                    break
+                u = to[j]
+                if not cap[j] or u == s:
+                    continue
+                for k in into_t.get(u, ()):
+                    pushed = min(cap[i], cap[j], cap[k])
+                    flow += pushed
+                    cap[i] -= pushed
+                    cap[i ^ 1] += pushed
+                    cap[j] -= pushed
+                    cap[j ^ 1] += pushed
+                    cap[k] -= pushed
+                    cap[k ^ 1] += pushed
+        return flow
 
     def _bfs(self, s: int, t: int) -> bool:
         # a failing search labels all of s's residual reach: min_cut_source_side reads it
@@ -73,7 +122,7 @@ class MaxFlow:
         return pushed
 
     def max_flow(self, s: int, t: int):
-        flow = 0
+        flow = self._saturate_short_paths(s, t)
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:
@@ -87,3 +136,15 @@ class MaxFlow:
         """Nodes reachable from the source in the residual graph: those the
         last level search of `max_flow` labelled (call after max_flow)."""
         return {v for v, depth in enumerate(self.level) if depth >= 0}
+
+    def min_cut_sink_side(self, t: int) -> set[int]:
+        """Nodes that reach the sink t in the residual graph (call after
+        max_flow): the complement of the maximal min-cut's source side."""
+        head, to, cap = self.head, self.to, self.cap
+        reach, queue = {t}, [t]
+        for v in queue:  # the queue grows while it is walked
+            for i in head[v]:  # arc i ^ 1 runs to[i] -> v
+                if cap[i ^ 1] > 0 and to[i] not in reach:
+                    reach.add(to[i])
+                    queue.append(to[i])
+        return reach

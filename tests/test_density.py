@@ -14,7 +14,7 @@ from prodvc.flow import MaxFlow
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           degeneracy_ordering, induced_subgraph, is_connected, path_graph,
                           star_graph, to_edgelist)
-from prodvc.products import ProductSpace
+from prodvc.products import ProductSpace, octahedron
 
 
 def random_graph(rng, n_max=12):
@@ -37,12 +37,15 @@ def test_known_densities():
 def test_round_that_does_not_raise_the_density_fails(monkeypatch):
     # a wrong cut, whose side is no denser than the density so far, would
     # repeat forever; the round check raises instead (an explicit raise, so
-    # it holds under python -O too).  C5 plus a chord has m > n, so it runs
-    # a round; C5 itself has m = n and is answered with no round at all
+    # it holds under python -O too).  So does a last cut whose side does not
+    # have the density reached.  C5 plus a chord has m > n and is not
+    # regular, so it runs a round; C5 itself has m = n and is answered with
+    # no round at all
     c5_chord = FactorGraph(5, cycle_graph(5).edges + ((0, 2),))
-    for side in (lambda g: set(range(g.n)), lambda g: {0, 1}):
+    for denser, side in ((True, lambda g: set(range(g.n))), (True, lambda g: {0, 1}),
+                         (False, lambda g: {0, 1}), (False, lambda g: set())):
         monkeypatch.setattr(density, "_denser_subgraph",
-                            lambda g, threshold, within: side(g))
+                            lambda g, threshold, within: (denser, side(g)))
         with pytest.raises(RuntimeError):
             densest_subgraph(c5_chord)
         assert densest_subgraph(cycle_graph(5)) == DensityReport(1, (0, 1, 2, 3, 4), 2)
@@ -95,12 +98,31 @@ def _union_of_densest_sets(g, top):
     return tuple(v for v in range(g.n) if union >> v & 1)
 
 
+def _shifted(g, by):
+    """g's edges with every vertex moved up by `by`."""
+    return tuple((u + by, v + by) for u, v in g.edges)
+
+
 def test_witness_is_the_union_of_all_densest_sets():
     # the densest sets are closed under union, and the witness is the
     # largest of them, whichever flow network finds it
     rng = random.Random(424)
     graphs = [random_graph(rng) for _ in range(80)]
     graphs.append(FactorGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    # the peel's start, l0, in three places: two K4s joined by a path of
+    # three vertices, where l0 = 3/2 is the density, reached by one K4, and
+    # the witness is both; K5 with pendant trees, where l0 = 2 is an integer;
+    # and a sparse graph with l0 = 13/8 below its density 5/3, so a second
+    # round runs
+    k4 = complete_graph(4)
+    two_k4s = FactorGraph(11, k4.edges + _shifted(k4, 4) + ((3, 8), (8, 9), (9, 10), (4, 10)))
+    k5_and_trees = FactorGraph(10, complete_graph(5).edges
+                               + ((0, 5), (5, 6), (5, 7), (1, 8), (8, 9)))
+    sparse = FactorGraph(9, [(0, 1), (0, 3), (0, 4), (0, 8), (1, 2), (1, 3), (1, 4), (1, 8),
+                             (2, 8), (3, 6), (3, 7), (4, 8), (5, 7), (5, 8)])
+    starts = [density._peel_density(g) for g in (two_k4s, k5_and_trees, sparse)]
+    assert starts == [Fraction(3, 2), 2, Fraction(13, 8)]
+    graphs += [two_k4s, k5_and_trees, sparse]
     for g in graphs:
         top = densest_subgraph_bruteforce(g).density
         assert densest_subgraph(g).witness == _union_of_densest_sets(g, top)
@@ -148,11 +170,55 @@ def test_graphs_with_at_most_one_cycle_need_no_flow(monkeypatch):
         assert got.witness == _union_of_densest_sets(g, oracle) == tuple(range(g.n))
 
 
+def _seeded_cubic_graph(rng, n):
+    """A random 3-regular graph on n vertices (n even): three stubs per
+    vertex, paired at random until no pair is a loop or repeats an edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(pair)) for pair in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return FactorGraph(n, edges)
+
+
+def test_regular_graphs_need_no_flow(monkeypatch):
+    # a set S of a d-regular graph spans at most |S| d/2 edges, so the
+    # density is m/n with every vertex its densest set, connected or not;
+    # the flow rounds never run
+    def no_flow(*args):
+        raise AssertionError("a regular graph ran a flow round")
+
+    monkeypatch.setattr(density, "_denser_subgraph", no_flow)
+    petersen = FactorGraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                           + [(i, i + 5) for i in range(5)]
+                           + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    graphs = [complete_graph(n) for n in range(1, 9)]
+    graphs += [cycle_graph(n) for n in range(3, 10)]
+    graphs += [_power(path_graph(2), m) for m in range(1, 5)]
+    graphs += [FactorGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+               for n in range(1, 5)]
+    graphs += [octahedron(d) for d in (2, 3, 4)]
+    graphs += [petersen, _power(complete_graph(3), 2)]
+    k4, c3, c5 = complete_graph(4), cycle_graph(3), cycle_graph(5)
+    graphs += [FactorGraph(8, k4.edges + _shifted(k4, 4)),
+               FactorGraph(8, c3.edges + _shifted(c5, 3))]
+    graphs += [FactorGraph(n, []) for n in range(2, 6)]
+    rng = random.Random(1736)
+    graphs += [_seeded_cubic_graph(rng, n) for n in (4, 6, 8, 10, 12) for _ in range(3)]
+    for g in graphs:
+        assert len({len(a) for a in g.adj}) == 1
+        got = densest_subgraph(g)
+        oracle = densest_subgraph_bruteforce(g).density
+        assert got.density == oracle == Fraction(g.m, g.n) and got.mad == 2 * oracle
+        assert got.witness == _union_of_densest_sets(g, oracle) == tuple(range(g.n))
+
+
 def test_whole_graph_has_no_set_denser_than_the_result(monkeypatch):
     # rounds after the first cut only the last witness; one cut of the
-    # whole graph at the final density re-checks the verdict without the
-    # nesting argument, on sparse graphs that take 3 or 4 rounds and on
-    # grids, whose densest set is every vertex
+    # whole graph at the final density re-checks the verdict and the
+    # witness without the nesting argument, on sparse graphs that take 1 to
+    # 3 rounds from the peel's start and on grids, whose densest set is
+    # every vertex and whose peel starts at it
     rounds = _recorded(monkeypatch, "_denser_subgraph")
     rng = random.Random(1981)
     graphs = []
@@ -166,12 +232,14 @@ def test_whole_graph_has_no_set_denser_than_the_result(monkeypatch):
         del rounds[:]
         rep = densest_subgraph(g)
         counts.append(len(rounds))
-        sides = [set(range(g.n))] + [side for _, side in rounds[:-1]]
+        sides = [set(range(g.n))] + [side for _, (_, side) in rounds]
         assert all(later <= earlier for earlier, later in zip(sides, sides[1:]))
-        assert density._denser_subgraph(g, rep.density, (range(g.n), g.edges)) is None
+        assert [denser for _, (denser, _) in rounds] == [True] * (len(rounds) - 1) + [False]
+        assert density._denser_subgraph(g, rep.density, (range(g.n), g.edges)) == (
+            False, set(rep.witness))
         ws = set(rep.witness)
         assert Fraction(density._edge_count_within(g, ws), len(ws)) == rep.density
-    assert set(counts[:12]) == {3, 4}
+    assert counts[:12] == [2, 2, 2, 3, 1, 1, 1, 3, 2, 3, 2, 1]
     assert counts[12:] == [1] * 4
 
 
@@ -558,17 +626,34 @@ def test_density_oracle_property(bits, n):
 
 
 def _random_networks(seed):
-    """150 seeded random flow networks, as (n, net, arcs): each arc pair
-    goes into arcs as (u, v, capacity) both ways, some pairs two-way."""
+    """150 seeded random flow networks from 0 to n - 1, as (n, net, arcs):
+    each arc pair goes into arcs as (u, v, capacity) both ways, some pairs
+    two-way.  Every third network has random arcs only.  The next has a
+    direct 0 -> n - 1 arc and paths of two and three arcs to the sink as
+    well, which the greedy pre-pass fills.  In the third, no random arc
+    touches the source, and each source arc goes on to the sink, directly or
+    through one more vertex, along arcs with room for all of them: the
+    pre-pass saturates the source, and no Dinic phase runs."""
     rng = random.Random(seed)
-    for _ in range(150):
-        n = rng.randint(2, 12)
+    for k in range(150):
+        n, shape = rng.randint(2, 12), k % 3
         net, arcs = MaxFlow(n), []
+
+        def add(u, v, c, r=0):
+            net.add_edge(u, v, c, r)  # r > 0: a two-way arc pair
+            arcs.extend([(u, v, c), (v, u, r)])
+
         for _ in range(rng.randint(0, 3 * n)):
             u, v = rng.sample(range(n), 2)
-            c, r = rng.randint(1, 9), rng.choice((0, 0, rng.randint(1, 9)))
-            net.add_edge(u, v, c, r)  # r > 0: a two-way arc pair
-            arcs += [(u, v, c), (v, u, r)]
+            if shape < 2 or 0 not in (u, v):
+                add(u, v, rng.randint(1, 9), rng.choice((0, 0, rng.randint(1, 9))))
+        if shape:
+            add(0, n - 1, rng.randint(1, 9))
+        for _ in range(rng.randint(0, n) if n > 2 else 0):
+            path = [0] + rng.sample(range(1, n - 1), rng.randint(1, min(2, n - 2))) + [n - 1]
+            add(0, path[1], rng.randint(1, 9))
+            for u, v in zip(path[1:], path[2:]):
+                add(u, v, 100 if shape == 2 else rng.randint(1, 9))
         yield n, net, arcs
 
 
@@ -591,10 +676,13 @@ def test_max_flow_matches_networkx():
 
 def test_min_cut_side_is_the_residual_reach():
     # with or without networkx: the side read off the last level search is
-    # what a residual search from the source reaches, and the capacity out
-    # of it is the flow value
+    # what a residual search from the source reaches, the sink side is what
+    # reaches the sink, and the capacity out of either source side is the
+    # flow value
+    saturated = 0
     for n, net, arcs in _random_networks(1970):
         value = net.max_flow(0, n - 1)
+        saturated += all(net.cap[i] == 0 for i in net.head[0])
         reach, queue = {0}, [0]
         for v in queue:  # the queue grows while it is walked
             for i in net.head[v]:
@@ -604,3 +692,18 @@ def test_min_cut_side_is_the_residual_reach():
         side = net.min_cut_source_side()
         assert side == reach and n - 1 not in side
         assert sum(c for u, v, c in arcs if u in side and v not in side) == value
+        # arc i runs to[i ^ 1] -> to[i]: grow the set that reaches the sink
+        # by whole passes over the arcs until one adds nothing
+        reaches_sink, grew = {n - 1}, True
+        while grew:
+            grew = False
+            for i, head in enumerate(net.to):
+                tail = net.to[i ^ 1]
+                if net.cap[i] > 0 and head in reaches_sink and tail not in reaches_sink:
+                    reaches_sink.add(tail)
+                    grew = True
+        sink_side = net.min_cut_sink_side(n - 1)
+        assert sink_side == reaches_sink and 0 not in sink_side
+        assert side.isdisjoint(sink_side)
+        assert sum(c for u, v, c in arcs if u not in sink_side and v in sink_side) == value
+    assert saturated >= 50
