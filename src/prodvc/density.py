@@ -1,21 +1,19 @@
 """Exact density, maximum average degree, densest subgraph, Nash-Williams
 arboricity, forest decompositions, and bounded-outdegree orientations.
 
-Every ratio is an exact `Fraction`.  Two kinds of graph have density m/n
-with every vertex as witness, read off with no flow: a connected graph with
-at most as many edges as vertices (at most one cycle), and a regular graph.
-Otherwise the densest-subgraph search runs min-cuts on Goldberg's vertex
-network (source -> vertices -> sink, one two-way arc per edge) with the
-test ratio p/q scaled to integer capacities, so no tolerance is involved
-anywhere.  The first round cuts at the best density among the suffixes of
-the degeneracy order, the peel the graph already keeps.  Every round builds
-its network the same way, from a vertex list and the edges inside it: all
-of g in the first round, the last round's witness and its edges after
-that.  The max-flow saturates the short source-to-sink paths greedily
-before Dinic's phases, and stops there when they fill every arc out of the
-source.  A cut that finds a denser set reads it as the source side that the
-last level search reached; the cut that finds none reads the witness off
-the sink side, as the vertices that reach the sink in no residual path.
+Every ratio is an exact `Fraction`.  A connected graph with at most as many
+edges as vertices has at most one cycle, and its density is m/n with every
+vertex as witness, read off with no flow.  Otherwise the densest-subgraph
+search runs min-cuts on Goldberg's vertex network (source -> vertices ->
+sink, one two-way arc per edge) with the test ratio p/q scaled to integer
+capacities, so no tolerance is involved anywhere.  The first round cuts at
+the best density among the suffixes of the degeneracy order, the peel the
+graph already keeps.  Every round builds its network the same way, from a
+vertex list and the edges inside it: all of g in the first round, the last
+round's witness and its edges after that.  A cut that finds a denser set
+reads it as the source side that the last level search reached; the cut
+that finds none reads the witness off the sink side, as the vertices that
+reach the sink in no residual path.
 Arboricity, forests and bounded-outdegree orientations need no flow: all
 start from the degeneracy orientation, and an orientation with outdegree d
 comes from it by reversing directed paths, one per unit of excess, with
@@ -118,14 +116,22 @@ def _edge_count_within(g: FactorGraph, vertices: set[int]) -> int:
     return sum(1 for u, v in g.edges if u in vertices and v in vertices)
 
 
+def _suffix_edge_counts(g: FactorGraph, order: list[int]) -> list[int]:
+    """Entry i: the number of edges inside the last i + 1 vertices of
+    `order`, each edge counted when its endpoint earlier in the order joins."""
+    counts, edges, joined = [], 0, set()
+    for v in reversed(order):
+        edges += len(g.adj[v] & joined)
+        joined.add(v)
+        counts.append(edges)
+    return counts
+
+
 def _peel_density(g: FactorGraph) -> Fraction:
     """The largest |E(S)|/|S| over the suffixes S of the degeneracy order
-    (Charikar's greedy peel, 2000), at least m/n since all of g is one.  A
-    suffix's edges are its vertices' out-arcs in the degeneracy orientation."""
-    out, order, _ = _degeneracy_orientation(g)
-    edges, top, size = 0, 0, 1
-    for s, v in enumerate(reversed(order), 1):
-        edges += len(out[v])
+    (Charikar's greedy peel, 2000), at least m/n since all of g is one."""
+    top, size = 0, 1
+    for s, edges in enumerate(_suffix_edge_counts(g, degeneracy_ordering(g)[0]), 1):
         if edges * size > top * s:  # edges/s > top/size, in integers
             top, size = edges, s
     return Fraction(top, size)
@@ -138,20 +144,17 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
     instead of looping forever, and the final witness is checked to have
     the density reported.
 
-    Two kinds of graph are answered in closed form, m/n with every vertex
-    as the witness and no network built:
-    - a connected graph with m <= n.  Its cyclomatic number is
-      c = m - n + 1 <= 1, and a subgraph's cyclomatic number is at most the
-      graph's, so a set S spans at most |S| - 1 + c <= |S| m/n edges (as
-      |S| <= n);
-    - a regular graph, connected or not, tested as max degree * n <= 2m.
-      A set S spans at most |S| d/2 edges with d the common degree, and
-      all of g spans exactly that.
+    A connected graph with m <= n is answered in closed form, m/n with
+    every vertex as the witness and no network built.  Its cyclomatic
+    number is c = m - n + 1 <= 1, and a subgraph's cyclomatic number is at
+    most the graph's, so a set S spans at most |S| - 1 + c <= |S| m/n edges
+    (as |S| <= n).
 
     Other graphs run rounds from l_1 = the best density among the suffixes
     of the degeneracy order, which is at least m/n and often already the
-    optimum.  Round k cuts at l_k.  If a set beats l_k, the round returns
-    the minimal maximizer S_k of |E(S)| - l_k |S|, and l_{k+1} =
+    optimum: for a regular graph, or a grid, it is m/n, and one round
+    confirms it.  Round k cuts at l_k.  If a set beats l_k, the round
+    returns the minimal maximizer S_k of |E(S)| - l_k |S|, and l_{k+1} =
     |E(S_k)|/|S_k| > l_k.  Otherwise l_k is the density, and the round
     returns the maximal maximizer, whose value is 0: the union of all the
     densest sets.  Every maximizer T at l' lies inside every maximizer S at
@@ -168,8 +171,7 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
     if g.n == 0:
         raise GraphError("empty graph")
     whole = Fraction(g.m, g.n)
-    if (g.m <= g.n and is_connected(g)  # at most one cycle: no set beats m/n
-            or max(map(len, g.adj)) * g.n <= 2 * g.m):  # regular: none beats d/2
+    if g.m <= g.n and is_connected(g):  # at most one cycle: no set beats m/n
         return DensityReport(density=whole, witness=tuple(range(g.n)), mad=2 * whole)
     within, best = (range(g.n), g.edges), _peel_density(g)
     while True:
@@ -233,9 +235,8 @@ def arboricity(g: FactorGraph) -> int:
     One degeneracy peel bounds it from both sides.  The degeneracy U is an
     upper bound, since `forest_decomposition` builds U forests.  Each suffix
     S of the peeling order with |S| >= 2 needs ceil(|E(S)|/(|S|-1)) forests,
-    and its edges are its vertices' out-arcs in the degeneracy orientation;
-    the largest of these is a lower bound L.  Between them the value is the
-    least k that `_fits_forests` accepts, and U when none below U fits.
+    and the largest of these is a lower bound L.  Between them the value is
+    the least k that `_fits_forests` accepts, and U when none below U fits.
     Every tested k drains the orientation that the last one left.  The
     graph keeps the peel, so a later `forest_decomposition` of it does not
     peel again: one peel serves both the value and the forests.
@@ -244,11 +245,8 @@ def arboricity(g: FactorGraph) -> int:
     this value (Q3: 3 for arboricity 2).
     """
     out, order, upper = _degeneracy_orientation(g)
-    edges = lower = 0
-    for i, v in enumerate(reversed(order)):  # the suffix from v holds i other vertices
-        edges += len(out[v])
-        if i:
-            lower = max(lower, -(-edges // i))
+    lower = max((-(-edges // i)  # the suffix of i + 1 vertices
+                 for i, edges in enumerate(_suffix_edge_counts(g, order)) if i), default=0)
     if lower > upper:
         raise RuntimeError(f"arboricity: a peeling suffix needs {lower} forests, "
                            f"above the degeneracy {upper}")

@@ -1,17 +1,18 @@
 """Dinic max-flow with integer capacities.
 
 All capacities are exact integers (callers scale rationals beforehand), so
-min-cut comparisons are exact.  `max_flow` first pushes greedily along every
-residual source-to-sink path of at most three arcs: s -> t and s -> v -> t,
-then s -> v -> u -> t, the shape of a path in the density layer's network.
-When this pre-pass saturates every arc out of the source, the first level
-search labels the source alone and no Dinic phase runs.  The level search
-that ends `max_flow`, the one that fails to reach the sink, labels every
-node the source reaches in the residual graph, so the minimal min-cut's
-source side is read off its levels with no second search.
-`min_cut_sink_side` is the set of nodes that reach the sink in the residual
-graph; the rest is the maximal min-cut's source side.  Every maximum flow
-has the same minimal and maximal sides, so the pre-pass moves neither.
+min-cut comparisons are exact.  `max_flow` first pushes greedily along
+every residual path source -> v -> u -> sink, the shape of a path in the
+density layer's network, where each vertex has an arc from the source or
+one to the sink, never both.  When this pre-pass saturates every arc out of
+the source, the first level search labels the source alone and no Dinic
+phase runs.  The level search that ends `max_flow`, the one that fails to
+reach the sink, labels every node the source reaches in the residual graph,
+so the minimal min-cut's source side is read off its levels with no second
+search.  `min_cut_sink_side` is the set of nodes that reach the sink in the
+residual graph; the rest is the maximal min-cut's source side.  Every
+maximum flow has the same minimal and maximal sides, so the pre-pass moves
+neither.
 """
 
 from __future__ import annotations
@@ -34,46 +35,29 @@ class MaxFlow:
         self.to.append(u)
         self.cap.append(reverse)
 
-    def _saturate_short_paths(self, s: int, t: int) -> int:
-        """Push greedily along every residual s -> t and s -> v -> t path,
-        then along every residual s -> v -> u -> t path; return the flow
-        pushed.  `into_t[u]` lists the arcs u -> t."""
+    def _saturate_three_arc_paths(self, s: int, t: int) -> int:
+        """Push greedily along every residual s -> v -> u -> t path, the
+        shape of the density layer's paths; return the flow pushed.
+        `into_t[u]` lists the arcs u -> t for u other than s: with s there,
+        the walk s -> t -> s -> t could take one arc s -> t twice."""
         head, to, cap = self.head, self.to, self.cap
         into_t: dict[int, list[int]] = {}
         for i in head[t]:
-            into_t.setdefault(to[i], []).append(i ^ 1)
+            if to[i] != s:
+                into_t.setdefault(to[i], []).append(i ^ 1)
         flow = 0
         for i in head[s]:
-            v = to[i]
-            if v == t:
-                flow += cap[i]
-                cap[i ^ 1] += cap[i]
-                cap[i] = 0
-                continue
-            for j in into_t.get(v, ()):
-                pushed = min(cap[i], cap[j])
-                flow += pushed
-                cap[i] -= pushed
-                cap[i ^ 1] += pushed
-                cap[j] -= pushed
-                cap[j ^ 1] += pushed
-        for i in head[s]:
-            v = to[i]
-            for j in head[v]:
+            for j in head[to[i]]:
                 if not cap[i]:
                     break
-                u = to[j]
-                if not cap[j] or u == s:
+                if not cap[j]:
                     continue
-                for k in into_t.get(u, ()):
+                for k in into_t.get(to[j], ()):
                     pushed = min(cap[i], cap[j], cap[k])
                     flow += pushed
-                    cap[i] -= pushed
-                    cap[i ^ 1] += pushed
-                    cap[j] -= pushed
-                    cap[j ^ 1] += pushed
-                    cap[k] -= pushed
-                    cap[k ^ 1] += pushed
+                    for arc in (i, j, k):
+                        cap[arc] -= pushed
+                        cap[arc ^ 1] += pushed
         return flow
 
     def _bfs(self, s: int, t: int) -> bool:
@@ -122,7 +106,7 @@ class MaxFlow:
         return pushed
 
     def max_flow(self, s: int, t: int):
-        flow = self._saturate_short_paths(s, t)
+        flow = self._saturate_three_arc_paths(s, t)
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:

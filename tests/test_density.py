@@ -38,9 +38,8 @@ def test_round_that_does_not_raise_the_density_fails(monkeypatch):
     # a wrong cut, whose side is no denser than the density so far, would
     # repeat forever; the round check raises instead (an explicit raise, so
     # it holds under python -O too).  So does a last cut whose side does not
-    # have the density reached.  C5 plus a chord has m > n and is not
-    # regular, so it runs a round; C5 itself has m = n and is answered with
-    # no round at all
+    # have the density reached.  C5 plus a chord has m > n, so it runs a
+    # round; C5 itself has m = n and is answered with no round at all
     c5_chord = FactorGraph(5, cycle_graph(5).edges + ((0, 2),))
     for denser, side in ((True, lambda g: set(range(g.n))), (True, lambda g: {0, 1}),
                          (False, lambda g: {0, 1}), (False, lambda g: set())):
@@ -103,6 +102,17 @@ def _shifted(g, by):
     return tuple((u + by, v + by) for u, v in g.edges)
 
 
+def _seeded_cubic_graph(rng, n):
+    """A random 3-regular graph on n vertices (n even): three stubs per
+    vertex, paired at random until no pair is a loop or repeats an edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(pair)) for pair in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return FactorGraph(n, edges)
+
+
 def test_witness_is_the_union_of_all_densest_sets():
     # the densest sets are closed under union, and the witness is the
     # largest of them, whichever flow network finds it
@@ -123,6 +133,23 @@ def test_witness_is_the_union_of_all_densest_sets():
     starts = [density._peel_density(g) for g in (two_k4s, k5_and_trees, sparse)]
     assert starts == [Fraction(3, 2), 2, Fraction(13, 8)]
     graphs += [two_k4s, k5_and_trees, sparse]
+    # regular graphs, connected or not: l0 = m/n = d/2 is the density, and
+    # the witness is every vertex
+    petersen = FactorGraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                           + [(i, i + 5) for i in range(5)]
+                           + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    graphs += [complete_graph(n) for n in range(1, 9)]
+    graphs += [cycle_graph(n) for n in range(3, 10)]
+    graphs += [_power(path_graph(2), m) for m in range(1, 5)]
+    graphs += [FactorGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+               for n in range(1, 5)]
+    graphs += [octahedron(d) for d in (2, 3, 4)]
+    graphs += [petersen, _power(complete_graph(3), 2)]
+    c3, c5 = cycle_graph(3), cycle_graph(5)
+    graphs += [FactorGraph(8, k4.edges + _shifted(k4, 4)),
+               FactorGraph(8, c3.edges + _shifted(c5, 3))]
+    graphs += [FactorGraph(n, []) for n in range(2, 6)]
+    graphs += [_seeded_cubic_graph(rng, n) for n in (4, 6, 8, 10, 12) for _ in range(3)]
     for g in graphs:
         top = densest_subgraph_bruteforce(g).density
         assert densest_subgraph(g).witness == _union_of_densest_sets(g, top)
@@ -164,49 +191,6 @@ def test_graphs_with_at_most_one_cycle_need_no_flow(monkeypatch):
     assert len(graphs) > 12000
     for g in graphs:
         assert g.m <= g.n and is_connected(g)
-        got = densest_subgraph(g)
-        oracle = densest_subgraph_bruteforce(g).density
-        assert got.density == oracle == Fraction(g.m, g.n) and got.mad == 2 * oracle
-        assert got.witness == _union_of_densest_sets(g, oracle) == tuple(range(g.n))
-
-
-def _seeded_cubic_graph(rng, n):
-    """A random 3-regular graph on n vertices (n even): three stubs per
-    vertex, paired at random until no pair is a loop or repeats an edge."""
-    while True:
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = {tuple(sorted(pair)) for pair in zip(stubs[::2], stubs[1::2])}
-        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-            return FactorGraph(n, edges)
-
-
-def test_regular_graphs_need_no_flow(monkeypatch):
-    # a set S of a d-regular graph spans at most |S| d/2 edges, so the
-    # density is m/n with every vertex its densest set, connected or not;
-    # the flow rounds never run
-    def no_flow(*args):
-        raise AssertionError("a regular graph ran a flow round")
-
-    monkeypatch.setattr(density, "_denser_subgraph", no_flow)
-    petersen = FactorGraph(10, [(i, (i + 1) % 5) for i in range(5)]
-                           + [(i, i + 5) for i in range(5)]
-                           + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-    graphs = [complete_graph(n) for n in range(1, 9)]
-    graphs += [cycle_graph(n) for n in range(3, 10)]
-    graphs += [_power(path_graph(2), m) for m in range(1, 5)]
-    graphs += [FactorGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
-               for n in range(1, 5)]
-    graphs += [octahedron(d) for d in (2, 3, 4)]
-    graphs += [petersen, _power(complete_graph(3), 2)]
-    k4, c3, c5 = complete_graph(4), cycle_graph(3), cycle_graph(5)
-    graphs += [FactorGraph(8, k4.edges + _shifted(k4, 4)),
-               FactorGraph(8, c3.edges + _shifted(c5, 3))]
-    graphs += [FactorGraph(n, []) for n in range(2, 6)]
-    rng = random.Random(1736)
-    graphs += [_seeded_cubic_graph(rng, n) for n in (4, 6, 8, 10, 12) for _ in range(3)]
-    for g in graphs:
-        assert len({len(a) for a in g.adj}) == 1
         got = densest_subgraph(g)
         oracle = densest_subgraph_bruteforce(g).density
         assert got.density == oracle == Fraction(g.m, g.n) and got.mad == 2 * oracle
@@ -626,34 +610,25 @@ def test_density_oracle_property(bits, n):
 
 
 def _random_networks(seed):
-    """150 seeded random flow networks from 0 to n - 1, as (n, net, arcs):
-    each arc pair goes into arcs as (u, v, capacity) both ways, some pairs
-    two-way.  Every third network has random arcs only.  The next has a
-    direct 0 -> n - 1 arc and paths of two and three arcs to the sink as
-    well, which the greedy pre-pass fills.  In the third, no random arc
-    touches the source, and each source arc goes on to the sink, directly or
-    through one more vertex, along arcs with room for all of them: the
-    pre-pass saturates the source, and no Dinic phase runs."""
+    """150 seeded random flow networks, as (n, net, arcs): each arc pair
+    goes into arcs as (u, v, capacity) both ways, some pairs two-way.  A
+    fixed one comes first, with arcs both ways between the source 0 and the
+    sink 2, where a greedy walk 0 -> 2 -> 0 -> 2 would take one arc 0 -> 2
+    twice and report a flow of 8, not 7."""
+    net, arcs = MaxFlow(3), []
+    for u, v, c, r in ((2, 1, 2, 0), (0, 1, 2, 1), (2, 0, 3, 0), (1, 2, 1, 0), (2, 0, 2, 6)):
+        net.add_edge(u, v, c, r)
+        arcs += [(u, v, c), (v, u, r)]
+    yield 3, net, arcs
     rng = random.Random(seed)
-    for k in range(150):
-        n, shape = rng.randint(2, 12), k % 3
+    for _ in range(150):
+        n = rng.randint(2, 12)
         net, arcs = MaxFlow(n), []
-
-        def add(u, v, c, r=0):
-            net.add_edge(u, v, c, r)  # r > 0: a two-way arc pair
-            arcs.extend([(u, v, c), (v, u, r)])
-
         for _ in range(rng.randint(0, 3 * n)):
             u, v = rng.sample(range(n), 2)
-            if shape < 2 or 0 not in (u, v):
-                add(u, v, rng.randint(1, 9), rng.choice((0, 0, rng.randint(1, 9))))
-        if shape:
-            add(0, n - 1, rng.randint(1, 9))
-        for _ in range(rng.randint(0, n) if n > 2 else 0):
-            path = [0] + rng.sample(range(1, n - 1), rng.randint(1, min(2, n - 2))) + [n - 1]
-            add(0, path[1], rng.randint(1, 9))
-            for u, v in zip(path[1:], path[2:]):
-                add(u, v, 100 if shape == 2 else rng.randint(1, 9))
+            c, r = rng.randint(1, 9), rng.choice((0, 0, rng.randint(1, 9)))
+            net.add_edge(u, v, c, r)  # r > 0: a two-way arc pair
+            arcs += [(u, v, c), (v, u, r)]
         yield n, net, arcs
 
 
@@ -679,10 +654,8 @@ def test_min_cut_side_is_the_residual_reach():
     # what a residual search from the source reaches, the sink side is what
     # reaches the sink, and the capacity out of either source side is the
     # flow value
-    saturated = 0
     for n, net, arcs in _random_networks(1970):
         value = net.max_flow(0, n - 1)
-        saturated += all(net.cap[i] == 0 for i in net.head[0])
         reach, queue = {0}, [0]
         for v in queue:  # the queue grows while it is walked
             for i in net.head[v]:
@@ -706,4 +679,3 @@ def test_min_cut_side_is_the_residual_reach():
         assert sink_side == reaches_sink and 0 not in sink_side
         assert side.isdisjoint(sink_side)
         assert sum(c for u, v, c in arcs if u not in sink_side and v in sink_side) == value
-    assert saturated >= 50
