@@ -17,7 +17,7 @@ from .density import (arboricity, bounded_outdegree_orientation, densest_subgrap
                       forest_decomposition)
 from .graph import FactorGraph, GraphError, degeneracy_ordering, from_edgelist
 from .harness import (SCHEMA, SUITES, _json_text, _verdict, fuzz_records, report_to_json,
-                      resolve_mu, run_suite)
+                      run_suite)
 from .labeling import decode, encode, from_label_file, to_label_file
 from .products import ProductSpace, instance_doc, instance_from_json
 from .reductions import reduce_edge, reduce_opposite_pair
@@ -117,13 +117,15 @@ def _witness(w):
 
 
 def cmd_reduce(args) -> int:
+    if (args.edge is None) == (args.octahedron is None):
+        return _fail("give exactly one of --edge and --octahedron")
     g = _load_instance(args.instance)
     if args.octahedron is not None:
         step = reduce_opposite_pair(g, args.factor, args.octahedron)
     else:
         try:
             u, v = map(int, args.edge.split(","))
-        except (AttributeError, ValueError):
+        except ValueError:
             return _fail("--edge expects the form u,v")
         step = reduce_edge(g, args.factor, u, v)
     doc = {
@@ -157,6 +159,7 @@ def cmd_classify(args) -> int:
            "dismantlable": dis is not None,
            "suboctahedron": sub is not None,
            "dd": dis.dd if dis is not None else None,
+           "dd_exact": dis.exact if dis is not None else None,
            "omega": clique_number(g),
            "degeneracy": degeneracy}
     if cert.hole:
@@ -179,8 +182,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    records = run_suite(args.suite, trials=args.trials, seed=args.seed,
-                        mu=resolve_mu(args.mu) if args.mu is not None else None)
+    records = run_suite(args.suite, trials=args.trials, seed=args.seed)
     _write(report_to_json(records) + "\n", args.out)
     violated = _verdict(False)  # a claim that fails on exact sides
     return 1 if any(r.verdict == violated for r in records) else 0
@@ -265,9 +267,6 @@ def _verify_args(p) -> None:
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mu", default=None,
-                   help="minor-density constant: integer or preset "
-                        "(tree/planar/k4-minor-free)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

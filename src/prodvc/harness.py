@@ -327,25 +327,6 @@ def check_thm4(g: ProductSubgraph) -> list[VerificationRecord]:
                               statement="cut <= b0*|A| and |A| <= n/2 after swap")]
 
 
-MU_PRESETS = {"tree": 2, "planar": 6, "k4-minor-free": 4}
-
-
-def resolve_mu(mu) -> int:
-    """mu as a positive int, from an int, a string of decimal digits or the
-    name of a preset in MU_PRESETS."""
-    key = mu.strip().lower() if isinstance(mu, str) else mu
-    if key in MU_PRESETS:
-        return MU_PRESETS[key]
-    try:
-        mu = int(key)
-    except ValueError:
-        raise GraphError(f"unknown density class {mu!r}; "
-                         f"presets: {sorted(MU_PRESETS)}") from None
-    if mu < 1:
-        raise GraphError("mu must be a positive integer")
-    return mu
-
-
 def check_mu_bound(g: ProductSubgraph, mu: int) -> list[VerificationRecord]:
     """|E|/|V| <= mu * vcd_star and 2^vcd_star <= |V| (so vcd_star is at
     most log2 of the vertex count), for a positive int mu."""
@@ -478,12 +459,11 @@ def _split_record(claim: str, digest: str, step, start: float,
                   statement=statement)
 
 
-def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
-              ) -> list[VerificationRecord]:
+def run_suite(suite: str, trials: int = 50, seed: int = 0) -> list[VerificationRecord]:
     if suite == "all":
         records = []
         for s in SUITES[:-1]:
-            records.extend(run_suite(s, trials=trials, seed=seed, mu=mu))
+            records.extend(run_suite(s, trials=trials, seed=seed))
         return records
     rng = random.Random(seed)
     records: list[VerificationRecord] = []
@@ -498,15 +478,12 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0, mu=None,
         return records
 
     if suite == "thm5":
-        mu = resolve_mu(mu) if mu is not None else None
         for t in range(trials):
             family = ("tree", "chordal")[t % 2]
             spec = GeneratorSpec(family=family, m=rng.randint(1, 3),
                                  factor_size=rng.randint(2, 5), seed=rng.randrange(2 ** 32))
             space, g = generate(spec)
-            if mu is not None:
-                trial_mu = mu
-            elif family == "tree":
+            if family == "tree":
                 trial_mu = 2
             else:
                 trial_mu = max(math.ceil(mad(f)) for f in space.factors)

@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 from prodvc.cli import build_parser, main
 from prodvc.density import densest_subgraph
 from prodvc.graph import (EDGELIST_VERTEX_CAP, FactorGraph, GraphError, complete_graph,
-                          from_edgelist, path_graph, to_edgelist)
+                          cycle_graph, from_edgelist, path_graph, to_edgelist)
 from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_sum,
                             check_thm4, fuzz_records,
                             generate, instance_digest, random_factor,
-                            report_to_json, resolve_mu, run_suite)
+                            report_to_json, run_suite)
 from prodvc.labeling import decode, encode, from_label_file, to_label_file
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct,
                              instance_from_json, instance_to_json, octahedron)
@@ -71,6 +71,18 @@ def test_all_suites_have_no_violations():
         recs = run_suite(suite, trials=8, seed=5)
         assert recs
         assert not [r for r in recs if r.verdict == "violated"], suite
+
+
+def test_default_suite_runs_the_five_suites_in_order():
+    def stripped(records):
+        return [dict(r.to_dict(), runtime=0) for r in records]
+
+    for seed in (0, 1, 7):
+        parts = [run_suite(suite, trials=2, seed=seed)
+                 for suite in ("thm4", "thm5", "lemmas", "classes", "labels")]
+        assert all(parts), seed
+        assert stripped(run_suite("all", trials=2, seed=seed)) == \
+            stripped([r for part in parts for r in part]), seed
 
 
 def test_counting_split_records_are_computed(monkeypatch):
@@ -136,18 +148,6 @@ def test_bounded_vcd_star_and_dd_follow_the_one_verdict_rule(monkeypatch):
         assert harness.check_dd_sum(grid).verdict == verdict
 
 
-def test_resolve_mu():
-    assert resolve_mu("tree") == 2
-    assert resolve_mu("planar") == 6
-    assert resolve_mu("K4-minor-free") == 4
-    assert resolve_mu(3) == 3
-    assert resolve_mu("3") == resolve_mu(" 3 ") == 3
-    with pytest.raises(Exception):
-        resolve_mu("bogus")
-    with pytest.raises(Exception):
-        resolve_mu(0)
-
-
 def test_single_checks():
     rec = check_density_sum([path_graph(3), complete_graph(3)])
     assert rec.verdict == "holds" and rec.claim == "Lem2"
@@ -170,6 +170,19 @@ def test_fuzz_archives_reproducers():
         assert instance_digest(g) == v["digest"]
     # discoveries are flagged but never 'violated'
     assert recs[0].verdict in ("holds", "inconclusive")
+
+
+def test_fuzz_never_archives_a_bounded_vcdens_star(monkeypatch):
+    """A vcdens_star the search could only bound is not compared with
+    |E|/|V|, so a value below it is no discovery."""
+    from prodvc import harness
+    sp = ProductSpace([path_graph(3), path_graph(3)])
+    for exact, found in ((True, True), (False, False)):
+        monkeypatch.setattr(harness, "vcdens_minor", lambda g: (Fraction(0), exact, None))
+        recs, violations = fuzz_records(sp, 20, seed=0)
+        assert bool(violations) is found
+        assert bool(recs[0].detail["violations"]) is found
+        assert recs[0].lhs == str(len(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +307,23 @@ def test_cli_reduce(capsys, instance_file):
     assert code == 2
 
 
-def test_cli_classify(capsys, k4_file):
+def test_cli_classify(capsys, tmp_path, k4_file):
     code, doc = run_cli(capsys, "classify", k4_file)
     assert code == 0
     assert doc == {"schema": "prodvc-report-1", "chordal": True,
                    "dismantlable": True, "suboctahedron": True, "dd": 3,
-                   "omega": 4, "degeneracy": 3}
+                   "dd_exact": True, "omega": 4, "degeneracy": 3}
+    # past the exact cap the order is greedy, and the document says so
+    tree = tmp_path / "tree15.txt"
+    rng = random.Random(4)
+    tree.write_text(to_edgelist(FactorGraph(15, [(rng.randrange(v), v) for v in range(1, 15)])))
+    code, doc = run_cli(capsys, "classify", str(tree))
+    assert code == 0 and doc["dismantlable"] is True and doc["dd"] == 1
+    assert doc["dd_exact"] is False
+    cycle = tmp_path / "c5.txt"
+    cycle.write_text(to_edgelist(cycle_graph(5)))
+    code, doc = run_cli(capsys, "classify", str(cycle))
+    assert code == 0 and doc["dd"] is None and doc["dd_exact"] is None
 
 
 def test_cli_label_roundtrip(capsys, tmp_path, k4_file):
@@ -754,24 +778,31 @@ def test_cli_reduce_octahedron_checks_its_indices(capsys, tmp_path):
     assert code == 0 and doc["factor"] == 0 and doc["edge"] == [2, 3]
 
 
-def test_cli_verify_takes_an_integer_mu(capsys):
-    for mu, value in (("3", 3), ("planar", 6)):
-        code, doc = run_cli(capsys, "verify", "--suite", "thm5", "--mu", mu, "--trials", "2")
-        assert code == 0
-        thm5 = [r for r in doc["records"] if r["claim"] == "Thm5"]
-        assert len(thm5) == 2 and all(r["detail"]["mu"] == value for r in thm5)
-    for bad in ("0", "-3", "2.5", "bogus"):
-        assert main(["verify", "--suite", "thm5", "--mu", bad, "--trials", "2"]) == 2, bad
+def test_cli_verify_has_no_mu_option(capsys):
+    # Thm5 takes mu from the factors the suite generates; there is no
+    # option to set it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "thm5", "--mu", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --mu 3" in captured.err
+
+
+def test_cli_reduce_takes_exactly_one_of_edge_and_octahedron(capsys, tmp_path):
+    octa = tmp_path / "octa.json"
+    octa.write_text(instance_to_json(ProductSpace([octahedron(2), path_graph(2)]).materialize()))
+    for extra in (["--edge", "0,2", "--octahedron", "3"], []):
+        assert main(["reduce", str(octa), "--factor", "0", *extra]) == 2, extra
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "", extra
+        assert captured.err == "error: give exactly one of --edge and --octahedron\n"
 
 
 def test_cli_help_and_errors_match_the_full_parser(capsys):
     # main builds only the parser of the subcommand it is given; what it
     # prints, and its exit code, must be those of the full parser
     cases = [[], ["-h"], ["bogus"], ["vcd"], ["label", "encode", "-h"],
-             ["density", "graph.txt", "extra"]]
+             ["density", "graph.txt", "extra"], ["verify", "--suite", "thm5", "--mu", "3"]]
     cases += [[name, "-h"] for name in ("density", "arboricity", "orient", "vcd", "reduce",
                                         "classify", "label", "verify", "fuzz-conj3")]
     for argv in cases:

@@ -25,6 +25,16 @@ def test_runtime_imports_only_stdlib():
                 assert top == "prodvc" or top in sys.stdlib_module_names, (path.name, name)
 
 
+def test_runtime_holds_no_assert_statement():
+    # python -O strips assert statements, so a certificate check written as
+    # one would stop checking; every check in the package raises instead
+    src = Path(prodvc.__file__).parent
+    found = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 # Public top-level functions and classes, and public methods and properties
 # of top-level classes (as "Class.member"), that no module of the package
 # uses, so only tests (or the benchmark) call them, each with the reason it
