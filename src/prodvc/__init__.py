@@ -15,6 +15,6 @@ from .classes import (ChordalCertificate, DismantlingCertificate,
                       chordal_certificate, clique_number, min_dismantling_order,
                       suboctahedron_structure)
 from .labeling import LabelScheme, decode, encode
-from .harness import GeneratorSpec, generate, run_suite
+from .harness import generate, run_suite
 
 __version__ = "0.1.0"

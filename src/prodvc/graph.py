@@ -9,7 +9,7 @@ ratio-valued quantities are exact `Fraction`s; floats only appear in reports.
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Container, Iterable, Optional, Sequence
+from typing import Collection, Container, Iterable, Sequence
 
 # most vertices an edge-list header may declare: FactorGraph allocates one
 # set per vertex, edgeless ones included (the order of products.MATERIALIZE_CAP)
@@ -31,9 +31,9 @@ class FactorGraph:
     read it instead of peeling again.  Equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "edges", "adj", "name", "_peel")
+    __slots__ = ("n", "edges", "adj", "_peel")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: Optional[str] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError("negative vertex count")
         norm = set()
@@ -53,7 +53,6 @@ class FactorGraph:
             adj[u].add(v)
             adj[v].add(u)
         self.adj = tuple(frozenset(s) for s in adj)
-        self.name = name
         self._peel = None
 
     @property
@@ -73,29 +72,28 @@ class FactorGraph:
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"<FactorGraph{tag} n={self.n} m={self.m}>"
+        return f"<FactorGraph n={self.n} m={self.m}>"
 
 
 # ---------------------------------------------------------------------------
 # basic constructions
 
 def path_graph(n: int) -> FactorGraph:
-    return FactorGraph(n, [(i, i + 1) for i in range(n - 1)], name=f"P{n}")
+    return FactorGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> FactorGraph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
-    return FactorGraph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C{n}")
+    return FactorGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> FactorGraph:
-    return FactorGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], name=f"K{n}")
+    return FactorGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star_graph(leaves: int) -> FactorGraph:
-    return FactorGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)], name=f"K1,{leaves}")
+    return FactorGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def induced_subgraph(g: FactorGraph, vertices: Iterable[int]) -> tuple[FactorGraph, dict[int, int]]:

@@ -97,28 +97,22 @@ def instance_digest(g: ProductSubgraph) -> str:
     return hashlib.sha256(instance_to_json(g).encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Reproducible instance description: one factor family (or "mixed"),
-    factor count and size caps, and the seed that fixes everything."""
-    family: str = "mixed"
-    m: int = 2
-    factor_size: int = 5
-    seed: int = 0
+def generate(*, family: str = "mixed", m: int = 2, factor_size: int = 5,
+             seed: int = 0) -> ProductSubgraph:
+    """A random induced subgraph of a product of m factors, fixed by the seed.
 
-
-def generate(spec: GeneratorSpec) -> tuple[ProductSpace, ProductSubgraph]:
-    if spec.family != "mixed" and spec.family not in FAMILIES:
-        raise GraphError(f"unknown factor family {spec.family!r}")
-    if spec.m < 1 or spec.factor_size < 2:
+    Each factor comes from `family`, or from a family drawn per factor when
+    it is "mixed"; `factor_size` sizes them as in `random_factor`, which may
+    round it up (a cycle has at least 3 vertices, an octahedron 4).
+    """
+    if family != "mixed" and family not in FAMILIES:
+        raise GraphError(f"unknown factor family {family!r}")
+    if m < 1 or factor_size < 2:
         raise GraphError("need m >= 1 and factor_size >= 2")
-    rng = random.Random(spec.seed)
-    factors = []
-    for _ in range(spec.m):
-        fam = rng.choice(FAMILIES) if spec.family == "mixed" else spec.family
-        factors.append(random_factor(rng, fam, spec.factor_size))
-    space = ProductSpace(factors)
-    return space, random_subgraph(rng, space)
+    rng = random.Random(seed)
+    factors = [random_factor(rng, rng.choice(FAMILIES) if family == "mixed" else family,
+                             factor_size) for _ in range(m)]
+    return random_subgraph(rng, ProductSpace(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +156,19 @@ _quote = json.encoder.encode_basestring_ascii  # json's own string encoder
 _INT, _LIST, _STR = {int}, {list}, {str}
 
 
-class _NotPlain(Exception):
-    """A value that `_json_text` leaves to `json.dumps`."""
-
-
 def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte.
+    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte, for the
+    documents prodvc writes: dicts with str keys, lists and tuples, whose
+    leaves are str, exact ints, finite floats, bools and None.  Any other key
+    or leaf raises `TypeError`, which names it.
 
     With `indent` set, json runs its pure-Python encoder.  This writer lays
     out the same text, and hands the lists that reports are made of to
     json's C encoder: lists of exact ints, and lists of non-empty lists of
-    exact ints (arcs, forests, witnesses).  A document holding anything but
-    dicts with str keys, lists, tuples, str, exact ints, finite floats,
-    bools and None, or one that fails (too deep, an int too long for str),
-    goes to `json.dumps` itself, so its bytes and its errors stay json's.
+    exact ints (arcs, forests, witnesses).
     """
     parts: list[str] = []
-    try:
-        _json_parts(doc, "\n", parts)
-    except (_NotPlain, RecursionError, ValueError):
-        return json.dumps(doc, indent=2, sort_keys=True)
+    _json_parts(doc, "\n", parts)
     return "".join(parts)
 
 
@@ -218,7 +205,8 @@ def _json_parts(x, pad: str, parts: list[str]) -> None:
             parts.append("{}")
             return
         if {*map(type, x)} != _STR:
-            raise _NotPlain
+            bad = next(k for k in x if type(k) is not str)
+            raise TypeError(f"JSON key {bad!r} ({type(bad).__name__}) is not a str")
         inner = pad + "  "
         sep = "{" + inner
         for k in sorted(x):
@@ -233,7 +221,7 @@ def _json_parts(x, pad: str, parts: list[str]) -> None:
     elif kind is bool:
         parts.append("true" if x else "false")
     else:
-        raise _NotPlain
+        raise TypeError(f"{x!r} ({kind.__name__}) is not a JSON leaf prodvc writes")
 
 
 def _timed(claim: str, digest: str, lhs, rhs, verdict: str, start: float,
@@ -470,23 +458,20 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0) -> list[VerificationR
 
     if suite == "thm4":
         for t in range(trials):
-            spec = GeneratorSpec(family="mixed", m=rng.randint(1, 4),
-                                 factor_size=rng.randint(2, 6),
-                                 seed=rng.randrange(2 ** 32))
-            _, g = generate(spec)
+            g = generate(m=rng.randint(1, 4), factor_size=rng.randint(2, 6),
+                         seed=rng.randrange(2 ** 32))
             records.extend(check_thm4(g))
         return records
 
     if suite == "thm5":
         for t in range(trials):
             family = ("tree", "chordal")[t % 2]
-            spec = GeneratorSpec(family=family, m=rng.randint(1, 3),
-                                 factor_size=rng.randint(2, 5), seed=rng.randrange(2 ** 32))
-            space, g = generate(spec)
+            g = generate(family=family, m=rng.randint(1, 3), factor_size=rng.randint(2, 5),
+                         seed=rng.randrange(2 ** 32))
             if family == "tree":
                 trial_mu = 2
             else:
-                trial_mu = max(math.ceil(mad(f)) for f in space.factors)
+                trial_mu = max(math.ceil(mad(f)) for f in g.space.factors)
             records.extend(check_mu_bound(g, trial_mu))
         return records
 
@@ -497,11 +482,9 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0) -> list[VerificationR
                                      4) for _ in range(rng.randint(1, 3))]
             if ProductSpace(factors).num_vertices() <= 216:
                 records.append(check_density_sum(factors))
-            spec = GeneratorSpec(family="mixed", m=rng.randint(1, 2),
-                                 factor_size=4, seed=rng.randrange(2 ** 32))
-            space, g = generate(spec)
-            i = rng.randrange(space.m)
-            u, v = rng.choice(space.factors[i].edges)
+            g = generate(m=rng.randint(1, 2), factor_size=4, seed=rng.randrange(2 ** 32))
+            i = rng.randrange(g.space.m)
+            u, v = rng.choice(g.space.factors[i].edges)
             start = time.monotonic()
             step = reduce_edge(g, i, u, v)
             digest = instance_digest(g)
@@ -520,9 +503,8 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0) -> list[VerificationR
     if suite == "classes":
         for t in range(trials):
             kind = ("tree", "chordal", "octahedron")[t % 3]
-            spec = GeneratorSpec(family=kind, m=rng.randint(1, 2),
-                                 factor_size=4, seed=rng.randrange(2 ** 32))
-            space, g = generate(spec)
+            g = generate(family=kind, m=rng.randint(1, 2), factor_size=4,
+                         seed=rng.randrange(2 ** 32))
             if kind == "octahedron":
                 records.append(check_clique_bound(g, "octahedron"))
             elif kind == "chordal":
@@ -530,8 +512,8 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0) -> list[VerificationR
                 records.append(check_elimination_bound(g))
             else:
                 records.append(check_elimination_bound(g))
-            if kind != "octahedron" and space.num_vertices() <= 216:
-                records.append(check_dd_sum(space))  # factors are dismantlable
+            if kind != "octahedron" and g.space.num_vertices() <= 216:
+                records.append(check_dd_sum(g.space))  # factors are dismantlable
         return records
 
     if suite == "labels":

@@ -194,7 +194,7 @@ def octahedron(d: int) -> FactorGraph:
         raise GraphError("octahedron dimension must be >= 1")
     n = 2 * d
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not (u ^ 1 == v)]
-    return FactorGraph(n, edges, name=f"O{d}")
+    return FactorGraph(n, edges)
 
 
 # ---------------------------------------------------------------------------

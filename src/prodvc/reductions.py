@@ -61,9 +61,9 @@ def _classify_edges(g: ProductSubgraph, i: int, cmap: dict[Coord, Coord],
     """Sort the edges of g by what the contraction does to them: collapsed to
     a point, merged with a partner along the contracted factor (triangle) or
     across another factor (square), or mapped one-to-one.  `created` counts
-    contracted-product edges with no preimage (zero here because the images
-    of adjacent vertices stay adjacent, but the contracted part is induced,
-    so the check is kept explicit)."""
+    edges of the contracted part with no preimage: it is induced, so two
+    vertices of g that differ in factor i and in one other factor, and so are
+    not adjacent, can map to adjacent images."""
     images: Counter = Counter()
     collapsed = 0
     triangle = 0

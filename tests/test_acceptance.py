@@ -10,10 +10,9 @@ import pytest
 from prodvc.density import (bounded_outdegree_orientation, dens,
                             densest_subgraph, densest_subgraph_bruteforce)
 from prodvc.graph import FactorGraph, degeneracy_ordering, path_graph
-from prodvc.harness import (GeneratorSpec, check_clique_bound, check_dd_sum,
-                            check_density_sum, check_elimination_bound,
-                            check_hypercube_bound, fuzz_records, generate,
-                            random_factor, report_to_json, run_suite)
+from prodvc.harness import (check_clique_bound, check_dd_sum, check_density_sum,
+                            check_elimination_bound, check_hypercube_bound, fuzz_records,
+                            generate, random_factor, report_to_json, run_suite)
 from prodvc.labeling import decode, encode
 from prodvc.products import ProductSpace, ProductSubgraph, instance_from_json
 from prodvc.reductions import reduce_edge, vc_monotonicity_check
@@ -146,14 +145,12 @@ def test_criterion_06_reduction_counting_and_monotonicity():
     steps = checked = 0
     ok = True
     while steps < 500:
-        spec = GeneratorSpec(family=rng.choice(("path", "tree", "clique")),
-                             m=rng.randint(1, 2), factor_size=4,
-                             seed=rng.randrange(2 ** 32))
-        space, g = generate(spec)
-        i = rng.randrange(space.m)
-        if space.factors[i].m == 0:
+        g = generate(family=rng.choice(("path", "tree", "clique")),
+                     m=rng.randint(1, 2), factor_size=4, seed=rng.randrange(2 ** 32))
+        i = rng.randrange(g.space.m)
+        if g.space.factors[i].m == 0:
             continue
-        u, v = rng.choice(space.factors[i].edges)
+        u, v = rng.choice(g.space.factors[i].edges)
         step = reduce_edge(g, i, u, v)  # counting identities asserted inside
         step.check_counting()
         steps += 1
@@ -173,10 +170,9 @@ def test_criterion_07_elimination_and_clique_bounds():
     dd_checked = dd_ok = 0
     for kind in ("tree", "chordal", "octahedron"):
         for _ in range(300):
-            spec = GeneratorSpec(family=kind, m=rng.randint(1, 2),
-                                 factor_size=4 if kind != "octahedron" else 6,
-                                 seed=rng.randrange(2 ** 32))
-            space, g = generate(spec)
+            g = generate(family=kind, m=rng.randint(1, 2),
+                         factor_size=4 if kind != "octahedron" else 6,
+                         seed=rng.randrange(2 ** 32))
             if kind == "octahedron":
                 recs = [check_clique_bound(g, "octahedron")]
             elif kind == "chordal":
@@ -185,9 +181,9 @@ def test_criterion_07_elimination_and_clique_bounds():
             else:
                 recs = [check_elimination_bound(g)]
             bad += sum(1 for r in recs if r.verdict != "holds")
-            if kind != "octahedron" and space.num_vertices() <= 216:
+            if kind != "octahedron" and g.space.num_vertices() <= 216:
                 dd_checked += 1
-                if check_dd_sum(space).verdict == "holds":
+                if check_dd_sum(g.space).verdict == "holds":
                     dd_ok += 1
     _report(7, bad == 0 and dd_checked > 0 and dd_ok == dd_checked,
             f"elimination/clique bounds on 900 instances, 0 violations; "

@@ -12,7 +12,7 @@ import pytest
 
 from prodvc.cli import main
 from prodvc.graph import FactorGraph, complete_graph, path_graph, to_edgelist
-from prodvc.harness import GeneratorSpec, generate
+from prodvc.harness import generate
 from prodvc.products import ProductSpace, ProductSubgraph, instance_to_json, octahedron
 
 GRID_FIVE = ProductSubgraph(ProductSpace([path_graph(3), path_graph(3)]),
@@ -20,11 +20,11 @@ GRID_FIVE = ProductSubgraph(ProductSpace([path_graph(3), path_graph(3)]),
 
 INSTANCES = {
     "grid5": GRID_FIVE,
-    "mixed1": generate(GeneratorSpec(m=2, seed=1))[1],
-    "mixed3": generate(GeneratorSpec(m=3, seed=0))[1],
-    "mixed4": generate(GeneratorSpec(m=3, seed=4))[1],
-    "single": generate(GeneratorSpec(m=1, seed=1))[1],  # one vertex: no witnesses
-    "tree3": generate(GeneratorSpec(family="tree", m=2, factor_size=4, seed=3))[1],
+    "mixed1": generate(m=2, seed=1),
+    "mixed3": generate(m=3, seed=0),
+    "mixed4": generate(m=3, seed=4),
+    "single": generate(m=1, seed=1),  # one vertex: no witnesses
+    "tree3": generate(family="tree", m=2, factor_size=4, seed=3),
     "p22k2": ProductSpace([path_graph(22), complete_graph(2)]).materialize(),
     "octa": ProductSpace([octahedron(2), path_graph(2)]).materialize(),
 }

@@ -152,13 +152,13 @@ def test_a_kept_peel_leaves_equality_hash_and_copies_alone():
     for _ in range(20):
         n = rng.randint(1, 25)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-        g, twin = FactorGraph(n, edges, name="g"), FactorGraph(n, edges)
+        g, twin = FactorGraph(n, edges), FactorGraph(n, edges)
         before = [pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)]
         peel = degeneracy_ordering(g)
         after = [pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)]
         assert g == twin and hash(g) == hash(twin)
         for h in before + after:
-            assert h == g and hash(h) == hash(g) and h.name == "g"
+            assert h == g and hash(h) == hash(g)
             assert h.adj == g.adj and degeneracy_ordering(h) == peel
         assert {g, twin, *before, *after} == {twin}
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -16,7 +17,7 @@ from prodvc.cli import build_parser, main
 from prodvc.density import densest_subgraph
 from prodvc.graph import (EDGELIST_VERTEX_CAP, FactorGraph, GraphError, complete_graph,
                           cycle_graph, from_edgelist, path_graph, to_edgelist)
-from prodvc.harness import (FAMILIES, GeneratorSpec, _json_text, check_density_sum,
+from prodvc.harness import (FAMILIES, _json_text, check_density_sum,
                             check_thm4, fuzz_records,
                             generate, instance_digest, random_factor,
                             report_to_json, run_suite)
@@ -31,11 +32,33 @@ def test_generator_families_and_determinism():
     for family in FAMILIES:
         f = random_factor(rng, family, 6)
         assert f.n >= 2
-    spec = GeneratorSpec(family="path", m=2, factor_size=4, seed=7)
-    a_space, a_g = generate(spec)
-    b_space, b_g = generate(spec)
-    assert a_space.factors == b_space.factors
+    a_g = generate(family="path", m=2, factor_size=4, seed=7)
+    b_g = generate(family="path", m=2, factor_size=4, seed=7)
+    assert a_g.space.factors == b_g.space.factors
     assert a_g.vertices == b_g.vertices
+
+
+# instance digests of generate(family=..., m=2, factor_size=3, seed=0 and 1)
+GENERATED = {"path": ("fe6133bec046", "af506db6b31a"),
+             "cycle": ("5b17bf2b82c6", "0936c5956f5e"),
+             "tree": ("b516f1a0d0b8", "a5c6e2ba6e81"),
+             "chordal": ("926b640a5b5a", "af506db6b31a"),
+             "clique": ("5b17bf2b82c6", "af506db6b31a"),
+             "octahedron": ("1ce06ac815f3", "a6f15761f111"),
+             "sparse": ("cb76dc89a185", "430895a86cb0"),
+             "mixed": ("947d529e44fb", "e8c600888947")}
+
+
+def test_generated_instances_of_each_family_stay_the_same():
+    assert GENERATED.keys() == {*FAMILIES, "mixed"}
+    for family, digests in GENERATED.items():
+        got = tuple(instance_digest(generate(family=family, m=2, factor_size=3, seed=seed))
+                    for seed in (0, 1))
+        assert got == digests, family
+    # factor_size is rounded up where a family has no graph that small
+    rng = random.Random(0)
+    assert random_factor(rng, "cycle", 2).n == 3
+    assert random_factor(rng, "octahedron", 3).n == 4
 
 
 def test_generated_chordal_factors_are_chordal():
@@ -868,13 +891,18 @@ def test_cli_shuffled_long_cycle(capsys, tmp_path):
 # the JSON writer: json.dumps(doc, indent=2, sort_keys=True), byte for byte
 
 def assert_json_text_is_json_dumps(doc):
-    try:
-        want = json.dumps(doc, indent=2, sort_keys=True)
-    except (TypeError, ValueError) as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            _json_text(doc)
-    else:
-        assert _json_text(doc) == want
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def written_by_json_text(x) -> bool:
+    """Whether `_json_text` takes x: str keys, and str, exact int, finite
+    float, bool and None leaves."""
+    if type(x) is dict:
+        return all(type(k) is str and written_by_json_text(v) for k, v in x.items())
+    if type(x) in (list, tuple):
+        return all(map(written_by_json_text, x))
+    return (x is None or type(x) in (str, int, bool)
+            or type(x) is float and math.isfinite(x))
 
 
 _json_leaves = st.one_of(
@@ -902,13 +930,18 @@ def test_json_text_matches_json_dumps(doc):
 @settings(max_examples=60, deadline=None)
 @given(_json_docs, st.one_of(st.fractions(), st.integers(), st.floats(),
                              st.sampled_from([float("nan"), float("inf"), -float("inf")])))
-def test_json_text_leaves_other_values_to_json(doc, odd):
-    # a non-str key, a Fraction, a non-finite float, a bool in an int list:
-    # the bytes, or the error, are json's
-    for wrapped in ({"doc": doc, "odd": odd}, {odd: doc} if odd == odd else {}, [1, odd],
-                    [[1, 2], [odd]], {"a": [[3], [1, True]]}, [1, 2, False],
-                    {1: "one", "1": "one"}, {2: "b", 1: "a"}, {"x": Fraction(1, 2)}):
-        assert_json_text_is_json_dumps(wrapped)
+def test_json_text_refuses_other_values(doc, odd):
+    # a bool in an int list is json's bytes; a non-str key, a Fraction or a
+    # non-finite float is a TypeError that names it
+    for wrapped, culprit in (({"doc": doc, "odd": odd}, odd), ({odd: doc}, odd), ([1, odd], odd),
+                             ([[1, 2], [odd]], odd), ({"a": [[3], [1, True]]}, None),
+                             ([1, 2, False], None), ({1: "one", "1": "one"}, 1),
+                             ({2: "b", 1: "a"}, 2), ({"x": Fraction(1, 2)}, Fraction(1, 2))):
+        if written_by_json_text(wrapped):
+            assert_json_text_is_json_dumps(wrapped)
+        else:
+            with pytest.raises(TypeError, match=re.escape(repr(culprit))):
+                _json_text(wrapped)
 
 
 def test_every_subcommand_writes_the_bytes_of_json_dumps(capsys, tmp_path, k4_file,

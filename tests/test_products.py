@@ -5,7 +5,7 @@ import re
 import pytest
 
 from prodvc.graph import FactorGraph, GraphError, complete_graph, path_graph
-from prodvc.harness import FAMILIES, GeneratorSpec, generate, instance_digest
+from prodvc.harness import FAMILIES, generate, instance_digest
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct,
                              instance_from_json, instance_to_json, octahedron,
                              project_factor, trace)
@@ -79,8 +79,8 @@ def test_induced_edges_match_the_neighbour_oracle():
     for family in FAMILIES:
         for m in range(1, 6):
             for seed in range(4):
-                space, g = generate(GeneratorSpec(family, m, factor_size=5, seed=seed))
-                check(space, g.vertices)
+                g = generate(family=family, m=m, factor_size=5, seed=seed)
+                check(g.space, g.vertices)
 
     rng = random.Random(13)
     trivial = ProductSpace([FactorGraph(1, []), path_graph(3), FactorGraph(1, [])])

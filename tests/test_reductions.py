@@ -9,7 +9,7 @@ import pytest
 
 from prodvc.graph import GraphError, complete_graph, path_graph
 from prodvc.harness import random_factor, random_subgraph
-from prodvc.products import ProductSpace, octahedron
+from prodvc.products import ProductSpace, ProductSubgraph, octahedron
 from prodvc.reductions import reduce_edge, reduce_opposite_pair, vc_monotonicity_check
 
 
@@ -20,6 +20,16 @@ def test_square_reduction_counts():
     assert step.edge_groups == {"collapsed": 2, "triangle_merged": 0,
                                 "square_merged": 1, "created": 0}
     assert not step.tips
+
+
+def test_a_contraction_can_create_an_edge():
+    # the diagonal {(0,0), (1,1)} of K2 x K2 has no edge; contracting factor
+    # 1's edge maps it onto {(0,0), (1,0)}, which is one
+    g = ProductSubgraph(ProductSpace([path_graph(2)] * 2), [(0, 0), (1, 1)])
+    step = reduce_edge(g, 1, 0, 1)
+    assert g.num_edges == 0 and step.g_contracted.vertices == {(0, 0), (1, 0)}
+    assert step.edge_groups == {"collapsed": 0, "created": 1, "square_merged": 0,
+                                "triangle_merged": 0}
 
 
 def test_triangle_reduction_produces_tips():

@@ -134,6 +134,30 @@ def test_every_prodvc_name_the_benchmark_reaches_resolves():
         assert callable(cache.cache_info) and callable(cache.cache_clear)
 
 
+def test_what_the_benchmark_tracer_reads_of_each_result():
+    # the hooks in bench/tracing.py read: result[1] of the vc minor searches
+    # as the exact flag, .verdict of run_suite's list and of fuzz_records'
+    # result[0], .n and .bits_per_label of encode's scheme, len(MaxFlow.to)
+    # and len(ProductSubgraph.vertices)
+    from prodvc import flow, harness, labeling, products, vc
+    from prodvc.graph import cycle_graph, path_graph
+    verdicts = {"holds", "violated", "inconclusive"}
+    k2k2 = products.ProductSpace([path_graph(2)] * 2).materialize()
+    assert len(k2k2.vertices) == 4
+    for search in (vc.vcd_minor, vc.vcdens_minor):
+        assert search(k2k2)[1] is True and search(k2k2, budget=0)[1] is False
+    records = harness.run_suite("thm4", trials=2, seed=0)
+    assert type(records) is list and records and {r.verdict for r in records} <= verdicts
+    fuzzed = harness.fuzz_records(k2k2.space, trials=5)
+    assert type(fuzzed) is tuple and {r.verdict for r in fuzzed[0]} <= verdicts
+    scheme = labeling.encode(cycle_graph(5))
+    assert (scheme.n, scheme.bits_per_label) == (5, 9)
+    net = flow.MaxFlow(3)
+    net.add_edge(0, 1, 1)
+    net.add_edge(1, 2, 1)
+    assert len(net.to) == 4 and net.max_flow(0, 2) == 1
+
+
 def _is_cache_decorator(node) -> bool:
     """True for `lru_cache`, `cache`, `lru_cache(...)` and their
     `functools.` spellings."""

@@ -9,7 +9,7 @@ import pytest
 from prodvc.density import densest_subgraph_bruteforce
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           induced_subgraph, is_connected, path_graph, quotient, star_graph)
-from prodvc.harness import GeneratorSpec, generate, random_factor
+from prodvc.harness import generate, random_factor
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, instance_from_json,
                              instance_to_json)
 from prodvc import vc
@@ -295,7 +295,7 @@ def test_replayed_streams_give_the_results_of_fresh_ones():
     budgets = (0, 7, 50, 300, 1000, 5000, DEFAULT_BUDGET)
     bounded = 0
     for seed in range(110):
-        _, g = generate(GeneratorSpec(m=1 + seed % 3, seed=seed))
+        g = generate(m=1 + seed % 3, seed=seed)
         cold = []
         for budget in budgets:
             clear_vc_caches()
@@ -344,7 +344,7 @@ def exact_from(g, cold: bool) -> int:
 
 def test_replayed_streams_charge_what_fresh_ones_do():
     graphs = [ProductSubgraph(grid_space(), GRID_FIVE)]
-    graphs += [generate(GeneratorSpec(m=2 + seed % 2, seed=seed))[1] for seed in range(8)]
+    graphs += [generate(m=2 + seed % 2, seed=seed) for seed in range(8)]
     for g in graphs:
         clear_vc_caches()
         fresh = exact_from(g, cold=True)
@@ -400,7 +400,7 @@ BOUNDED_BUDGETS = (0, 7, 50, 300)
 
 def budget_corpus():
     return [ProductSubgraph(grid_space(), GRID_FIVE)] + [
-        generate(GeneratorSpec(m=1 + seed % 3, seed=seed))[1] for seed in range(20)]
+        generate(m=1 + seed % 3, seed=seed) for seed in range(20)]
 
 
 def test_every_scan_of_a_vc_call_runs_at_its_budget(monkeypatch):
@@ -678,7 +678,7 @@ def test_minor_ceilings_are_one_shared_tuple_per_factor_and_count():
 
 
 def test_vc_reports_with_cold_and_warm_ceilings_agree():
-    graphs = [generate(GeneratorSpec(m=1 + seed % 3, seed=seed))[1] for seed in range(110)]
+    graphs = [generate(m=1 + seed % 3, seed=seed) for seed in range(110)]
     cold = []
     for g in graphs:  # no memoized scan either, so every report scans
         _minor_ceilings.cache_clear()
@@ -746,7 +746,7 @@ def test_vc_reports_match_golden_digests():
     # digests taken with the per-vertex signature scan that bitmask cells
     # replaced: 200 generated instances of one to four factors, and three
     # full products at budget 0 and at a budget they run out of
-    mixed = (generate(GeneratorSpec(m=1 + seed % 4, seed=seed))[1] for seed in range(200))
+    mixed = (generate(m=1 + seed % 4, seed=seed) for seed in range(200))
     assert report_digest(map(compute_vc_report, mixed)) == (
         "877e9fc021fef741ac778c9c48de6370ea9651b4bc74e6499d791f7a44733d2c")
     bounded = [ProductSpace(factors).materialize()
