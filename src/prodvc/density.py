@@ -1,19 +1,19 @@
 """Exact density, maximum average degree, densest subgraph, Nash-Williams
 arboricity, forest decompositions, and bounded-outdegree orientations.
 
-Every ratio is an exact `Fraction`.  A connected graph with at most as many
-edges as vertices has at most one cycle, and its density is m/n with every
-vertex as witness, read off with no flow.  Otherwise the densest-subgraph
-search runs min-cuts on Goldberg's vertex network (source -> vertices ->
-sink, one two-way arc per edge) with the test ratio p/q scaled to integer
-capacities, so no tolerance is involved anywhere.  The first round cuts at
-the best density among the suffixes of the degeneracy order, the peel the
-graph already keeps.  Every round builds its network the same way, from a
-vertex list and the edges inside it: all of g in the first round, the last
-round's witness and its edges after that.  A cut that finds a denser set
-reads it as the source side that the last level search reached; the cut
-that finds none reads the witness off the sink side, as the vertices that
-reach the sink in no residual path.
+Every ratio is an exact `Fraction`.  A graph whose components each have at
+most one cycle has as density the largest m_i/n_i over its components, with
+the components that reach it as witness, read off with no flow.  Otherwise
+the densest-subgraph search runs min-cuts on Goldberg's vertex network
+(source -> vertices -> sink, one two-way arc per edge) with the test ratio
+p/q scaled to integer capacities, so no tolerance is involved anywhere.
+The first round cuts at the best density among the suffixes of the
+degeneracy order, the peel the graph already keeps.  Every round builds its
+network the same way, from a vertex list and the edges inside it: all of g
+in the first round, the last round's witness and its edges after that.  A
+cut that finds a denser set reads it as the source side that the last level
+search reached; the cut that finds none reads the witness off the sink
+side, as the vertices that reach the sink in no residual path.
 Arboricity, forests and bounded-outdegree orientations need no flow: all
 start from the degeneracy orientation, and an orientation with outdegree d
 comes from it by reversing directed paths, one per unit of excess, with
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .flow import MaxFlow
-from .graph import FactorGraph, GraphError, degeneracy_ordering, is_connected, neighbor_masks
+from .graph import FactorGraph, GraphError, degeneracy_ordering, neighbor_masks, reached_within
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,23 @@ def _peel_density(g: FactorGraph) -> Fraction:
     return Fraction(top, size)
 
 
+def _unicyclic_density(g: FactorGraph) -> Optional[DensityReport]:
+    """g's report when each component has at most one cycle (m_i <= n_i),
+    else None: the largest m_i/n_i and the components that reach it."""
+    top, size, witness, left = 0, 1, [], set(range(g.n))
+    while left:
+        part = reached_within(g, (left.pop(),), range(g.n))
+        left -= part
+        edges = sum(len(g.adj[u]) for u in part) // 2
+        if edges > len(part):
+            return None
+        if edges * size > top * len(part):  # edges/|part| > top/size, in integers
+            top, size, witness = edges, len(part), []
+        if edges * size == top * len(part):
+            witness += part
+    return DensityReport(Fraction(top, size), tuple(sorted(witness)), Fraction(2 * top, size))
+
+
 def densest_subgraph(g: FactorGraph) -> DensityReport:
     """Exact maximizer of |E'|/|V'| over nonempty vertex subsets: the union
     of all of them, which is itself one.  Each round that finds a denser set
@@ -144,11 +161,12 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
     instead of looping forever, and the final witness is checked to have
     the density reported.
 
-    A connected graph with m <= n is answered in closed form, m/n with
-    every vertex as the witness and no network built.  Its cyclomatic
-    number is c = m - n + 1 <= 1, and a subgraph's cyclomatic number is at
-    most the graph's, so a set S spans at most |S| - 1 + c <= |S| m/n edges
-    (as |S| <= n).
+    A graph with m <= n whose components each have at most one cycle is
+    answered with no network built.  Such a component has cyclomatic number
+    c = m_i - n_i + 1 <= 1, at least any subgraph's, so a set S in it spans
+    at most |S| - 1 + c <= |S| m_i/n_i edges: its density is m_i/n_i.  A
+    set's density is the weighted mean of its parts' in the components, so
+    the witness is the union of the components with the largest m_i/n_i.
 
     Other graphs run rounds from l_1 = the best density among the suffixes
     of the degeneracy order, which is at least m/n and often already the
@@ -170,9 +188,8 @@ def densest_subgraph(g: FactorGraph) -> DensityReport:
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    whole = Fraction(g.m, g.n)
-    if g.m <= g.n and is_connected(g):  # at most one cycle: no set beats m/n
-        return DensityReport(density=whole, witness=tuple(range(g.n)), mad=2 * whole)
+    if g.m <= g.n and (closed := _unicyclic_density(g)) is not None:
+        return closed
     within, best = (range(g.n), g.edges), _peel_density(g)
     while True:
         denser, side = _denser_subgraph(g, best, within)

@@ -10,8 +10,10 @@ cell with one AND per label.  It cuts an option when, by the vertex count
 P of the prefix's smallest cell (its fewest bits) and per-factor density
 ceilings, nothing below it can strictly beat the best so far for a wanted
 maximum; a cut option is still charged, and a cut can only skip ties, so
-witnesses are those of the full scan.  Each value is exact when its scan
-ends within its work budget and otherwise a lower bound, flagged inexact,
+witnesses are those of the full scan.  An option with at most as many
+edges as vertices has at most one cycle, and its density is their ratio,
+counted with no graph built.  Each value is exact when its scan ends
+within its work budget and otherwise a lower bound, flagged inexact,
 that its witness reaches.  A scan depends only on the factors, the vertex
 set, the budget and the maxima wanted, so a process memoizes it by their
 values, in a bounded cache; results do not change.
@@ -163,14 +165,24 @@ def _parts_of(part_of) -> list[list[int]]:
 
 @lru_cache(maxsize=1 << 14)
 def _partition_density(g: FactorGraph, part_of) -> Fraction:
-    """Density of the minor of g that the partition `part_of` defines."""
-    return _quotient_density(quotient(g, part_of))
+    """Density of the minor that the connected parts `part_of` of the
+    connected g define, with one edge per pair of parts g joins: their ratio
+    when the edges number at most the parts, else solved."""
+    joined = set()
+    for u, v in g.edges:
+        a, b = part_of[u], part_of[v]
+        if a != b:
+            joined.add((a, b) if a < b else (b, a))
+    parts = max(part_of) + 1
+    if len(joined) <= parts:
+        return Fraction(len(joined), parts)
+    return _quotient_density(FactorGraph(parts, joined))
 
 
 @lru_cache(maxsize=1 << 14)
 def _quotient_density(quotient: FactorGraph) -> Fraction:
-    """Density of a quotient or induced subgraph, cached by the graph, which
-    many partitions (and many subsets) share."""
+    """Density of a quotient or induced subgraph, cached by the graph: an
+    option with two or more cycles, a `MinorPartition` minor or f[vals]."""
     return densest_subgraph(quotient).density
 
 
@@ -466,12 +478,16 @@ def _subset_options(f: FactorGraph, vals, n: int, spend, left,
 
 
 def _subset_density(f: FactorGraph, key: tuple, spend) -> Fraction:
-    """The density of f[key], charged 2 + |V| + |E| units of f[key]."""
+    """The density of f[key], `key` connected, charged 2 + |V| + |E| units
+    of f[key]: their ratio when |E| <= |V|, else solved."""
     if not key:
         return Fraction(0)
-    sub, _ = induced_subgraph(f, key)
-    spend(2 + sub.n + sub.m)
-    return _quotient_density(sub)
+    inside = frozenset(key)
+    edges = sum(len(f.adj[v] & inside) for v in key) // 2
+    spend(2 + len(key) + edges)
+    if edges <= len(key):
+        return Fraction(edges, len(key))
+    return _quotient_density(induced_subgraph(f, key)[0])
 
 
 def vcdens_induced(g: ProductSubgraph, budget: int = DEFAULT_BUDGET) -> Found:

@@ -178,13 +178,24 @@ def _seeded_tree_or_unicyclic_graph(rng, n):
     return FactorGraph(n, edges)
 
 
+def _disjoint_union(graphs, isolated, rng):
+    """The graphs side by side with `isolated` more vertices, relabelled
+    at random."""
+    n = sum(g.n for g in graphs) + isolated
+    label, edges, at = rng.sample(range(n), n), [], 0
+    for g in graphs:
+        edges += [(label[u], label[v]) for u, v in _shifted(g, at)]
+        at += g.n
+    return FactorGraph(n, edges)
+
+
 def test_graphs_with_at_most_one_cycle_need_no_flow(monkeypatch):
     # a connected graph with m <= n has density m/n, every vertex its
-    # densest set; the flow rounds never run
-    def no_flow(*args):
-        raise AssertionError("a graph with at most one cycle ran a flow round")
-
-    monkeypatch.setattr(density, "_denser_subgraph", no_flow)
+    # densest set; a graph whose components each have at most one cycle
+    # has the densest component's m_i/n_i, witnessed by every component
+    # that reaches it.  Neither runs a flow round, but a union with a K4
+    # component still does
+    rounds = _recorded(monkeypatch, "_denser_subgraph")
     rng = random.Random(2028)
     graphs = [g for n in range(1, 8) for g in _trees_and_unicyclic_graphs(n)]
     graphs += [_seeded_tree_or_unicyclic_graph(rng, rng.randint(8, 14)) for _ in range(24)]
@@ -195,6 +206,30 @@ def test_graphs_with_at_most_one_cycle_need_no_flow(monkeypatch):
         oracle = densest_subgraph_bruteforce(g).density
         assert got.density == oracle == Fraction(g.m, g.n) and got.mad == 2 * oracle
         assert got.witness == _union_of_densest_sets(g, oracle) == tuple(range(g.n))
+    assert rounds == []
+    small = [g for g in graphs if g.n <= 4]
+    unions = [_disjoint_union(rng.sample(small, rng.randint(2, 3)), rng.choice((0, 0, 1, 3)), rng)
+              for _ in range(400)]
+    unions += [FactorGraph(n, []) for n in range(1, 4)]
+    assert sum(not is_connected(g) for g in unions) == len(unions) - 1
+    for g in unions:
+        got = densest_subgraph(g)
+        oracle = densest_subgraph_bruteforce(g).density
+        assert got.density == oracle and got.mad == 2 * oracle
+        assert got.witness == _union_of_densest_sets(g, oracle)
+    assert rounds == []
+    # C4 with a chord and a pendant path: one edge more than vertices, and
+    # the density is the chorded C4's 5/4, not 7/6
+    kite_with_tail = FactorGraph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (3, 4), (4, 5)])
+    for g in [_disjoint_union([complete_graph(4), path_graph(5)], 3, rng),
+              _disjoint_union([complete_graph(4), cycle_graph(3)], 2, rng),
+              _disjoint_union([star_graph(3), complete_graph(4), path_graph(2)], 2, rng),
+              _disjoint_union([kite_with_tail], 2, rng)]:
+        assert g.m <= g.n
+        del rounds[:]
+        got = densest_subgraph(g)
+        assert rounds and got.density == (Fraction(5, 4) if g.n == 8 else Fraction(3, 2))
+        assert got.witness == _union_of_densest_sets(g, got.density)
 
 
 def test_whole_graph_has_no_set_denser_than_the_result(monkeypatch):

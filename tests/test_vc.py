@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import prod
@@ -7,12 +8,13 @@ from math import prod
 import pytest
 
 from prodvc.density import densest_subgraph_bruteforce
+from prodvc.flow import MaxFlow
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           induced_subgraph, is_connected, path_graph, quotient, star_graph)
 from prodvc.harness import generate, random_factor
 from prodvc.products import (ProductSpace, ProductSubgraph, Subproduct, instance_from_json,
-                             instance_to_json)
-from prodvc import vc
+                             instance_to_json, octahedron)
+from prodvc import graph, vc
 from prodvc.vc import (DEFAULT_BUDGET, MinorPartition, _induced_ceilings, _minor_ceilings,
                        _part_of, _partitions, _stream_record, compute_vc_report,
                        connected_partitions, minor_search, shatters_minor, shatters_subproduct,
@@ -669,6 +671,122 @@ def test_density_ceilings_bound_every_option():
         for parts in _partitions(f, vals):
             minor_graph = quotient(f, _part_of(parts, f.n))
             assert densest_subgraph_bruteforce(minor_graph).density <= minor[len(parts)]
+
+
+def small_factor_corpus():
+    """Paths, cycles, stars, seeded trees, K3 and octahedron(2) (a 4-cycle),
+    whose options have at most one cycle, then K4, octahedron(3), K2,3, C4
+    with a chord and that graph with a pendant path, which have options with
+    two or more; with the path, some have one edge more than vertices and a
+    denser proper subgraph."""
+    rng = random.Random(468)
+    trees = [FactorGraph(n, [(rng.randrange(v), v) for v in range(1, n)])
+             for n in (5, 6, 7) for _ in range(3)]
+    return ([path_graph(n) for n in range(1, 7)] + [cycle_graph(n) for n in range(3, 7)]
+            + [star_graph(k) for k in range(1, 6)] + trees + [complete_graph(3), octahedron(2)]
+            + [complete_graph(4), octahedron(3),
+               FactorGraph(5, [(i, j) for i in range(2) for j in range(2, 5)]),
+               FactorGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+               FactorGraph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (3, 4), (4, 5)])])
+
+
+def test_option_densities_match_the_bruteforce_oracle():
+    # every connected subset's density, and its charge of 2 + |V| + |E|
+    # units, and every connected partition's minor density, whether read
+    # off the edge count (at most one cycle) or solved (two or more)
+    clear_vc_caches()
+    counted = {True: 0, False: 0}  # options by "at most one cycle"
+    for f in small_factor_corpus():
+        for mask in range(1, 1 << f.n):
+            key = tuple(v for v in range(f.n) if mask >> v & 1)
+            sub = induced_subgraph(f, key)[0]
+            if not is_connected(sub):
+                continue
+            charged = []
+            assert vc._subset_density(f, key, charged.append) == \
+                densest_subgraph_bruteforce(sub).density, (f.edges, key)
+            assert charged == [2 + sub.n + sub.m]
+            counted[sub.m <= sub.n] += 1
+        for parts in connected_partitions(f):
+            part_of = bytes(_part_of(parts, f.n))
+            minor = quotient(f, part_of)
+            assert vc._partition_density(f, part_of) == \
+                densest_subgraph_bruteforce(minor).density, (f.edges, parts)
+            counted[minor.m <= minor.n] += 1
+    assert counted[True] > 1200 and counted[False] > 90
+
+
+def test_a_report_on_tree_and_unicyclic_factors_builds_no_option_graph(monkeypatch):
+    # every option of P4, C5 and K1,3 has at most one cycle, so each density
+    # comes from an edge count: no max-flow and no quotient, and the only
+    # induced subgraphs are _induced_ceilings' f[vals], one per factor, two
+    # of them forests with more than one component (P4 misses coordinate 1,
+    # the star its centre)
+    space = ProductSpace([path_graph(4), cycle_graph(5), star_graph(3)])
+    rng = random.Random(34)
+    g = ProductSubgraph(space, [v for v in space.vertices()
+                                if v[0] != 1 and v[2] != 0 and rng.random() < 0.7])
+    flows, quotients, induced = [], [], []
+    real_init, real_quotient, real_induced = MaxFlow.__init__, graph.quotient, graph.induced_subgraph
+
+    def counted_init(self, *args):
+        flows.append(args)
+        real_init(self, *args)
+
+    def counted_quotient(*args):
+        quotients.append(args)
+        return real_quotient(*args)
+
+    def counted_induced(f, vertices):
+        induced.append((sys._getframe(1).f_code.co_name, f, frozenset(vertices)))
+        return real_induced(f, vertices)
+
+    monkeypatch.setattr(MaxFlow, "__init__", counted_init)
+    for mod in (graph, vc):
+        monkeypatch.setattr(mod, "quotient", counted_quotient)
+        monkeypatch.setattr(mod, "induced_subgraph", counted_induced)
+    clear_vc_caches()
+    report = compute_vc_report(g)
+    assert all(found.exact for found in report.values())
+    assert report["vcdens"].value > 0 and report["vcdens_star"].value > 0
+    assert flows == [] and quotients == []
+    assert [(caller, f) for caller, f, _ in induced] == \
+        [("_induced_ceilings", f) for f in space.factors]
+    forests = [real_induced(f, vals)[0] for _, f, vals in induced]
+    assert [is_connected(h) for h in forests] == [False, True, False]
+
+
+# vcdens of a 29-vertex subgraph of K4 x (C4 with a chord) x P3 at a sweep
+# of budgets, and the least budget at which it is exact (4,773 units): where
+# a budget runs out follows the charge of 2 + |V| + |E| units per subset
+# density, so these move if that charge does
+PINNED_VCDENS = {
+    0: (Fraction(0), None, False),
+    300: (Fraction(1, 2), {2: (0, 1)}, False),
+    600: (Fraction(7, 6), {1: (0, 1), 2: (0, 1, 2)}, False),
+    900: (Fraction(5, 3), {1: (0, 1, 2), 2: (0, 1, 2)}, False),
+    1200: (Fraction(7, 4), {1: (0, 1, 2, 3), 2: (0, 1)}, False),
+    1500: (Fraction(23, 12), {1: (0, 1, 2, 3), 2: (0, 1, 2)}, False),
+    2400: (Fraction(23, 12), {1: (0, 1, 2, 3), 2: (0, 1, 2)}, False),
+    2700: (Fraction(2), {0: (0, 1, 2), 1: (0, 1, 2)}, False),
+    3000: (Fraction(9, 4), {0: (0, 1, 2), 1: (0, 1, 2, 3)}, False),
+    3900: (Fraction(9, 4), {0: (0, 1, 2), 1: (0, 1, 2, 3)}, False),
+    4200: (Fraction(5, 2), {0: (0, 1, 2, 3), 1: (0, 1, 2)}, False),
+    4500: (Fraction(11, 4), {0: (0, 1, 2, 3), 1: (0, 1, 2, 3)}, False),
+    4772: (Fraction(11, 4), {0: (0, 1, 2, 3), 1: (0, 1, 2, 3)}, False),
+    4773: (Fraction(11, 4), {0: (0, 1, 2, 3), 1: (0, 1, 2, 3)}, True),
+}
+
+
+def test_vcdens_induced_at_pinned_budgets():
+    chorded_c4 = FactorGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    space = ProductSpace([complete_graph(4), chorded_c4, path_graph(3)])
+    rng = random.Random(34)
+    g = ProductSubgraph(space, [v for v in space.vertices() if rng.random() < 0.6])
+    assert g.n == 29
+    for budget, pinned in PINNED_VCDENS.items():
+        clear_vc_caches()
+        assert vcdens_induced(g, budget) == pinned, budget
 
 
 def test_minor_ceilings_are_one_shared_tuple_per_factor_and_count():
