@@ -28,9 +28,9 @@ def field_width(n: int) -> int:
 
 
 class _Label(int):
-    """A label that keeps its split, (k, w, id, parent fields), once a decode
-    under that layout has checked it.  It compares, hashes and prints as its
-    value, and pickles as a plain int."""
+    """A label that keeps its split, (k, w, id, parent fields other than the
+    id), once a decode under that layout has checked it.  It compares, hashes
+    and prints as its value, and pickles as a plain int."""
     _split = (None, None, None, ())
 
     def __reduce__(self):
@@ -70,19 +70,21 @@ def decode(label_x: int, label_y: int, k: int, w: int) -> bool:
     below the sentinel value."""
     # No comprehension, generator or nested function here: any of them makes
     # k and w cell variables, which slows every call of a warm all-pairs loop.
-    if type(label_x) is _Label and type(label_y) is _Label:
+    try:  # a plain int has no _split; a cold _Label's layout is None
         kx, wx, x, px = label_x._split
         ky, wy, y, py = label_y._split
         if kx == k == ky and wx == w == wy:
-            return (y in px or x in py) and x != y
+            return y in px or x in py  # false for x == y: no split holds its own id
+    except AttributeError:
+        pass
     return _split_and_decode(label_x, label_y, k, w)
 
 
 def _split_and_decode(label_x: int, label_y: int, k: int, w: int) -> bool:
-    """decode for every label its fast path misses (plain ints, mixed pairs,
-    _Labels last split under another layout): check both labels, split each
-    into id and parent fields under (k, w), and keep the split only on a
-    _Label."""
+    """decode for every pair its fast path misses (plain ints, mixed pairs,
+    _Labels last split under another layout): check both labels, keep on
+    each _Label its split under (k, w) with its own id left out of its
+    parent fields, and answer by comparing the k fields, building no set."""
     both = label_x | label_y  # negative iff either label is
     if both < 0:
         raise GraphError("labels are nonnegative integers")
@@ -91,11 +93,14 @@ def _split_and_decode(label_x: int, label_y: int, k: int, w: int) -> bool:
         raise GraphError("label too long for the declared field layout")
     mask = (1 << w) - 1
     x, y = label_x >> top, label_y >> top
-    px, py = (frozenset(label >> i * w & mask for i in range(k)) for label in (label_x, label_y))
-    for label, split in ((label_x, (k, w, x, px)), (label_y, (k, w, y, py))):
+    for label, own in ((label_x, x), (label_y, y)):
         if type(label) is _Label:
-            label._split = split
-    return (y in px or x in py) and x != y
+            label._split = (k, w, own, frozenset(label >> i * w & mask for i in range(k)) - {own})
+    if x != y:
+        for shift in range(0, top, w):
+            if label_x >> shift & mask == y or label_y >> shift & mask == x:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from prodvc import labeling
 from prodvc.density import mad
 from prodvc.graph import (FactorGraph, GraphError, complete_graph, cycle_graph,
                           degeneracy_ordering, path_graph)
@@ -101,7 +102,7 @@ def outcome(decoder, x, y, k, w):
 
 def test_decode_matches_field_list_oracle():
     # plain ints, and labels as encode hands them out: decoded cold, when
-    # each keeps its split, and again from the kept splits
+    # each keeps its split, again from the kept splits, and beside plain ints
     rng = random.Random(12)
 
     def with_field(label, i, value, w):
@@ -124,7 +125,15 @@ def test_decode_matches_field_list_oracle():
                               (x, with_field(y, 0, ids[0], w)),
                               (with_field(x, k - 1, ids[1], w), y),
                               (x, with_field(y, k - 1, ids[0], w))]
-                for a, b in pairs:
+                own_id = []
+                if k:
+                    # a parent field holding the label's own id, which encode
+                    # never writes: a kept split leaves the id out, and no
+                    # pair of labels with one id may decode as adjacent
+                    own = with_field(x, k - 1, ids[0], w)
+                    twin = y & ((1 << k * w) - 1) | ids[0] << k * w
+                    own_id = [(own, own), (own, twin), (twin, own)]
+                for a, b in pairs + own_id:
                     want = outcome(field_list_decode, a, b, k, w)
                     assert outcome(decode, a, b, k, w) == want, (a, b, k, w)
                     la = _Label(a)
@@ -132,6 +141,10 @@ def test_decode_matches_field_list_oracle():
                     for _ in range(2):
                         assert outcome(decode, la, lb, k, w) == want, (a, b, k, w)
                         assert outcome(decode, lb, la, k, w) == want, (b, a, k, w)
+                    assert outcome(decode, la, b, k, w) == want, (a, b, k, w)
+                    assert outcome(decode, a, lb, k, w) == want, (a, b, k, w)
+                    if (a, b) in own_id:
+                        assert want is False
                     seen.add(want)
     assert seen == {True, False, "labels are nonnegative integers",
                     "label too long for the declared field layout"}
@@ -160,6 +173,30 @@ def test_labels_are_checked_again_under_a_new_layout():
     zero = _Label(0)
     assert decode(zero, zero, 3, 0) is False
     assert field_list_decode(0, 0, 3, 0) is False
+
+
+def test_kept_splits_serve_every_repeat_pair(monkeypatch):
+    # the checked path runs at most once per label from a label file, and
+    # for every pair of plain ints
+    g = FactorGraph(12, [(v, (v + d) % 12) for v in range(12) for d in (1, 5)])
+    s = from_label_file(to_label_file(encode(g)))
+    assert s.k >= 2
+    calls = 0
+    checked = labeling._split_and_decode
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return checked(*args)
+
+    monkeypatch.setattr(labeling, "_split_and_decode", counted)
+    want = [v in g.adj[u] for u in range(g.n) for v in range(g.n)]
+    for labels, most in ((s.labels, g.n), ([int(label) for label in s.labels], g.n ** 2)):
+        calls = 0
+        assert [decode(labels[u], labels[v], s.k, s.w)
+                for u in range(g.n) for v in range(g.n)] == want
+        assert calls <= most
+    assert calls == g.n ** 2
 
 
 # sha256 of every file in _golden_corpus(), and of the file each reads back

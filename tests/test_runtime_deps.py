@@ -3,9 +3,12 @@ import importlib
 import re
 import sys
 from collections import Counter
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
 import prodvc
+from prodvc import labeling
+from prodvc.graph import cycle_graph
 
 
 def test_runtime_imports_only_stdlib():
@@ -187,3 +190,23 @@ def test_every_module_cache_is_bounded_and_found_by_its_module():
             assert cache.cache_parameters()["maxsize"] is not None, f"{path.name}: {name}"
         found |= {f"{path.stem}.{name}" for name in decorated}
     assert {"vc._scan", "vc.connected_partitions", "vc._stream_record"} <= found
+
+
+def test_labeling_keeps_no_mutable_state_at_module_level():
+    # a label keeps its own split; a memo at module level (a dict of splits)
+    # grows with every label set a process decodes, as do mutable defaults
+    # and class attributes
+    scheme = labeling.from_label_file(labeling.to_label_file(labeling.encode(cycle_graph(9))))
+    assert labeling.decoded_graph(scheme) == cycle_graph(9)
+    mutable = (dict, list, set, bytearray, MutableMapping, MutableSequence, MutableSet)
+    held = {name: obj for name, obj in vars(labeling).items() if not name.startswith("__")}
+    for name, obj in list(held.items()):
+        if isinstance(obj, type) and obj.__module__ == labeling.__name__:
+            held.update((f"{name}.{attr}", value) for attr, value in vars(obj).items()
+                        if not attr.startswith("__"))
+        if callable(obj) and getattr(obj, "__module__", None) == labeling.__name__:
+            defaults = (getattr(obj, "__defaults__", None) or ()) + tuple(
+                (getattr(obj, "__kwdefaults__", None) or {}).values())
+            held.update((f"{name} default {i}", value) for i, value in enumerate(defaults))
+    assert held
+    assert [name for name, obj in held.items() if isinstance(obj, mutable)] == []
