@@ -82,9 +82,9 @@ def decode(label_x: int, label_y: int, k: int, w: int) -> bool:
 
 def _split_and_decode(label_x: int, label_y: int, k: int, w: int) -> bool:
     """decode for every pair its fast path misses (plain ints, mixed pairs,
-    _Labels last split under another layout): check both labels, keep on
-    each _Label its split under (k, w) with its own id left out of its
-    parent fields, and answer by comparing the k fields, building no set."""
+    _Labels last split under another layout): check both labels, split each
+    into its id and its parent fields other than the id under (k, w), and
+    keep the split only on a _Label."""
     both = label_x | label_y  # negative iff either label is
     if both < 0:
         raise GraphError("labels are nonnegative integers")
@@ -93,14 +93,12 @@ def _split_and_decode(label_x: int, label_y: int, k: int, w: int) -> bool:
         raise GraphError("label too long for the declared field layout")
     mask = (1 << w) - 1
     x, y = label_x >> top, label_y >> top
-    for label, own in ((label_x, x), (label_y, y)):
+    px = frozenset(label_x >> i * w & mask for i in range(k)) - {x}
+    py = frozenset(label_y >> i * w & mask for i in range(k)) - {y}
+    for label, split in ((label_x, (k, w, x, px)), (label_y, (k, w, y, py))):
         if type(label) is _Label:
-            label._split = (k, w, own, frozenset(label >> i * w & mask for i in range(k)) - {own})
-    if x != y:
-        for shift in range(0, top, w):
-            if label_x >> shift & mask == y or label_y >> shift & mask == x:
-                return True
-    return False
+            label._split = split
+    return y in px or x in py
 
 
 # ---------------------------------------------------------------------------
